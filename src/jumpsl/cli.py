@@ -18,10 +18,9 @@ import numpy as np
 
 from . import asymptotics, inverse, weyl
 from .errors import ConfigParseError, JumpSLError, NumericalError, ValidationError
-from .problem import gauge_transform, load_problem, problem_to_dict, save_problem
+from .problem import _atomic_write, gauge_transform, load_problem, problem_to_dict, save_problem
 from .spectrum import (
     SpectralData,
-    _atomic_write,
     _fmt,
     char_delta,
     count_zeros_contour,

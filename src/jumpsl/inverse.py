@@ -32,6 +32,7 @@ from .errors import (
     BoundaryConstraintError,
     ConfigParseError,
     ForwardSolveError,
+    JumpSLError,
     JumpSignError,
     MismatchError,
     NonconvergenceError,
@@ -280,7 +281,7 @@ def residuals(fs: FitSpec, params):
     try:
         problem = unpack_parameters(fs, params)
         lams, gams, mus = _forward_targets(fs, problem)
-    except Exception:
+    except JumpSLError:
         # invalid candidate (sign flips, missed roots, quadrature failure):
         # flag it so the optimizer retreats instead of aborting the fit
         return np.full(n_out, FLAG_RESIDUAL)

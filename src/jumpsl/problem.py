@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -198,9 +200,7 @@ class SampledGrid:
         self.x = x
         self.values = values
         self.order = order
-        if order == 0:
-            self._interp = None
-        elif order == 1:
+        if order in (0, 1):
             self._interp = None
         else:
             from scipy.interpolate import CubicSpline
@@ -486,7 +486,18 @@ def load_problem(path) -> ValidatedProblem:
     return problem_from_dict(data)
 
 
+def _atomic_write(path, text):
+    d = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".jumpsl-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_problem(problem, path):
-    with open(path, "w") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=2)
-        fh.write("\n")
+    _atomic_write(path, json.dumps(problem_to_dict(problem), indent=2) + "\n")

@@ -17,10 +17,6 @@ from .errors import QuadratureError
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _panel_integral(fvals_weights):
-    return fvals_weights
-
-
 def _integrate_cell(func, xl, xr, panels):
     edges = np.linspace(xl, xr, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]

@@ -7,8 +7,8 @@ lambda-derivative comes from the variational system, never from finite
 differences.
 
 Eigenvalues are located by a sign-change scan on the real axis (the scan
-floor extends below zero), refined by bisection in the scan parameter, and
-optionally certified by an argument-principle contour count.
+floor extends below zero), polished by a safeguarded Newton iteration in
+lambda, and optionally certified by an argument-principle contour count.
 
 Sign convention: the derivative identity at an eigenvalue reads
 
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +36,7 @@ from .errors import (
     MissedEigenvalueError,
     ToleranceError,
 )
-from .problem import PI, ValidatedProblem
+from .problem import _atomic_write
 from .propagation import (
     CPM_DENSITY,
     SpectralPoint,
@@ -249,21 +247,21 @@ def _root_scan(problem, count, left, cpm_density, step_neg=0.05, step_pos=0.02):
     s_grid = np.concatenate([s_neg, s_pos])
     vals = delta_batch(problem, _scan_lambda(s_grid), left=left,
                        cpm_density=cpm_density).real
-    roots_s = _roots_from_grid(problem, s_grid, vals, left, cpm_density)
-    return np.sort(_scan_lambda(np.asarray(roots_s))), floor
+    roots, droots = _polish_roots(
+        lambda lam: tuple(d.real for d in delta_batch(
+            problem, lam, derivative=True, left=left, cpm_density=cpm_density)),
+        *_sign_brackets(problem, s_grid, vals, left, cpm_density))
+    order = np.argsort(roots)
+    return roots[order], droots[order], floor
 
 
-def _roots_from_grid(problem, s_grid, vals, left, cpm_density, refine_depth=1):
-    roots = []
-    brackets = []
-    for i in range(len(s_grid) - 1):
-        if vals[i] == 0.0:
-            if not roots or abs(s_grid[i] - roots[-1]) > 1e-12:
-                roots.append(float(s_grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            brackets.append((s_grid[i], s_grid[i + 1]))
-    if vals[-1] == 0.0:
-        roots.append(float(s_grid[-1]))
+def _sign_brackets(problem, s_grid, vals, left, cpm_density, refine_depth=1):
+    """Lambda brackets (lo, hi, Delta(lo)) of a scan; lo == hi at exact zeros."""
+    lam = _scan_lambda(s_grid)
+    change = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    zero = np.flatnonzero(vals == 0.0)
+    parts = [(lam[change], lam[change + 1], vals[change]),
+             (lam[zero], lam[zero], vals[zero])]
     # a local minimum of |Delta| without a sign change may hide a close pair
     if refine_depth > 0:
         av = np.abs(vals)
@@ -274,33 +272,49 @@ def _roots_from_grid(problem, s_grid, vals, left, cpm_density, refine_depth=1):
                 fine = np.linspace(s_grid[i - 1], s_grid[i + 1], 65)
                 fvals = delta_batch(problem, _scan_lambda(fine), left=left,
                                     cpm_density=cpm_density).real
-                roots.extend(_roots_from_grid(problem, fine, fvals, left,
-                                              cpm_density, refine_depth - 1))
-    if brackets:
-        lo = np.array([b[0] for b in brackets])
-        hi = np.array([b[1] for b in brackets])
-        flo = delta_batch(problem, _scan_lambda(lo), left=left,
-                          cpm_density=cpm_density).real
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            fmid = delta_batch(problem, _scan_lambda(mid), left=left,
-                               cpm_density=cpm_density).real
-            go_right = np.sign(fmid) == np.sign(flo)
-            exact = fmid == 0.0
-            lo = np.where(go_right & ~exact, mid, lo)
-            flo = np.where(go_right & ~exact, fmid, flo)
-            hi = np.where(~go_right & ~exact, mid, hi)
-            lo = np.where(exact, mid, lo)
-            hi = np.where(exact, mid, hi)
-            if np.all(hi - lo < 1e-14):
-                break
-        roots.extend((0.5 * (lo + hi)).tolist())
-    return sorted(set(roots))
+                parts.append(_sign_brackets(problem, fine, fvals, left,
+                                            cpm_density, refine_depth - 1))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _polish_roots(fdf, lo, hi, flo):
+    """Vectorized bracket-safeguarded Newton iteration (the ``rtsafe`` rule).
+
+    ``fdf(x)`` returns f and f' over an array; f(lo) has the sign of ``flo``.
+    Each root starts at its bracket midpoint; a Newton step that is not
+    finite, lands outside the sign bracket or fails to halve the step before
+    last falls back to the midpoint.  A root stops at f = 0, or when its
+    Newton step or bracket is within 4 eps max(1, |x|), and is returned as
+    the last point evaluated, with f' there."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x, step = 0.5 * (lo + hi), np.array([hi - lo, hi - lo])
+    dfx = np.full_like(x, np.nan)
+    todo = np.arange(x.size)
+    for _ in range(64):
+        xt = x[todo]
+        f, df = fdf(xt)
+        below = np.sign(f) == np.sign(flo[todo])
+        lt, ht = np.where(below, xt, lo[todo]), np.where(below, hi[todo], xt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = f / df
+        tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(xt))
+        done = (f == 0.0) | (np.abs(dx) <= tol) | (ht - lt <= tol)
+        xn = xt - dx
+        safe = np.isfinite(xn) & (lt <= xn) & (xn <= ht) \
+            & (2.0 * np.abs(dx) <= np.abs(step[0, todo]))
+        xn = np.where(safe, xn, 0.5 * (lt + ht))
+        step[:, todo] = step[1, todo], xn - xt
+        lo[todo], hi[todo], dfx[todo] = lt, ht, df
+        x[todo] = np.where(done, xt, xn)
+        todo = todo[~done]
+        if todo.size == 0:
+            return x, dfx
+    raise ToleranceError(f"{todo.size} root(s) unconverged after 64 Newton steps")
 
 
 def eigenvalues(problem, count, verify=True, left="spec",
                 cpm_density=CPM_DENSITY) -> SpectralData:
-    """The lowest ``count`` eigenvalues, bracketed and bisection-refined.
+    """The lowest ``count`` eigenvalues, bracketed and Newton-polished.
 
     With ``verify`` the count is certified against an argument-principle
     contour; a mismatch triggers one refined re-scan before raising
@@ -308,19 +322,17 @@ def eigenvalues(problem, count, verify=True, left="spec",
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    roots, floor = _root_scan(problem, count, left, cpm_density)
+    roots, droots, floor = _root_scan(problem, count, left, cpm_density)
     if len(roots) < count:
-        roots, floor = _root_scan(problem, count, left, cpm_density,
-                                  step_neg=0.0125, step_pos=0.005)
+        roots, droots, floor = _root_scan(problem, count, left, cpm_density,
+                                          step_neg=0.0125, step_pos=0.005)
     if len(roots) < count:
         raise MissedEigenvalueError(
             f"found only {len(roots)} of {count} requested eigenvalues")
     lams = roots[:count]
 
     # simplicity check: nonzero derivative at every root
-    _, dvals = delta_batch(problem, lams, derivative=True, left=left,
-                           cpm_density=cpm_density)
-    if np.any(dvals == 0.0):
+    if np.any(droots[:count] == 0.0):
         raise ToleranceError("vanishing Delta derivative at a located root")
 
     certification = "bracketed"
@@ -452,19 +464,6 @@ def _fmt_rho(rho):
     if rho.imag == 0.0:
         return _fmt(rho.real)
     return f"{rho.real:.17g}{rho.imag:+.17g}j"
-
-
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".jumpsl-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def export_csv(sd: SpectralData, path):

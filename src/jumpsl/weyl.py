@@ -30,9 +30,9 @@ from .errors import (
     MismatchError,
     PoleError,
 )
-from .problem import ValidatedProblem
+from .problem import ValidatedProblem, _atomic_write
 from .propagation import SpectralPoint, fundamental_solution, propagate_endpoints_batch
-from .spectrum import SpectralData, _atomic_write, _fmt, eigenvalues, spectral_data
+from .spectrum import SpectralData, _fmt, eigenvalues, spectral_data
 
 __all__ = [
     "WeylSample",

@@ -7,6 +7,7 @@ import pytest
 from jumpsl import (
     FitSpec,
     MismatchError,
+    MissedEigenvalueError,
     NonconvergenceError,
     ValidationError,
     eigenvalues,
@@ -18,6 +19,7 @@ from jumpsl import (
     spectral_data,
     unpack_parameters,
 )
+from jumpsl import inverse
 from jumpsl.inverse import FLAG_RESIDUAL
 
 PI = math.pi
@@ -117,6 +119,29 @@ def test_flag_residual_on_invalid_candidate(generic):
     r = residuals(fs, np.array([0.0]))
     assert np.all(r == FLAG_RESIDUAL)
     assert len(r) == 4
+
+
+def test_residuals_flag_numerical_errors(monkeypatch, one_jump):
+    fs = _full_spec(one_jump, 4, unknowns=("h", "H"))
+
+    def missed(fs, problem):
+        raise MissedEigenvalueError("found only 3 of 4 requested eigenvalues")
+
+    monkeypatch.setattr(inverse, "_forward_targets", missed)
+    r = residuals(fs, pack_parameters(fs))
+    assert np.all(r == FLAG_RESIDUAL)
+    assert len(r) == 8
+
+
+def test_residuals_propagate_programming_errors(monkeypatch, one_jump):
+    fs = _full_spec(one_jump, 4, unknowns=("h", "H"))
+
+    def broken(fs, problem):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(inverse, "_forward_targets", broken)
+    with pytest.raises(TypeError):
+        residuals(fs, pack_parameters(fs))
 
 
 def test_load_fitspec_full(tmp_path, one_jump):

@@ -25,6 +25,7 @@ from jumpsl import (
     save_problem,
     validate,
 )
+from jumpsl import problem as problem_module
 
 PI = math.pi
 
@@ -144,6 +145,20 @@ def test_config_roundtrip_eigenparameter(tmp_path, eig_desk):
     back = load_problem(path)
     assert back.variant == "eigenparameter"
     assert back.boundary == eig_desk.boundary
+
+
+def test_save_problem_is_atomic(tmp_path, monkeypatch, generic, eig_desk):
+    path = tmp_path / "p.json"
+    save_problem(generic, path)
+    before = path.read_bytes()
+    good = problem_module.problem_to_dict(eig_desk)
+    # serialisation fails part-way: the boundary is not JSON-serialisable
+    monkeypatch.setattr(problem_module, "problem_to_dict",
+                        lambda p: {**good, "boundary": object()})
+    with pytest.raises(TypeError):
+        save_problem(eig_desk, path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["p.json"]
 
 
 def test_config_parse_errors(tmp_path):

@@ -6,9 +6,11 @@ import pytest
 
 from jumpsl import (
     ContourTooCloseError,
+    PiecewisePolynomial,
     ProblemSpec,
     RobinBC,
     SpectralData,
+    ToleranceError,
     char_delta,
     char_delta_derivative,
     char_delta_forms,
@@ -22,7 +24,8 @@ from jumpsl import (
     spectral_data,
     validate,
 )
-from jumpsl.spectrum import EigenRecord, lambda_floor
+from jumpsl import spectrum
+from jumpsl.spectrum import EigenRecord, _polish_roots, lambda_floor
 
 PI = math.pi
 INV_PI = 0.3183098861837907       # 1/pi
@@ -169,7 +172,7 @@ def test_json_export(tmp_path, free):
 
 
 def test_eigenvalue_residual_tolerance(free):
-    # located roots satisfy |Delta| ~ 0 to bisection precision
+    # located roots satisfy |Delta| ~ 0 to safeguarded-Newton precision
     sd = eigenvalues(free, 8)
     for r in sd.records[1:]:
         rho = math.sqrt(r.lam)
@@ -180,3 +183,72 @@ def test_deterministic_outputs(generic):
     a = eigenvalues(generic, 6).lambdas
     b = eigenvalues(generic, 6).lambdas
     assert np.array_equal(a, b)
+
+
+def _counted(fdf, calls):
+    def wrapped(x):
+        calls.append(len(x))
+        return fdf(x)
+    return wrapped
+
+
+def test_polish_survives_newton_overshoot():
+    # from each midpoint, a plain Newton step on atan(x - 3) lands far
+    # outside its bracket (near -418 from 20); the safeguard falls back to
+    # bisection and every bracket still converges to the root
+    lo, hi = np.array([0.0, -30.0, 2.0]), np.array([40.0, 10.0, 100.0])
+
+    def fdf(x):
+        return np.arctan(x - 3.0), 1.0 / (1.0 + (x - 3.0) ** 2)
+
+    f, df = fdf(0.5 * (lo + hi))
+    xn = 0.5 * (lo + hi) - f / df
+    assert np.all((xn < lo) | (xn > hi))
+    calls = []
+    x, dfx = _polish_roots(_counted(fdf, calls), lo, hi, np.arctan(lo - 3.0))
+    assert np.allclose(x, 3.0, rtol=0, atol=1e-15)
+    assert np.allclose(dfx, 1.0, rtol=1e-14)
+    assert len(calls) < 20
+
+
+def test_polish_exact_zero_at_midpoint():
+    calls = []
+    x, dfx = _polish_roots(_counted(lambda x: (x - 0.5, 2.0 * np.ones_like(x)), calls),
+                           np.array([0.0]), np.array([1.0]), np.array([-0.5]))
+    assert x[0] == 0.5 and dfx[0] == 2.0
+    assert calls == [1]
+
+
+def test_polish_iteration_cap():
+    # a vanishing derivative forces bisection on every step, and 64
+    # halvings cannot shrink a bracket of width 2e300 to 4 eps
+    def fdf(x):
+        return np.sign(x - 0.3), np.zeros_like(x)
+
+    with pytest.raises(ToleranceError):
+        _polish_roots(fdf, np.array([-1e300]), np.array([1e300]), np.array([-1.0]))
+
+
+def test_one_jump_relative_accuracy(one_jump):
+    n = np.arange(200)
+    lams = eigenvalues(one_jump, 200).lambdas
+    assert np.max(np.abs(lams - n * n) / np.maximum(1.0, n * n)) <= 2e-15
+
+
+def test_root_polish_call_count(monkeypatch):
+    # the half-inverse truth problem of acceptance criterion 11
+    pot = PiecewisePolynomial(
+        coefficients=((0.25, -0.1, 0.2, 0.0), (0.1, 0.3, -0.2, 0.08)),
+        breakpoints=(PI / 2,))
+    p = validate(ProblemSpec(pot, RobinBC(0.2, -0.4)))
+    calls = []
+    original = spectrum.delta_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "delta_batch", counting)
+    sd = eigenvalues(p, 40, verify=False, cpm_density=96)
+    assert len(sd) == 40
+    assert len(calls) <= 10
