@@ -3,32 +3,22 @@
 Subcommands: eigs, spectral-data, weyl, asym-check, gauge, two-spectra,
 fit, contour-count.  Configs use the JSON problem schema; outputs are
 CSV/JSON tables written atomically.  Exit status: 0 success, 1 validation
-or config error, 2 numerical failure.  JUMPSL_THREADS (positive integer)
-caps internal parallelism.
+or config error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import asymptotics, inverse, weyl
-from .errors import ConfigParseError, JumpSLError, NumericalError, ValidationError
-from .problem import _atomic_write, gauge_transform, load_problem, problem_to_dict, save_problem
-from .spectrum import (
-    SpectralData,
-    _fmt,
-    char_delta,
-    count_zeros_contour,
-    eigenvalues,
-    export_csv,
-    export_json,
-    spectral_data,
-)
+from .errors import ConfigParseError, NumericalError, ValidationError
+from .problem import _atomic_write, gauge_transform, load_problem, problem_to_dict
+from .spectrum import (_fmt, _spectral_text, char_delta, count_zeros_contour,
+                       eigenvalues, spectral_data)
 
 __all__ = ["main"]
 
@@ -43,22 +33,6 @@ _HINTS = {
     "NonconvergenceError": "try a closer initial guess or wider bounds",
     "PoleError": "evaluation point coincides with an eigenvalue",
 }
-
-
-def _apply_thread_cap():
-    raw = os.environ.get("JUMPSL_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-        if n < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigParseError(
-            f"JUMPSL_THREADS must be a positive integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
 
 
 def _emit(text, out_path):
@@ -131,29 +105,14 @@ def _build_parser():
 def _cmd_eigs(args):
     p = load_problem(args.config)
     sd = eigenvalues(p, args.count, verify=not args.no_verify)
-    _emit_spectral(sd, args, as_json=False)
+    _emit(_spectral_text(sd), args.output)
 
 
 def _cmd_spectral_data(args):
     p = load_problem(args.config)
     sd = eigenvalues(p, args.count, verify=not args.no_verify)
     sd = spectral_data(p, sd)
-    _emit_spectral(sd, args, as_json=args.as_json)
-
-
-def _emit_spectral(sd: SpectralData, args, as_json):
-    if args.output:
-        (export_json if as_json else export_csv)(sd, args.output)
-        return
-    import tempfile
-    fd, tmp = tempfile.mkstemp()
-    os.close(fd)
-    try:
-        (export_json if as_json else export_csv)(sd, tmp)
-        with open(tmp) as fh:
-            sys.stdout.write(fh.read())
-    finally:
-        os.unlink(tmp)
+    _emit(_spectral_text(sd, args.as_json), args.output)
 
 
 def _cmd_weyl(args):
@@ -164,12 +123,7 @@ def _cmd_weyl(args):
     except ValueError:
         raise ConfigParseError(f"--grid expects START:STOP:NUM, got {args.grid!r}")
     samples = [weyl.weyl_m(p, complex(re, args.imag)) for re in grid]
-    lines = ["re_lambda,im_lambda,re_m,im_m"]
-    for s in samples:
-        lam, m = complex(s.lam), complex(s.m)
-        lines.append(",".join([_fmt(lam.real), _fmt(lam.imag),
-                               _fmt(m.real), _fmt(m.imag)]))
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(weyl._m_samples_text(samples), args.output)
 
 
 def _cmd_asym_check(args):
@@ -253,7 +207,6 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:

@@ -47,7 +47,7 @@ from .problem import (
     ValidatedProblem,
     validate,
 )
-from .propagation import propagate_endpoints_batch
+from .propagation import initial_state, propagate_endpoints_batch
 from .spectrum import delta_batch, eigenvalues, load_csv
 
 __all__ = [
@@ -237,10 +237,7 @@ def _fast_gammas(problem, lams, cpm_density):
     """
     lam = np.asarray(lams, dtype=complex)
     bc = problem.boundary
-    if problem.variant == "robin":
-        y0, yp0 = np.ones_like(lam), np.full_like(lam, -bc.H)
-    else:
-        y0, yp0 = bc.H2 - lam, lam * bc.H1 - bc.H3
+    (y0, yp0), _ = initial_state(problem, "psi", lam)
     y, yp = propagate_endpoints_batch(problem, lam, y0, yp0, backward=True,
                                       cpm_density=cpm_density)
     if problem.variant == "robin":

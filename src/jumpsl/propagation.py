@@ -1,23 +1,30 @@
 """Propagation of -y'' + q y = lambda y across segments and jumps.
 
-Three propagation kernels, chosen per integration cell:
+One kernel does all propagation: the fourth-order Magnus step on two
+Gauss-Legendre points (Iserles & Norsett 1999), the constant-perturbation
+style step of MATSLISE.  A step of signed width h from x0 samples q at
+x0 + (1/2 -+ sqrt(3)/6) h and replaces the generator of (y, y') by
 
-* exact transfer matrices for cells where q is constant (entire in lambda,
-  valid for any complex lambda, machine-precision accurate);
-* an adaptive high-order one-step method (DOP853, rtol 1e-12) with dense
-  output for non-constant q at moderate |rho|;
-* a fixed-grid midpoint transfer ladder ("cpm") that freezes q at substep
-  midpoints; its local error is uniform in |rho|, which is what the
-  high-energy comparisons need, and its grid is parameter independent,
-  which is what the inverse iteration needs.
+    Omega = [[a, h], [h (qbar - lambda), -a]],
+    qbar = (q1 + q2) / 2,   a = sqrt(3) h^2 (q1 - q2) / 12.
 
-All kernels broadcast over arrays of lambda; the batch entry point
+Omega is traceless with Omega^2 = -w I, w = (lambda - qbar) h^2 - a^2, so
+exp(Omega) = C I + S Omega with C = cos(sqrt w) and S = sin(sqrt w)/sqrt w.
+The step is entire in lambda (complex lambda needs no special case) and its
+error does not grow with |rho|.  Where q is constant on a cell, a = 0 and
+Omega is the exact generator: the cell is one step, exact to rounding, with
+q taken from ``Piece.q_const``.  Other cells take ``CPM_DENSITY`` (or
+``cpm_density``) equal steps per unit length, at least 32, and converge as
+h^4.
+
+Everything broadcasts over arrays of lambda; the batch entry point
 :func:`propagate_endpoints_batch` is what the spectrum module builds its
-characteristic-function scans on.
+characteristic-function scans on.  Dense solutions keep the state at every
+step node and reach any other point by one partial step from the nearest
+node.
 
-The lambda-derivative of a solution is propagated through the variational
-system u'' = (q - lambda) u - y with the analytic derivative of the
-constant-q transfer matrix (no finite differences).
+The lambda-derivative of a solution is propagated through the analytic
+derivative of the step (no finite differences).
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, MismatchError, ToleranceError
-from .problem import PI, Piece, ValidatedProblem
+from .errors import DomainError, MismatchError
+from .problem import PI, Piece
 
 __all__ = [
     "SpectralPoint",
@@ -43,13 +50,11 @@ __all__ = [
     "propagate_endpoints_batch",
 ]
 
-#: above this |rho| the adaptive integrator is replaced by the midpoint ladder
-RHO_SWITCH = 60.0
-#: midpoint-ladder substeps per unit length
+#: Gauss-Magnus steps per unit length on cells where q is not constant
 CPM_DENSITY = 160
-#: tolerances for the adaptive integrator
-IVP_RTOL = 1e-12
-IVP_ATOL = 1e-12
+
+_GAUSS = math.sqrt(3.0) / 6.0     # Gauss nodes sit at the step midpoint -+ this
+_COMMUTATOR = math.sqrt(3.0) / 12.0
 
 
 @dataclass(frozen=True)
@@ -81,105 +86,69 @@ class StateVector(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# transfer-matrix kernels (entire functions of w = (lambda - q) h^2)
+# the Gauss-Magnus kernel
 # ----------------------------------------------------------------------
 
 def _cs(w):
     """C(w) = cos(sqrt w) and S(w) = sin(sqrt w)/sqrt w, entire in w."""
-    w = np.asarray(w, dtype=complex)
-    C = np.empty_like(w)
-    S = np.empty_like(w)
-    small = np.abs(w) < 1e-6
-    ws = w[small]
-    C[small] = 1.0 + ws * (-0.5 + ws * (1.0 / 24.0 - ws / 720.0))
-    S[small] = 1.0 + ws * (-1.0 / 6.0 + ws * (1.0 / 120.0 - ws / 5040.0))
-    z = np.sqrt(w[~small])
-    C[~small] = np.cos(z)
-    S[~small] = np.sin(z) / z
-    return C, S
+    z = np.sqrt(np.asarray(w, dtype=complex))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S = np.where(z == 0.0, 1.0, np.sin(z) / z)
+    return np.cos(z), S
 
 
 def _cs_d(w):
     """C, S and D = (C - S)/(2 w) = dS/dw, with a series near w = 0."""
     w = np.asarray(w, dtype=complex)
     C, S = _cs(w)
-    D = np.empty_like(w)
-    small = np.abs(w) < 1e-3
-    ws = w[small]
-    D[small] = -1.0 / 6.0 + ws * (1.0 / 60.0 + ws * (-1.0 / 1680.0 + ws / 90720.0))
-    D[~small] = (C[~small] - S[~small]) / (2.0 * w[~small])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = np.where(np.abs(w) < 1e-3,
+                     -1.0 / 6.0 + w * (1.0 / 60.0 + w * (-1.0 / 1680.0 + w / 90720.0)),
+                     (C - S) / (2.0 * w))
     return C, S, D
 
 
-def _step(h, lam, q, y, yp):
-    """Advance (y, y') by h through constant potential q (any sign of h)."""
-    kq = lam - q
-    w = kq * (h * h)
-    C, S = _cs(w)
-    return C * y + (h * S) * yp, -(kq * h * S) * y + C * yp
+def _magnus_q(piece, x0, h):
+    """(qbar, a) of the Gauss-Magnus steps of width h from x0 (broadcast)."""
+    q1, q2 = piece.qfun(np.stack(np.broadcast_arrays(
+        x0 + (0.5 - _GAUSS) * h, x0 + (0.5 + _GAUSS) * h)))
+    return 0.5 * (q1 + q2), _COMMUTATOR * h * h * (q1 - q2)
 
 
-def _step_var(h, lam, q, y, yp, u, up):
+def _step(h, lam, qb, a, y, yp):
+    """Advance (y, y') by one Gauss-Magnus step of signed width h."""
+    ql = qb - lam
+    C, S = _cs(ql * (-h * h) - a * a)
+    hS, aS = h * S, a * S
+    return (C + aS) * y + hS * yp, (ql * hS) * y + (C - aS) * yp
+
+
+def _step_var(h, lam, qb, a, y, yp, u, up):
     """Advance (y, y', u, u') with u the lambda-derivative of y."""
-    kq = lam - q
-    w = kq * (h * h)
-    C, S, D = _cs_d(w)
-    hS = h * S
-    t21 = -kq * hS
-    y2 = C * y + hS * yp
-    yp2 = t21 * y + C * yp
-    # dT/dlambda, computed analytically from dC/dw and dS/dw
-    d11 = -0.5 * h * h * S
-    d12 = h * h * h * D
-    d21 = -0.5 * h * (C + S)
-    u2 = C * u + hS * up + d11 * y + d12 * yp
-    up2 = t21 * u + C * up + d21 * y + d11 * yp
-    return y2, yp2, u2, up2
+    ql = qb - lam
+    C, S, D = _cs_d(ql * (-h * h) - a * a)
+    h2 = h * h
+    hS, aS, aD, halfS = h * S, a * S, a * D, 0.5 * S
+    t11, t21, t22 = C + aS, ql * hS, C - aS
+    # dT/dlambda, from dC/dw = -S/2, dS/dw = D and dw/dlambda = h^2
+    d11 = h2 * (aD - halfS)
+    d22 = -h2 * (aD + halfS)
+    d12 = (h2 * h) * D
+    d21 = (h2 * h) * (ql * D) - hS
+    return (t11 * y + hS * yp, t21 * y + t22 * yp,
+            t11 * u + hS * up + d11 * y + d12 * yp,
+            t21 * u + t22 * up + d21 * y + d22 * yp)
 
 
-def _cpm_substeps(piece_or_len, density=CPM_DENSITY):
-    length = piece_or_len.length if isinstance(piece_or_len, Piece) else piece_or_len
-    return max(32, int(math.ceil(abs(length) * density)))
-
-
-def _prop_cpm(qfun, lam, y, yp, x0, x1, n, u=None, up=None, collect=None):
-    """Midpoint transfer ladder from x0 to x1 in n equal substeps."""
+def _cell_steps(piece, x0, x1, density):
+    """Signed step width, step nodes and per-step (qbar, a) from x0 to x1."""
+    if piece.q_const is not None:
+        return x1 - x0, np.array([x0, x1]), [piece.q_const], [0.0]
+    n = max(32, int(math.ceil(abs(x1 - x0) * density)))
     h = (x1 - x0) / n
-    xs = x0 + h * np.arange(n)
-    qm = np.asarray(qfun(xs + 0.5 * h), dtype=float)
-    for i in range(n):
-        if collect is not None:
-            collect(x0 + i * h, y, yp)
-        if u is None:
-            y, yp = _step(h, lam, float(qm[i]), y, yp)
-        else:
-            y, yp, u, up = _step_var(h, lam, float(qm[i]), y, yp, u, up)
-    if collect is not None:
-        collect(x1, y, yp)
-    if u is None:
-        return y, yp
-    return y, yp, u, up
-
-
-def _prop_ivp(qfun, lam, y, yp, x0, x1, with_der=False, dense=False):
-    """Adaptive DOP853 propagation; optionally with the variational system."""
-    from scipy.integrate import solve_ivp
-
-    if with_der:
-        def rhs(x, s):
-            qv = qfun(x)
-            return [s[1], (qv - lam) * s[0], s[3], (qv - lam) * s[2] - s[0]]
-        s0 = np.array([y, yp, 0.0, 0.0], dtype=complex)
-    else:
-        def rhs(x, s):
-            qv = qfun(x)
-            return [s[1], (qv - lam) * s[0]]
-        s0 = np.array([y, yp], dtype=complex)
-    sol = solve_ivp(rhs, (x0, x1), s0, method="DOP853",
-                    rtol=IVP_RTOL, atol=IVP_ATOL, dense_output=dense)
-    if not sol.success:
-        raise ToleranceError(f"DOP853 failed on [{x0}, {x1}]: {sol.message}")
-    return sol
+    xs = x0 + h * np.arange(n + 1)
+    qb, a = _magnus_q(piece, xs[:-1], h)
+    return h, xs, qb.tolist(), a.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -208,11 +177,49 @@ def _jump_arrays(jump, y, yp, inverse=False):
     return y_left, (yp - jump.c * y_left) / jump.b
 
 
+def _jump_state(jump, state, inverse=False):
+    """Jump (y, y') or (y, y', u, u'); the derivative pair maps the same way."""
+    out = _jump_arrays(jump, state[0], state[1], inverse)
+    if len(state) == 4:
+        out += _jump_arrays(jump, state[2], state[3], inverse)
+    return out
+
+
+# ----------------------------------------------------------------------
+# propagation over the whole interval
+# ----------------------------------------------------------------------
+
+def _walk(problem, lam, state, backward, density, cells=None):
+    """Carry (y, y') or (y, y', u, u') across every cell and jump.
+
+    With ``cells``, a list with one slot per cell, each slot receives the
+    cell's dense-output record.
+    """
+    step = _step if len(state) == 2 else _step_var
+    pieces, jumps = problem.pieces, problem.jump_after_piece
+    for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
+        piece = pieces[i]
+        if backward and jumps[i] is not None:
+            state = _jump_state(jumps[i], state, inverse=True)
+        x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
+        h, xs, qbs, avals = _cell_steps(piece, x0, x1, density)
+        nodes = [state]
+        for qb, a in zip(qbs, avals):
+            state = step(h, lam, qb, a, *state)
+            if cells is not None:
+                nodes.append(state)
+        if cells is not None:
+            cells[i] = _PieceSol(piece, xs, h, nodes)
+        if not backward and jumps[i] is not None:
+            state = _jump_state(jumps[i], state)
+    return state
+
+
 # ----------------------------------------------------------------------
 # single-interval propagation (public contract)
 # ----------------------------------------------------------------------
 
-def propagate_interval(q, sp, state, x_from, x_to, engine="auto"):
+def propagate_interval(q, sp, state, x_from, x_to):
     """Propagate Cauchy data across a jump-free interval.
 
     ``q`` may be a float (constant potential), a callable q(x), or a
@@ -224,25 +231,19 @@ def propagate_interval(q, sp, state, x_from, x_to, engine="auto"):
             raise DomainError(
                 f"[{x_from}, {x_to}] is not inside the cell [{q.xl}, {q.xr}]"
             )
-        q_const, qfun = q.q_const, q.qfun
+        piece = q
     elif callable(q):
-        q_const, qfun = None, q
+        piece = Piece(min(x_from, x_to), max(x_from, x_to), 0, None, q)
     else:
-        q_const, qfun = float(q), None
+        piece = Piece(min(x_from, x_to), max(x_from, x_to), 0, float(q), None)
 
-    lam = sp.lam
     y, yp = complex(state.y), complex(state.yp)
     if x_to == x_from:
         return StateVector(y, yp, x_to)
-    if q_const is not None:
-        y2, yp2 = _step(x_to - x_from, lam, q_const, y, yp)
-    elif engine == "cpm" or (engine == "auto" and abs(sp.rho) > RHO_SWITCH):
-        n = _cpm_substeps(abs(x_to - x_from))
-        y2, yp2 = _prop_cpm(qfun, lam, y, yp, x_from, x_to, n)
-    else:
-        sol = _prop_ivp(qfun, lam, y, yp, x_from, x_to)
-        y2, yp2 = sol.y[0][-1], sol.y[1][-1]
-    return StateVector(complex(y2), complex(yp2), x_to)
+    h, _, qbs, avals = _cell_steps(piece, x_from, x_to, CPM_DENSITY)
+    for qb, a in zip(qbs, avals):
+        y, yp = _step(h, sp.lam, qb, a, y, yp)
+    return StateVector(complex(y), complex(yp), x_to)
 
 
 # ----------------------------------------------------------------------
@@ -250,38 +251,30 @@ def propagate_interval(q, sp, state, x_from, x_to, engine="auto"):
 # ----------------------------------------------------------------------
 
 class _PieceSol:
-    """Dense-output record for one integration cell."""
+    """Dense-output record for one integration cell: states at step nodes."""
 
-    __slots__ = ("xl", "xr", "segment", "mode", "qc", "qfun", "y0", "yp0",
-                 "xs", "ys", "yps", "interp")
+    __slots__ = ("piece", "xs", "h", "ys", "yps")
 
-    def __init__(self, piece, mode, y0, yp0, xs=None, ys=None, yps=None, interp=None):
-        self.xl = piece.xl
-        self.xr = piece.xr
-        self.segment = piece.segment
-        self.mode = mode            # "const" | "cpm" | "ivp"
-        self.qc = piece.q_const
-        self.qfun = piece.qfun
-        self.y0 = y0                # state entering at xl (right limit)
-        self.yp0 = yp0
-        self.xs = xs
-        self.ys = ys
-        self.yps = yps
-        self.interp = interp
+    def __init__(self, piece, xs, h, nodes):
+        self.piece = piece
+        self.xs = xs                # step nodes, in propagation order
+        self.h = h                  # signed step width
+        self.ys = np.array([s[0] for s in nodes], dtype=complex)
+        self.yps = np.array([s[1] for s in nodes], dtype=complex)
 
     def eval(self, x, lam):
+        """(y, y') at x by one partial step from the nearest node; on a
+        constant cell the step from its first node is already exact."""
         x = np.asarray(x, dtype=float)
-        if self.mode == "const":
-            return _step(x - self.xl, lam, self.qc, self.y0, self.yp0)
-        if self.mode == "ivp":
-            vals = self.interp(x)
-            return vals[0], vals[1]
-        # cpm: one midpoint substep from the nearest stored node to the left
-        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 1)
+        if self.piece.q_const is not None:
+            return _step(x - self.xs[0], lam, self.piece.q_const, 0.0,
+                         self.ys[0], self.yps[0])
+        # x lies in the cell, so (x - xs[0]) / h is in [0, n]
+        idx = ((x - self.xs[0]) / self.h + 0.5).astype(int)
         xn = self.xs[idx]
         h = x - xn
-        qm = np.asarray(self.qfun(xn + 0.5 * h), dtype=float)
-        return _step(h, lam, qm, self.ys[idx], self.yps[idx])
+        qb, a = _magnus_q(self.piece, xn, h)
+        return _step(h, lam, qb, a, self.ys[idx], self.yps[idx])
 
 
 class PiecewiseSolution:
@@ -292,17 +285,14 @@ class PiecewiseSolution:
     limits at interior nodes are selected with ``side``.
     """
 
-    def __init__(self, problem, kind, sp, piece_sols, state0, state_pi,
-                 dstate0=None, dstate_pi=None):
+    def __init__(self, problem, kind, sp, piece_sols, state0, state_pi):
         self.problem = problem
         self.kind = kind
         self.sp = sp
         self._pieces = piece_sols
-        self._edges = np.array([ps.xl for ps in piece_sols] + [piece_sols[-1].xr])
+        self._edges = np.array([p.xl for p in problem.pieces] + [problem.pieces[-1].xr])
         self.state0 = state0          # (y, y') at 0
         self.state_pi = state_pi      # (y, y') at pi
-        self.dstate0 = dstate0        # lambda-derivative states, when requested
-        self.dstate_pi = dstate_pi
 
     @property
     def lam(self):
@@ -336,7 +326,8 @@ class PiecewiseSolution:
 
 
 def initial_state(problem, kind, lam):
-    """Defining Cauchy data of phi, chi (at 0) or psi (at pi) per variant."""
+    """Defining Cauchy data of phi, chi (at 0) or psi (at pi) per variant,
+    with their lambda-derivatives; ``lam`` may be an array."""
     bc = problem.boundary
     if problem.variant == "robin":
         if kind == "phi":
@@ -355,7 +346,7 @@ def initial_state(problem, kind, lam):
     raise ValueError(f"unknown solution kind {kind!r}")
 
 
-def fundamental_solution(problem, kind, sp, engine="auto", left_init=None):
+def fundamental_solution(problem, kind, sp, left_init=None):
     """Build phi, psi or chi at the given spectral point with dense output.
 
     phi and chi propagate forward from 0 applying jumps left to right; psi
@@ -363,93 +354,18 @@ def fundamental_solution(problem, kind, sp, engine="auto", left_init=None):
     data.  ``left_init`` overrides the Cauchy data at 0 (used for secondary
     spectra with a modified left boundary condition).
     """
-    lam = sp.lam
     if left_init is not None and kind == "psi":
         raise ValueError("left_init only applies to forward solutions")
-    init, _ = initial_state(problem, kind, lam)
+    init, _ = initial_state(problem, kind, sp.lam)
     if left_init is not None:
         init = left_init
-    if kind == "psi":
-        return _build_backward(problem, kind, sp, init, engine)
-    return _build_forward(problem, kind, sp, init, engine)
-
-
-def _piece_mode(piece, sp, engine):
-    if piece.q_const is not None:
-        return "const"
-    if engine == "cpm":
-        return "cpm"
-    if engine == "adaptive":
-        return "ivp"
-    return "ivp" if abs(sp.rho) <= RHO_SWITCH else "cpm"
-
-
-def _build_forward(problem, kind, sp, init, engine):
-    lam = sp.lam
-    y, yp = complex(init[0]), complex(init[1])
-    state0 = (y, yp)
-    piece_sols = []
-    for i, piece in enumerate(problem.pieces):
-        mode = _piece_mode(piece, sp, engine)
-        if mode == "const":
-            ps = _PieceSol(piece, "const", y, yp)
-            y, yp = _step(piece.length, lam, piece.q_const, y, yp)
-        elif mode == "cpm":
-            n = _cpm_substeps(piece)
-            nodes_x, nodes_y, nodes_yp = [], [], []
-
-            def collect(x, cy, cyp, _x=nodes_x, _y=nodes_y, _yp=nodes_yp):
-                _x.append(x), _y.append(cy), _yp.append(cyp)
-
-            y, yp = _prop_cpm(piece.qfun, lam, y, yp, piece.xl, piece.xr, n,
-                              collect=collect)
-            ps = _PieceSol(piece, "cpm", nodes_y[0], nodes_yp[0],
-                           xs=np.array(nodes_x), ys=np.array(nodes_y, dtype=complex),
-                           yps=np.array(nodes_yp, dtype=complex))
-        else:
-            sol = _prop_ivp(piece.qfun, lam, y, yp, piece.xl, piece.xr, dense=True)
-            ps = _PieceSol(piece, "ivp", y, yp, interp=sol.sol)
-            y, yp = complex(sol.y[0][-1]), complex(sol.y[1][-1])
-        piece_sols.append(ps)
-        jump = problem.jump_after_piece[i]
-        if jump is not None:
-            y, yp = _jump_arrays(jump, y, yp)
-    return PiecewiseSolution(problem, kind, sp, piece_sols, state0, (y, yp))
-
-
-def _build_backward(problem, kind, sp, init, engine):
-    lam = sp.lam
-    y, yp = complex(init[0]), complex(init[1])
-    state_pi = (y, yp)
+    start = (complex(init[0]), complex(init[1]))
     piece_sols = [None] * len(problem.pieces)
-    for i in range(len(problem.pieces) - 1, -1, -1):
-        piece = problem.pieces[i]
-        mode = _piece_mode(piece, sp, engine)
-        if mode == "const":
-            y, yp = _step(-piece.length, lam, piece.q_const, y, yp)
-            piece_sols[i] = _PieceSol(piece, "const", y, yp)
-        elif mode == "cpm":
-            n = _cpm_substeps(piece)
-            nodes_x, nodes_y, nodes_yp = [], [], []
-
-            def collect(x, cy, cyp, _x=nodes_x, _y=nodes_y, _yp=nodes_yp):
-                _x.append(x), _y.append(cy), _yp.append(cyp)
-
-            y, yp = _prop_cpm(piece.qfun, lam, y, yp, piece.xr, piece.xl, n,
-                              collect=collect)
-            order = np.argsort(nodes_x)
-            piece_sols[i] = _PieceSol(
-                piece, "cpm", y, yp,
-                xs=np.array(nodes_x)[order],
-                ys=np.array(nodes_y, dtype=complex)[order],
-                yps=np.array(nodes_yp, dtype=complex)[order])
-        else:
-            sol = _prop_ivp(piece.qfun, lam, y, yp, piece.xr, piece.xl, dense=True)
-            y, yp = complex(sol.y[0][-1]), complex(sol.y[1][-1])
-            piece_sols[i] = _PieceSol(piece, "ivp", y, yp, interp=sol.sol)
-        if i > 0 and problem.jump_after_piece[i - 1] is not None:
-            y, yp = _jump_arrays(problem.jump_after_piece[i - 1], y, yp, inverse=True)
-    return PiecewiseSolution(problem, kind, sp, piece_sols, (y, yp), state_pi)
+    backward = kind == "psi"
+    end = _walk(problem, sp.lam, start, backward, CPM_DENSITY, piece_sols)
+    end = (complex(end[0]), complex(end[1]))
+    state0, state_pi = (end, start) if backward else (start, end)
+    return PiecewiseSolution(problem, kind, sp, piece_sols, state0, state_pi)
 
 
 def modified_wronskian(problem, u, v, x, side="+"):
@@ -474,50 +390,20 @@ def propagate_endpoints_batch(problem, lam, y0, yp0, derivative=False,
                               cpm_density=CPM_DENSITY):
     """Propagate Cauchy data for a whole array of lambda at once.
 
-    Non-constant cells use the midpoint ladder irrespective of |rho| so
-    that the result is a smooth, grid-consistent function of lambda (this
-    is what root bracketing and the inverse iteration require).  Constant
-    cells are exact.  Returns the (y, y') arrays at the far endpoint, plus
-    the variational (u, u') arrays when ``derivative`` is set.
+    Uses the same Gauss-Magnus steps as the dense solutions: constant cells
+    in one exact step, other cells on a lambda-independent grid of
+    ``cpm_density`` steps per unit length, so the result is a smooth
+    function of lambda (what root polishing and the inverse iteration
+    need).  Returns the (y, y') arrays at the far endpoint, plus the
+    variational (u, u') arrays, started from (du0, dup0) or zero, when
+    ``derivative`` is set.
     """
     lam = np.asarray(lam, dtype=complex)
-    y = np.broadcast_to(np.asarray(y0, dtype=complex), lam.shape).copy()
-    yp = np.broadcast_to(np.asarray(yp0, dtype=complex), lam.shape).copy()
-    if derivative:
-        u = np.zeros(lam.shape, dtype=complex) if du0 is None \
-            else np.broadcast_to(np.asarray(du0, dtype=complex), lam.shape).copy()
-        up = np.zeros(lam.shape, dtype=complex) if dup0 is None \
-            else np.broadcast_to(np.asarray(dup0, dtype=complex), lam.shape).copy()
 
-    pieces = problem.pieces
-    order = range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))
-    for i in order:
-        piece = pieces[i]
-        if backward and problem.jump_after_piece[i] is not None:
-            jump = problem.jump_after_piece[i]
-            y, yp = _jump_arrays(jump, y, yp, inverse=True)
-            if derivative:
-                u, up = _jump_arrays(jump, u, up, inverse=True)
-        h_total = -piece.length if backward else piece.length
-        x_from, x_to = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
-        if piece.q_const is not None:
-            steps = [(h_total, piece.q_const)]
-        else:
-            n = max(32, int(math.ceil(piece.length * cpm_density)))
-            h = h_total / n
-            xs = x_from + h * np.arange(n)
-            qm = np.asarray(piece.qfun(xs + 0.5 * h), dtype=float)
-            steps = [(h, float(qm[k])) for k in range(n)]
-        for h, qc in steps:
-            if derivative:
-                y, yp, u, up = _step_var(h, lam, qc, y, yp, u, up)
-            else:
-                y, yp = _step(h, lam, qc, y, yp)
-        if not backward and problem.jump_after_piece[i] is not None:
-            jump = problem.jump_after_piece[i]
-            y, yp = _jump_arrays(jump, y, yp)
-            if derivative:
-                u, up = _jump_arrays(jump, u, up)
+    def start(v):
+        return np.broadcast_to(np.asarray(0.0 if v is None else v, dtype=complex), lam.shape)
+
+    state = (start(y0), start(yp0))
     if derivative:
-        return y, yp, u, up
-    return y, yp
+        state += (start(du0), start(dup0))
+    return _walk(problem, lam, state, backward, cpm_density)

@@ -41,6 +41,7 @@ from .propagation import (
     CPM_DENSITY,
     SpectralPoint,
     fundamental_solution,
+    initial_state,
     modified_wronskian,
     propagate_endpoints_batch,
 )
@@ -118,11 +119,8 @@ class SpectralData:
 
 def _left_init_batch(problem, lam, left):
     """Cauchy data at 0 (and its lambda-derivative) for the scanned family."""
-    bc = problem.boundary
     if left == "spec":
-        if problem.variant == "robin":
-            return (1.0, -bc.h), (0.0, 0.0)
-        return (lam - bc.h2, bc.h3 - lam * bc.h1), (1.0, -bc.h1)
+        return initial_state(problem, "phi", lam)
     if left == "dirichlet":
         return (0.0, 1.0), (0.0, 0.0)
     if isinstance(left, tuple) and left[0] == "robin":
@@ -190,10 +188,7 @@ def char_delta_forms(problem, lam):
     d1 = char_delta(problem, lam)
     lam_arr = np.array([complex(lam)])
     bc = problem.boundary
-    if problem.variant == "robin":
-        y0, yp0 = 1.0, -bc.H
-    else:
-        y0, yp0 = bc.H2 - lam, lam * bc.H1 - bc.H3
+    (y0, yp0), _ = initial_state(problem, "psi", lam_arr)
     y, yp = propagate_endpoints_batch(problem, lam_arr, y0, yp0, backward=True)
     y, yp = complex(y[0]), complex(yp[0])
     if problem.variant == "robin":
@@ -413,13 +408,16 @@ def count_zeros_contour(problem, rectangle, left="spec",
 # norming constants and coupling coefficients
 # ----------------------------------------------------------------------
 
-def spectral_data(problem, eigs, rtol=1e-9, engine="auto") -> SpectralData:
+def spectral_data(problem, eigs, rtol=1e-9) -> SpectralData:
     """Fill gamma_n and beta_n for certified eigenvalues.
 
     gamma_n is the reciprocal squared weighted norm of phi(., lambda_n);
     in the eigenparameter variant the norm additionally carries the
     (w(0)/r1) R1(phi)^2 + (w(pi)/r2) R2(phi)^2 boundary terms.  beta_n is
     psi(0, lambda_n) (Robin) or (psi'(0) + h1 psi(0))/r1 (eigenparameter).
+    The norm is a quadrature of the dense phi: the residue identity
+    gamma_n = beta_n / Delta'(lambda_n) loses digits at high n in the
+    eigenparameter variant.
     """
     if isinstance(eigs, SpectralData):
         records = eigs.records
@@ -432,9 +430,9 @@ def spectral_data(problem, eigs, rtol=1e-9, engine="auto") -> SpectralData:
     out = []
     for rec in records:
         sp = SpectralPoint.from_lambda(rec.lam)
-        phi = fundamental_solution(problem, "phi", sp, engine=engine)
+        phi = fundamental_solution(problem, "phi", sp)
         norm2 = weighted_norm_sq(problem, phi, rtol=rtol)
-        psi = fundamental_solution(problem, "psi", sp, engine=engine)
+        psi = fundamental_solution(problem, "psi", sp)
         y0, yp0 = psi.state0
         if problem.variant == "robin":
             beta = float(np.real(y0))
@@ -466,9 +464,20 @@ def _fmt_rho(rho):
     return f"{rho.real:.17g}{rho.imag:+.17g}j"
 
 
-def export_csv(sd: SpectralData, path):
-    """CSV export: n,lambda,rho,gamma,beta,certification (+variant for
-    eigenparameter problems)."""
+def _spectral_text(sd: SpectralData, as_json=False):
+    """The text that :func:`export_csv` or :func:`export_json` writes."""
+    if as_json:
+        data = {
+            "fingerprint": sd.fingerprint,
+            "variant": sd.variant,
+            "records": [
+                {"n": r.n, "lambda": r.lam, "rho": _fmt_rho(r.rho),
+                 "gamma": r.gamma, "beta": r.beta,
+                 "certification": r.certification}
+                for r in sd.records
+            ],
+        }
+        return json.dumps(data, indent=2) + "\n"
     eig = sd.variant == "eigenparameter"
     header = "n,lambda,rho,gamma,beta,certification" + (",variant" if eig else "")
     lines = [header]
@@ -480,21 +489,17 @@ def export_csv(sd: SpectralData, path):
         if eig:
             fields.append(sd.variant)
         lines.append(",".join(fields))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def export_csv(sd: SpectralData, path):
+    """CSV export: n,lambda,rho,gamma,beta,certification (+variant for
+    eigenparameter problems)."""
+    _atomic_write(path, _spectral_text(sd))
 
 
 def export_json(sd: SpectralData, path):
-    data = {
-        "fingerprint": sd.fingerprint,
-        "variant": sd.variant,
-        "records": [
-            {"n": r.n, "lambda": r.lam, "rho": _fmt_rho(r.rho),
-             "gamma": r.gamma, "beta": r.beta,
-             "certification": r.certification}
-            for r in sd.records
-        ],
-    }
-    _atomic_write(path, json.dumps(data, indent=2) + "\n")
+    _atomic_write(path, _spectral_text(sd, as_json=True))
 
 
 def load_csv(path) -> SpectralData:

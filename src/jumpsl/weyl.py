@@ -31,7 +31,8 @@ from .errors import (
     PoleError,
 )
 from .problem import ValidatedProblem, _atomic_write
-from .propagation import SpectralPoint, fundamental_solution, propagate_endpoints_batch
+from .propagation import (SpectralPoint, fundamental_solution, initial_state,
+                          propagate_endpoints_batch)
 from .spectrum import SpectralData, _fmt, eigenvalues, spectral_data
 
 __all__ = [
@@ -61,11 +62,7 @@ class WeylSample:
 def _psi_at_zero(problem, lam):
     """Backward solve: psi Cauchy data at 0, for an array of lambda."""
     lam = np.asarray(lam, dtype=complex)
-    bc = problem.boundary
-    if problem.variant == "robin":
-        y0, yp0 = 1.0, -bc.H
-    else:
-        y0, yp0 = bc.H2 - lam, lam * bc.H1 - bc.H3
+    (y0, yp0), _ = initial_state(problem, "psi", lam)
     return propagate_endpoints_batch(problem, lam, y0, yp0, backward=True)
 
 
@@ -220,11 +217,16 @@ def numerical_residue(func, center, radius=1e-3, n=128):
     return complex(np.mean(vals * (z - center)))
 
 
-def export_m_samples(samples, path):
-    """CSV export of Weyl samples: re_lambda,im_lambda,re_m,im_m."""
+def _m_samples_text(samples):
+    """CSV text of Weyl samples: re_lambda,im_lambda,re_m,im_m."""
     lines = ["re_lambda,im_lambda,re_m,im_m"]
     for s in samples:
         lam, m = complex(s.lam), complex(s.m)
         lines.append(",".join([_fmt(lam.real), _fmt(lam.imag),
                                _fmt(m.real), _fmt(m.imag)]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def export_m_samples(samples, path):
+    """CSV export of Weyl samples: re_lambda,im_lambda,re_m,im_m."""
+    _atomic_write(path, _m_samples_text(samples))

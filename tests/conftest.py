@@ -6,6 +6,7 @@ import pytest
 from jumpsl import (
     EigenparameterBC,
     JumpCondition,
+    PiecewisePolynomial,
     ProblemSpec,
     RobinBC,
     constant_potential,
@@ -80,3 +81,13 @@ def eig_desk():
     return validate(ProblemSpec(
         constant_potential(0.0),
         EigenparameterBC(0.0, 0.0, 1.0, 1.0, 2.0, 1.0)))
+
+
+@pytest.fixture(scope="session")
+def cubic():
+    """Criterion 11's full-mode truth: cubic q on two segments, jump at pi/3."""
+    pot = PiecewisePolynomial(
+        coefficients=((0.3, 0.2, -0.1, 0.05), (0.1, -0.2, 0.15, -0.04)),
+        breakpoints=(math.pi / 3,))
+    return validate(ProblemSpec(pot, RobinBC(0.4, -0.3),
+                                (JumpCondition(math.pi / 3, 1.5, 1.0, 0.6),)))

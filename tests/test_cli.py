@@ -41,6 +41,14 @@ def test_eigs_stdout_and_determinism(free_cfg, capsys):
     assert first.count("\n") == 5
 
 
+def test_eigs_stdout_matches_output_file(one_jump_cfg, tmp_path, capsys):
+    out = tmp_path / "eigs.csv"
+    assert main(["eigs", one_jump_cfg, "--count", "5"]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["eigs", one_jump_cfg, "--count", "5", "-o", str(out)]) == 0
+    assert out.read_bytes() == stdout.encode()
+
+
 def test_spectral_data_json(free_cfg, tmp_path):
     out = tmp_path / "sd.json"
     assert main(["spectral-data", free_cfg, "--count", "3", "--json",
@@ -122,14 +130,10 @@ def test_fit_cmd(tmp_path, one_jump, one_jump_cfg):
         one_jump.jumps[0].c, abs=1e-6)
 
 
-def test_exit_codes(tmp_path, free_cfg, capsys, monkeypatch):
+def test_exit_codes(tmp_path, capsys):
     assert main(["eigs", str(tmp_path / "missing.json"), "--count", "2"]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["eigs", str(bad), "--count", "2"]) == 1
     assert "ConfigParseError" in capsys.readouterr().err
     assert main(["no-such-subcommand"]) == 1
-    monkeypatch.setenv("JUMPSL_THREADS", "zero")
-    assert main(["eigs", free_cfg, "--count", "2"]) == 1
-    monkeypatch.setenv("JUMPSL_THREADS", "2")
-    assert main(["eigs", free_cfg, "--count", "2"]) == 0

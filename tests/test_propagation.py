@@ -8,14 +8,10 @@ from jumpsl import (
     JumpCondition,
     MismatchError,
     PiecewisePolynomial,
-    ProblemSpec,
-    RobinBC,
     SpectralPoint,
-    constant_potential,
     fundamental_solution,
     initial_state,
     modified_wronskian,
-    validate,
 )
 from jumpsl.propagation import (
     StateVector,
@@ -106,9 +102,9 @@ def test_jump_limits_at_node(one_jump):
     assert complex(yp_[0]) == pytest.approx(2.0 * complex(ym[0]), rel=1e-12)
 
 
-def test_wronskian_constant_across_jumps(generic, two_jump, four_jump):
+def test_wronskian_constant_across_jumps(generic, two_jump, four_jump, cubic):
     rng = np.random.default_rng(3)
-    for p in (generic, two_jump, four_jump):
+    for p in (generic, two_jump, four_jump, cubic):
         for _ in range(3):
             lam = complex(rng.uniform(-5, 40), rng.uniform(-3, 3))
             sp = SpectralPoint.from_lambda(lam)
@@ -127,40 +123,42 @@ def test_wronskian_mismatched_lambda(free):
         modified_wronskian(free, phi, psi, 1.0)
 
 
-def test_engines_agree_constant_q():
+def test_magnus_constant_q_matches_exact_step():
+    # a callable q takes the Gauss-Magnus path; with q constant, a = 0 and
+    # every step is the exact transfer matrix
     sp = SpectralPoint.from_lambda(11.0)
     s0 = StateVector(1.0, 0.0, 0.0)
     exact = propagate_interval(0.2, sp, s0, 0.0, 2.5)
-    cpm = propagate_interval(lambda x: 0.2 + 0.0 * x, sp, s0, 0.0, 2.5,
-                             engine="cpm")
-    ivp = propagate_interval(lambda x: 0.2 + 0.0 * x, sp, s0, 0.0, 2.5,
-                             engine="ivp")
-    assert complex(cpm.y) == pytest.approx(complex(exact.y), rel=1e-12)
-    assert complex(ivp.y) == pytest.approx(complex(exact.y), rel=1e-9)
+    magnus = propagate_interval(lambda x: 0.2 + 0.0 * x, sp, s0, 0.0, 2.5)
+    assert complex(magnus.y) == pytest.approx(complex(exact.y), rel=1e-12)
+    assert complex(magnus.yp) == pytest.approx(complex(exact.yp), rel=1e-12)
 
 
-def test_engines_agree_polynomial_q():
+def test_magnus_cubic_q_matches_dop853():
+    from scipy.integrate import solve_ivp
+
     pot = PiecewisePolynomial(coefficients=((0.5, 0.3, -0.1, 0.02),))
-    p = validate(ProblemSpec(pot, RobinBC(0.2, -0.4)))
-    sp = SpectralPoint.from_lambda(7.3)
+    lam = 7.3
+    sp = SpectralPoint.from_lambda(lam)
     s0 = StateVector(1.0, -0.2, 0.0)
-    qfun = lambda x: pot(x)
-    ivp = propagate_interval(qfun, sp, s0, 0.0, 3.0, engine="ivp")
-    cpm = propagate_interval(qfun, sp, s0, 0.0, 3.0, engine="cpm")
-    assert complex(cpm.y) == pytest.approx(complex(ivp.y), rel=1e-5)
-    assert complex(cpm.yp) == pytest.approx(complex(ivp.yp), rel=1e-5)
+    magnus = propagate_interval(lambda x: pot(x), sp, s0, 0.0, 3.0)
+    ref = solve_ivp(lambda x, s: [s[1], (pot(x) - lam) * s[0]], (0.0, 3.0),
+                    [1.0, -0.2], method="DOP853", rtol=1e-12, atol=1e-12)
+    assert complex(magnus.y) == pytest.approx(ref.y[0][-1], rel=1e-9)
+    assert complex(magnus.yp) == pytest.approx(ref.y[1][-1], rel=1e-9)
 
 
-def test_batch_matches_single(generic):
+def test_batch_matches_single(generic, cubic):
     lams = np.array([2.0, -3.0, 7.5 + 1.0j])
-    y0, yp0 = 1.0, -generic.boundary.h
-    ys, yps = propagate_endpoints_batch(generic, lams, y0, yp0)
-    for i, lam in enumerate(lams):
-        sp = SpectralPoint.from_lambda(lam)
-        phi = fundamental_solution(generic, "phi", sp)
-        y, yp = phi.state_pi
-        assert complex(ys[i]) == pytest.approx(complex(y), rel=1e-11)
-        assert complex(yps[i]) == pytest.approx(complex(yp), rel=1e-11)
+    for p in (generic, cubic):
+        y0, yp0 = 1.0, -p.boundary.h
+        ys, yps = propagate_endpoints_batch(p, lams, y0, yp0)
+        for i, lam in enumerate(lams):
+            sp = SpectralPoint.from_lambda(lam)
+            phi = fundamental_solution(p, "phi", sp)
+            y, yp = phi.state_pi
+            assert complex(ys[i]) == pytest.approx(complex(y), rel=1e-11)
+            assert complex(yps[i]) == pytest.approx(complex(yp), rel=1e-11)
 
 
 def test_batch_backward_matches_forward_wronskian(two_jump):
@@ -176,18 +174,19 @@ def test_batch_backward_matches_forward_wronskian(two_jump):
     assert complex(yp[0]) == pytest.approx(complex(yp2), rel=1e-11)
 
 
-def test_variational_derivative_matches_fd(generic):
+def test_variational_derivative_matches_fd(generic, cubic):
     lam = np.array([4.1 + 0j])
-    y0, yp0 = 1.0, -generic.boundary.h
-    y, yp, u, up = propagate_endpoints_batch(generic, lam, y0, yp0,
-                                             derivative=True)
     eps = 1e-6
-    yp1, ypp1 = propagate_endpoints_batch(generic, lam + eps, y0, yp0)
-    ym1, ypm1 = propagate_endpoints_batch(generic, lam - eps, y0, yp0)
-    assert complex(u[0]) == pytest.approx(
-        complex((yp1[0] - ym1[0]) / (2 * eps)), rel=1e-6)
-    assert complex(up[0]) == pytest.approx(
-        complex((ypp1[0] - ypm1[0]) / (2 * eps)), rel=1e-6)
+    for p in (generic, cubic):
+        y0, yp0 = 1.0, -p.boundary.h
+        y, yp, u, up = propagate_endpoints_batch(p, lam, y0, yp0,
+                                                 derivative=True)
+        yp1, ypp1 = propagate_endpoints_batch(p, lam + eps, y0, yp0)
+        ym1, ypm1 = propagate_endpoints_batch(p, lam - eps, y0, yp0)
+        assert complex(u[0]) == pytest.approx(
+            complex((yp1[0] - ym1[0]) / (2 * eps)), rel=1e-6)
+        assert complex(up[0]) == pytest.approx(
+            complex((ypp1[0] - ypm1[0]) / (2 * eps)), rel=1e-6)
 
 
 def test_initial_state_variants(free, eig_desk):

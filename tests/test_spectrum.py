@@ -9,6 +9,7 @@ from jumpsl import (
     PiecewisePolynomial,
     ProblemSpec,
     RobinBC,
+    SampledGrid,
     SpectralData,
     ToleranceError,
     char_delta,
@@ -233,6 +234,22 @@ def test_one_jump_relative_accuracy(one_jump):
     n = np.arange(200)
     lams = eigenvalues(one_jump, 200).lambdas
     assert np.max(np.abs(lams - n * n) / np.maximum(1.0, n * n)) <= 2e-15
+
+
+def test_mathieu_reference():
+    # q = 4 cos 2x with Neumann conditions: lambda_n = a_n(2) and, with
+    # phi(0) = 1, gamma_n = 2 ce_n(0)^2 / pi (int_0^pi ce_n^2 = pi/2)
+    from scipy.special import mathieu_a, mathieu_cem
+
+    x = np.linspace(0.0, PI, 513)
+    p = validate(ProblemSpec(SampledGrid(x, 4.0 * np.cos(2.0 * x), order=3),
+                             RobinBC(0.0, 0.0)))
+    sd = spectral_data(p, eigenvalues(p, 20))
+    n = np.arange(20)
+    ref_lam = np.array([mathieu_a(k, 2.0) for k in n])
+    ref_gamma = np.array([2.0 * mathieu_cem(k, 2.0, 0.0)[0] ** 2 / PI for k in n])
+    assert np.max(np.abs(sd.lambdas / ref_lam - 1.0)) <= 1e-8
+    assert np.max(np.abs(sd.gammas / ref_gamma - 1.0)) <= 1e-8
 
 
 def test_root_polish_call_count(monkeypatch):
