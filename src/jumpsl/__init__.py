@@ -9,7 +9,6 @@ from .errors import (
     ConfigParseError,
     ContourTooCloseError,
     DomainError,
-    ForwardSolveError,
     InterlacingError,
     JumpOrderError,
     JumpSignError,

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .problem import PI
@@ -109,40 +108,47 @@ def asymptotic_eval(problem, target, x, rho):
     return complex(val) if np.ndim(val) == 0 else val
 
 
+def _leading_sum(problem, trig):
+    """rho -> the leading trigonometric sum of Delta, vectorized over rho."""
+    terms = reflection_terms(problem, len(problem.jumps))
+    coeff = np.array([t.coefficient for t in terms])
+    shift = PI + np.array([t.phase for t in terms])
+    fn = np.sin if trig == "sin" else np.cos
+    return lambda rho: fn(np.multiply.outer(rho, shift)) @ coeff
+
+
 def sine_sum(problem, rho, trig="sin"):
     """The leading trigonometric sum of Delta with all rho powers divided out.
 
     ``trig="cos"`` gives the analogous sum for a Dirichlet condition at 0
     (the sine-type solution), used to seed secondary spectra.
     """
-    rho = np.asarray(rho, dtype=float)
-    terms = reflection_terms(problem, len(problem.jumps))
-    fn = np.sin if trig == "sin" else np.cos
-    val = sum(t.coefficient * fn(rho * (PI + t.phase)) for t in terms)
+    val = _leading_sum(problem, trig)(np.asarray(rho, dtype=float))
     return float(val) if np.ndim(val) == 0 else val
 
 
 def eigenvalue_guesses(problem, count, trig="sin", step=0.05):
-    """Ascending real zeros of the leading sine sum, used as bracket seeds."""
-    zeros = []
-    g = lambda r: sine_sum(problem, r, trig)
-    if abs(g(0.0)) == 0.0:
-        zeros.append(0.0)
-    lo = 0.0
-    chunk = max(10.0, float(count))
+    """Ascending real zeros of the leading sine sum, used as bracket seeds:
+    exact zeros on a grid of width ``step`` plus its sign changes, bisected
+    together to 1e-13 (rho = 0 counts only where the sum vanishes)."""
+    g = _leading_sum(problem, trig)
+    zeros = [0.0] if g(0.0) == 0.0 else []
+    lo, chunk = 0.0, max(10.0, float(count))
     while len(zeros) < count:
         grid = np.arange(lo, lo + chunk + step, step)
-        vals = sine_sum(problem, grid, trig)
-        for i in range(len(grid) - 1):
-            if grid[i] == 0.0:
-                continue
-            if vals[i] == 0.0:
-                zeros.append(float(grid[i]))
-            elif vals[i] * vals[i + 1] < 0.0:
-                zeros.append(brentq(g, grid[i], grid[i + 1], xtol=1e-13))
-            if len(zeros) >= count:
-                break
+        vals = g(grid)
+        inner = grid[:-1] != 0.0
+        exact = grid[:-1][inner & (vals[:-1] == 0.0)]
+        i = np.flatnonzero(inner & (vals[:-1] * vals[1:] < 0.0))
+        a, b, ga = grid[i], grid[i + 1], vals[i]
+        while np.any(b - a > 1e-13 + 4.0 * np.finfo(float).eps * b):
+            m = 0.5 * (a + b)
+            gm = g(m)
+            right = np.sign(gm) == np.sign(ga)
+            a, ga = np.where(right, m, a), np.where(right, gm, ga)
+            b = np.where(right, b, m)
+        zeros.extend(np.sort(np.concatenate([exact, 0.5 * (a + b)])).tolist())
         lo += chunk
-        if lo > 100 * max(count, 10):
+        if len(zeros) < count and lo > 100 * max(count, 10):
             raise DomainError("failed to locate enough zeros of the sine sum")
     return zeros[:count]

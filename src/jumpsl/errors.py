@@ -82,10 +82,6 @@ class CalibrationError(NumericalError):
     """Calibration of the two-spectra product failed."""
 
 
-class ForwardSolveError(NumericalError):
-    """A forward solve inside an inverse iteration failed."""
-
-
 class NonconvergenceError(NumericalError):
     """Least-squares iteration stopped without meeting its tolerance."""
 

@@ -31,7 +31,6 @@ from scipy.optimize import least_squares
 from .errors import (
     BoundaryConstraintError,
     ConfigParseError,
-    ForwardSolveError,
     JumpSLError,
     JumpSignError,
     MismatchError,
@@ -47,8 +46,7 @@ from .problem import (
     ValidatedProblem,
     validate,
 )
-from .propagation import initial_state, propagate_endpoints_batch
-from .spectrum import delta_batch, eigenvalues, load_csv
+from .spectrum import _norming_data, eigenvalues, load_csv
 
 __all__ = [
     "FitSpec",
@@ -228,34 +226,13 @@ def unpack_parameters(fs: FitSpec, params) -> ValidatedProblem:
                                 jumps=tuple(jumps)))
 
 
-def _fast_gammas(problem, lams, cpm_density):
-    """Norming constants via gamma_n = beta_n / Delta'(lambda_n).
-
-    Equivalent to the quadrature definition (the residue identity) but a
-    single batched propagation, which keeps the finite-difference
-    Jacobian of the fit affordable.
-    """
-    lam = np.asarray(lams, dtype=complex)
-    bc = problem.boundary
-    (y0, yp0), _ = initial_state(problem, "psi", lam)
-    y, yp = propagate_endpoints_batch(problem, lam, y0, yp0, backward=True,
-                                      cpm_density=cpm_density)
-    if problem.variant == "robin":
-        beta = np.real(y)
-    else:
-        beta = np.real(yp + bc.h1 * y) / bc.r1
-    _, dd = delta_batch(problem, lam, derivative=True,
-                        cpm_density=cpm_density)
-    return beta / np.real(dd)
-
-
 def _forward_targets(fs: FitSpec, problem):
     n = len(fs.targets_lambda)
     sd = eigenvalues(problem, n, verify=False, cpm_density=fs.cpm_density)
     lams = sd.lambdas
     gams = mus = None
     if fs.mode == "full_spectral":
-        gams = _fast_gammas(problem, lams, fs.cpm_density)
+        gams, _ = _norming_data(problem, lams, fs.cpm_density)
     elif fs.mode == "two_spectra":
         sd2 = eigenvalues(problem, len(fs.targets_mu), verify=False,
                           left="dirichlet", cpm_density=fs.cpm_density)
@@ -267,7 +244,7 @@ def residuals(fs: FitSpec, params):
     """Scaled residual vector at the candidate parameters.
 
     A forward solve that fails (invalid parameters, missed eigenvalues,
-    quadrature breakdown) yields a vector of FLAG_RESIDUAL entries so the
+    a nonpositive norm) yields a vector of FLAG_RESIDUAL entries so the
     optimizer backs away instead of crashing.
     """
     n_out = len(fs.targets_lambda)
@@ -279,7 +256,7 @@ def residuals(fs: FitSpec, params):
         problem = unpack_parameters(fs, params)
         lams, gams, mus = _forward_targets(fs, problem)
     except JumpSLError:
-        # invalid candidate (sign flips, missed roots, quadrature failure):
+        # invalid candidate (sign flips, missed roots, nonpositive norms):
         # flag it so the optimizer retreats instead of aborting the fit
         return np.full(n_out, FLAG_RESIDUAL)
     wl, wg, wm = fs.weights

@@ -346,6 +346,14 @@ def initial_state(problem, kind, lam):
     raise ValueError(f"unknown solution kind {kind!r}")
 
 
+def _psi_at_zero(problem, lam, cpm_density=CPM_DENSITY):
+    """Backward solve: psi Cauchy data (y, y') at 0, for an array of lambda."""
+    lam = np.asarray(lam, dtype=complex)
+    (y0, yp0), _ = initial_state(problem, "psi", lam)
+    return propagate_endpoints_batch(problem, lam, y0, yp0, backward=True,
+                                     cpm_density=cpm_density)
+
+
 def fundamental_solution(problem, kind, sp, left_init=None):
     """Build phi, psi or chi at the given spectral point with dense output.
 

@@ -1,4 +1,6 @@
-"""Weighted quadrature of piecewise solutions.
+"""Weighted quadrature of piecewise solutions: the reference weighted norm
+that the tests hold ``spectral_data``'s norming constants to, and the
+|y|^2 energy integrals at complex lambda.
 
 Composite Gauss-Legendre panels per integration cell, never straddling a
 jump or potential breakpoint; the panel count scales with |rho| so the

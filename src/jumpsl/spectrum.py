@@ -10,6 +10,12 @@ Eigenvalues are located by a sign-change scan on the real axis (the scan
 floor extends below zero), polished by a safeguarded Newton iteration in
 lambda, and optionally certified by an argument-principle contour count.
 
+Norming constants and coupling coefficients of a whole spectrum come from
+two batched propagations: the squared norm of phi is the Lagrange bracket
+w (u phi' - phi u') at pi of phi and its variational companion u started
+from zero, and beta_n is read off one backward solve of psi.  No dense
+solution or quadrature is involved.
+
 Sign convention: the derivative identity at an eigenvalue reads
 
     dDelta/dlambda(lambda_n) = + beta_n / gamma_n
@@ -40,12 +46,12 @@ from .problem import _atomic_write
 from .propagation import (
     CPM_DENSITY,
     SpectralPoint,
+    _psi_at_zero,
     fundamental_solution,
     initial_state,
     modified_wronskian,
     propagate_endpoints_batch,
 )
-from .quadrature import weighted_norm_sq
 
 __all__ = [
     "EigenRecord",
@@ -151,6 +157,16 @@ def _l2_of(problem, lam, y, yp, u=None, up=None):
     return val, dval
 
 
+def _l1_of(problem, lam, y, yp):
+    """Delta = L1(psi) and beta (psi(0), or R1(psi)/r1 in the eigenparameter
+    variant) from the Cauchy data (y, y') of psi at 0."""
+    bc = problem.boundary
+    if problem.variant == "robin":
+        return yp + bc.h * y, y
+    r1psi = yp + bc.h1 * y
+    return lam * r1psi - bc.h2 * yp - bc.h3 * y, r1psi / bc.r1
+
+
 def delta_batch(problem, lam, derivative=False, left="spec",
                 cpm_density=CPM_DENSITY):
     """Delta (and optionally dDelta/dlambda) over an array of lambda."""
@@ -186,15 +202,8 @@ def char_delta_forms(problem, lam):
     evaluation; W is sampled at an interior cell midpoint.
     """
     d1 = char_delta(problem, lam)
-    lam_arr = np.array([complex(lam)])
-    bc = problem.boundary
-    (y0, yp0), _ = initial_state(problem, "psi", lam_arr)
-    y, yp = propagate_endpoints_batch(problem, lam_arr, y0, yp0, backward=True)
-    y, yp = complex(y[0]), complex(yp[0])
-    if problem.variant == "robin":
-        d2 = yp + bc.h * y
-    else:
-        d2 = lam * (yp + bc.h1 * y) - bc.h2 * yp - bc.h3 * y
+    y, yp = _psi_at_zero(problem, np.array([complex(lam)]))
+    d2, _ = _l1_of(problem, lam, complex(y[0]), complex(yp[0]))
     sp = SpectralPoint.from_lambda(lam)
     phi = fundamental_solution(problem, "phi", sp)
     psi = fundamental_solution(problem, "psi", sp)
@@ -408,16 +417,46 @@ def count_zeros_contour(problem, rectangle, left="spec",
 # norming constants and coupling coefficients
 # ----------------------------------------------------------------------
 
-def spectral_data(problem, eigs, rtol=1e-9) -> SpectralData:
+def _norming_data(problem, lams, cpm_density):
+    """(gamma, beta) arrays at real eigenvalues from two batched propagations
+    (see :func:`spectral_data`)."""
+    lam = np.asarray(lams, dtype=complex)
+    bc = problem.boundary
+    (y0, yp0), _ = initial_state(problem, "phi", lam)
+    y, yp, u, up = propagate_endpoints_batch(
+        problem, lam, y0, yp0, derivative=True, du0=0.0, dup0=0.0,
+        cpm_density=cpm_density)
+    norm2 = problem.w_end * np.real(u * yp - y * up)
+    if problem.variant == "eigenparameter":
+        norm2 += (problem.weights[0] / bc.r1) * np.real(yp0 + bc.h1 * y0) ** 2 \
+            + (problem.w_end / bc.r2) * np.real(yp + bc.H1 * y) ** 2
+    bad = np.flatnonzero(~(norm2 > 0.0) | ~np.isfinite(norm2))
+    if bad.size:
+        raise ToleranceError(
+            f"nonpositive squared norm at lambda={lam[bad[0]].real}")
+    _, beta = _l1_of(problem, lam, *_psi_at_zero(problem, lam, cpm_density))
+    return 1.0 / norm2, np.real(beta)
+
+
+def spectral_data(problem, eigs) -> SpectralData:
     """Fill gamma_n and beta_n for certified eigenvalues.
 
     gamma_n is the reciprocal squared weighted norm of phi(., lambda_n);
     in the eigenparameter variant the norm additionally carries the
     (w(0)/r1) R1(phi)^2 + (w(pi)/r2) R2(phi)^2 boundary terms.  beta_n is
-    psi(0, lambda_n) (Robin) or (psi'(0) + h1 psi(0))/r1 (eigenparameter).
-    The norm is a quadrature of the dense phi: the residue identity
-    gamma_n = beta_n / Delta'(lambda_n) loses digits at high n in the
-    eigenparameter variant.
+    psi(0, lambda_n) (Robin) or (psi'(0) + h1 psi(0))/r1 (eigenparameter),
+    read off one backward solve of psi for all records at once.
+
+    The norm needs no quadrature.  The variational step carries u beside
+    phi from u(0) = u'(0) = 0, so -u'' + q u = lambda u + phi, Lagrange's
+    identity gives d/dx [w (u phi' - phi u')] = w phi^2 on every cell, and
+    each jump keeps w (u phi' - phi u') since w+ = w- / (a b).  Hence
+    int_0^pi w phi^2 dx = w(pi) (u phi' - phi u')(pi): exact to rounding on
+    constant cells, the Magnus scheme's own fourth-order norm elsewhere.
+    This is not the residue route gamma_n = beta_n / Delta'(lambda_n),
+    whose lambda-affine boundary data cancel at high n in the
+    eigenparameter variant; the bracket starts from zero, and the boundary
+    terms enter as positive squares.
     """
     if isinstance(eigs, SpectralData):
         records = eigs.records
@@ -426,26 +465,11 @@ def spectral_data(problem, eigs, rtol=1e-9) -> SpectralData:
             EigenRecord(n=i, lam=float(l), rho=complex(np.sqrt(complex(l))),
                         gamma=None, beta=None, certification="bracketed")
             for i, l in enumerate(eigs))
-    bc = problem.boundary
-    out = []
-    for rec in records:
-        sp = SpectralPoint.from_lambda(rec.lam)
-        phi = fundamental_solution(problem, "phi", sp)
-        norm2 = weighted_norm_sq(problem, phi, rtol=rtol)
-        psi = fundamental_solution(problem, "psi", sp)
-        y0, yp0 = psi.state0
-        if problem.variant == "robin":
-            beta = float(np.real(y0))
-        else:
-            r1_phi = phi.state0[1] + bc.h1 * phi.state0[0]
-            r2_phi = phi.state_pi[1] + bc.H1 * phi.state_pi[0]
-            norm2 += (problem.weights[0] / bc.r1) * float(np.real(r1_phi)) ** 2
-            norm2 += (problem.w_end / bc.r2) * float(np.real(r2_phi)) ** 2
-            beta = float(np.real(yp0 + bc.h1 * y0)) / bc.r1
-        if norm2 <= 0.0:
-            raise ToleranceError(f"nonpositive squared norm at lambda={rec.lam}")
-        out.append(replace(rec, gamma=1.0 / norm2, beta=beta))
-    return SpectralData(records=tuple(out), fingerprint=problem.fingerprint(),
+    gammas, betas = _norming_data(problem, [r.lam for r in records],
+                                  CPM_DENSITY)
+    out = tuple(replace(rec, gamma=float(g), beta=float(b))
+                for rec, g, b in zip(records, gammas, betas))
+    return SpectralData(records=out, fingerprint=problem.fingerprint(),
                         variant=problem.variant)
 
 

@@ -31,9 +31,8 @@ from .errors import (
     PoleError,
 )
 from .problem import ValidatedProblem, _atomic_write
-from .propagation import (SpectralPoint, fundamental_solution, initial_state,
-                          propagate_endpoints_batch)
-from .spectrum import SpectralData, _fmt, eigenvalues, spectral_data
+from .propagation import SpectralPoint, _psi_at_zero, fundamental_solution
+from .spectrum import SpectralData, _fmt, _l1_of, eigenvalues, spectral_data
 
 __all__ = [
     "WeylSample",
@@ -59,13 +58,6 @@ class WeylSample:
     variant: str
 
 
-def _psi_at_zero(problem, lam):
-    """Backward solve: psi Cauchy data at 0, for an array of lambda."""
-    lam = np.asarray(lam, dtype=complex)
-    (y0, yp0), _ = initial_state(problem, "psi", lam)
-    return propagate_endpoints_batch(problem, lam, y0, yp0, backward=True)
-
-
 def weyl_m(problem, lam, sd: SpectralData | None = None):
     """m(lambda); raises PoleError at (or too near) an eigenvalue.
 
@@ -79,15 +71,8 @@ def weyl_m(problem, lam, sd: SpectralData | None = None):
                 1.0, np.max(np.abs(lams))):
             raise PoleError(f"lambda={lam} is an eigenvalue of the problem")
     y, yp = _psi_at_zero(problem, np.array([lam]))
-    y, yp = complex(y[0]), complex(yp[0])
-    bc = problem.boundary
-    if problem.variant == "robin":
-        delta = yp + bc.h * y
-        numer = y
-    else:
-        r1psi = yp + bc.h1 * y
-        delta = lam * r1psi - bc.h2 * yp - bc.h3 * y
-        numer = r1psi / bc.r1
+    y = complex(y[0])
+    delta, numer = _l1_of(problem, lam, y, complex(yp[0]))
     if delta == 0.0:
         raise PoleError(f"Delta vanishes at lambda={lam}")
     m = -numer / delta

@@ -291,7 +291,7 @@ def test_criterion_11_inverse_round_trips():
     truth = _cubic_two_segment(PI / 3, 0.4, -0.3,
                                (JumpCondition(PI / 3, 1.5, 1.0, 0.6),))
     sd = spectral_data(truth, eigenvalues(truth, 30, verify=False,
-                                          cpm_density=96), rtol=1e-8)
+                                          cpm_density=96))
     fs = FitSpec(mode="full_spectral", template=truth,
                  unknowns=("h", "H", "c0", "q0", "q1"),
                  targets_lambda=tuple(sd.lambdas),

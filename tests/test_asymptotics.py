@@ -124,6 +124,25 @@ def test_sine_sum_zero_guesses_free(free):
     assert np.allclose(cos_guesses, [0.5, 1.5, 2.5, 3.5], atol=1e-10)
 
 
+@pytest.mark.parametrize("trig", ["sin", "cos"])
+def test_guesses_match_brentq(four_jump, trig):
+    from scipy.optimize import brentq
+
+    count, step = 402, 0.05
+    grid = np.arange(step, 500.0, step)
+    vals = sine_sum(four_jump, grid, trig)
+    ref = [0.0] if sine_sum(four_jump, 0.0, trig) == 0.0 else []
+    for i in np.flatnonzero(vals[:-1] * vals[1:] <= 0.0):
+        if vals[i] == 0.0:
+            ref.append(grid[i])
+        elif vals[i + 1] != 0.0:
+            ref.append(brentq(lambda r: sine_sum(four_jump, r, trig),
+                              grid[i], grid[i + 1], xtol=1e-13))
+    guesses = eigenvalue_guesses(four_jump, count, trig=trig)
+    assert len(guesses) == count
+    assert np.max(np.abs(np.array(guesses) - ref[:count])) <= 1e-12
+
+
 def test_sine_sum_one_jump(one_jump):
     # alpha = 5/4, alpha' = 3/4, phase -pi: sum = (5/4) sin rho pi
     #   + (3/4) sin rho(pi - pi) with d = pi/2, so zeros stay at integers

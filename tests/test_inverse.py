@@ -40,6 +40,14 @@ def test_zero_residual_at_truth_full(one_jump):
     assert np.max(np.abs(r)) < 1e-7
 
 
+def test_zero_residual_at_truth_full_eigenparameter(eig_desk):
+    # model and target gammas come from one route, so they agree to
+    # rounding out to n = 119, where the residue route was off by ~1e-7
+    fs = _full_spec(eig_desk, 120, unknowns=("h1", "H1"))
+    r = residuals(fs, pack_parameters(fs))
+    assert np.max(np.abs(r)) <= 1e-12
+
+
 def test_zero_residual_at_truth_two_spectra(free):
     # free problem: lambda_n = n^2, mu_n = (n + 1/2)^2
     n = np.arange(12)

@@ -25,7 +25,10 @@ from jumpsl import (
     spectral_data,
     validate,
 )
-from jumpsl import spectrum
+from jumpsl import propagation, spectrum
+from jumpsl.eigenparameter import boundary_functionals
+from jumpsl.propagation import SpectralPoint, fundamental_solution
+from jumpsl.quadrature import weighted_norm_sq
 from jumpsl.spectrum import EigenRecord, _polish_roots, lambda_floor
 
 PI = math.pi
@@ -231,9 +234,60 @@ def test_polish_iteration_cap():
 
 
 def test_one_jump_relative_accuracy(one_jump):
-    n = np.arange(200)
-    lams = eigenvalues(one_jump, 200).lambdas
-    assert np.max(np.abs(lams - n * n) / np.maximum(1.0, n * n)) <= 2e-15
+    n = np.arange(1000)
+    sd = spectral_data(one_jump, eigenvalues(one_jump, 1000))
+    assert np.max(np.abs(sd.lambdas - n * n) / np.maximum(1.0, n * n)) <= 2e-15
+    # gamma_0 = 2/(5 pi), then 16/(5 pi) at odd n and 4/(5 pi) at even n
+    ref = np.where(n % 2 == 1, 16.0, 4.0) / (5.0 * PI)
+    ref[0] = 2.0 / (5.0 * PI)
+    assert np.max(np.abs(sd.gammas / ref - 1.0)) <= 2e-15
+
+
+def _quadrature_gammas(p, lams):
+    """Reference gammas: quadrature of the dense phi plus boundary terms."""
+    bc = p.boundary
+    out = []
+    for lam in lams:
+        phi = fundamental_solution(p, "phi", SpectralPoint.from_lambda(lam))
+        norm2 = weighted_norm_sq(p, phi)
+        if p.variant == "eigenparameter":
+            bf = boundary_functionals(p, phi)
+            norm2 += (p.weights[0] / bc.r1) * bf.r1.real ** 2
+            norm2 += (p.w_end / bc.r2) * bf.r2.real ** 2
+        out.append(1.0 / norm2)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name, count, bound", [
+    ("four_jump", 400, 1e-12),
+    ("eig_desk", 400, 1e-12),    # covers n = 100, 119, 393
+    ("cubic", 30, 1e-9),
+])
+def test_gamma_matches_quadrature(request, name, count, bound):
+    p = request.getfixturevalue(name)
+    sd = spectral_data(p, eigenvalues(p, count, verify=False))
+    ref = _quadrature_gammas(p, sd.lambdas)
+    assert np.max(np.abs(sd.gammas / ref - 1.0)) <= bound
+
+
+def test_spectral_data_call_count(monkeypatch, four_jump):
+    eigs = eigenvalues(four_jump, 400, verify=False)
+    calls = {"batch": 0, "dense": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    batch = counting("batch", propagation.propagate_endpoints_batch)
+    dense = counting("dense", propagation.fundamental_solution)
+    for mod in (spectrum, propagation):
+        monkeypatch.setattr(mod, "propagate_endpoints_batch", batch)
+        monkeypatch.setattr(mod, "fundamental_solution", dense)
+    sd = spectral_data(four_jump, eigs)
+    assert len(sd) == 400
+    assert calls == {"batch": 2, "dense": 0}
 
 
 def test_mathieu_reference():
