@@ -122,8 +122,8 @@ def _cmd_weyl(args):
         grid = np.linspace(float(start), float(stop), int(num))
     except ValueError:
         raise ConfigParseError(f"--grid expects START:STOP:NUM, got {args.grid!r}")
-    samples = [weyl.weyl_m(p, complex(re, args.imag)) for re in grid]
-    _emit(weyl._m_samples_text(samples), args.output)
+    _emit(weyl._m_samples_text(weyl.weyl_m(p, grid + 1j * args.imag)),
+          args.output)
 
 
 def _cmd_asym_check(args):
@@ -157,11 +157,12 @@ def _cmd_two_spectra(args):
     prim = eigenvalues(p, args.count)
     sec = weyl.secondary_spectrum(p, args.count)
     ts = weyl.TwoSpectra(primary=prim, secondary=sec)
+    lams = _parse_floats(args.lam)
+    approx = [weyl.m_from_two_spectra(ts, lam, n_terms=args.truncation)
+              for lam in lams]
+    direct = weyl.weyl_m(p, lams, prim).m.real
     lines = ["lambda,m_two_spectra,m_direct"]
-    for lam in _parse_floats(args.lam):
-        approx = weyl.m_from_two_spectra(ts, lam, n_terms=args.truncation)
-        direct = weyl.weyl_m(p, lam, prim).m.real
-        lines.append(",".join([_fmt(lam), _fmt(approx), _fmt(direct)]))
+    lines += [",".join(map(_fmt, row)) for row in zip(lams, approx, direct)]
     _emit("\n".join(lines) + "\n", args.output)
 
 

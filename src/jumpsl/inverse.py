@@ -82,7 +82,6 @@ class FitSpec:
     targets_lambda: tuple = ()
     targets_gamma: tuple = ()
     targets_mu: tuple = ()
-    weights: tuple = (1.0, 1.0, 1.0)   # lambda / gamma / mu residual blocks
     bounds: dict = field(default_factory=dict)
     max_iter: int = 100
     tol: float = 1e-10
@@ -259,15 +258,14 @@ def residuals(fs: FitSpec, params):
         # invalid candidate (sign flips, missed roots, nonpositive norms):
         # flag it so the optimizer retreats instead of aborting the fit
         return np.full(n_out, FLAG_RESIDUAL)
-    wl, wg, wm = fs.weights
     tl = np.array(fs.targets_lambda)
-    out = [wl * (lams - tl) / (1.0 + np.abs(tl))]
+    out = [(lams - tl) / (1.0 + np.abs(tl))]
     if fs.mode == "full_spectral":
         tg = np.array(fs.targets_gamma)
-        out.append(wg * (gams - tg) / tg)
+        out.append((gams - tg) / tg)
     elif fs.mode == "two_spectra":
         tm = np.array(fs.targets_mu)
-        out.append(wm * (mus - tm) / (1.0 + np.abs(tm)))
+        out.append((mus - tm) / (1.0 + np.abs(tm)))
     res = np.concatenate(out)
     if not np.all(np.isfinite(res)):
         return np.full(n_out, FLAG_RESIDUAL)

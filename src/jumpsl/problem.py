@@ -11,8 +11,9 @@ Validation derives the piecewise-constant weight ``w`` (``w_0 = 1``,
 ``alpha = (a+b)/2`` and ``alpha' = (a-b)/2`` per jump, and a merged node grid
 that splits the interval at every jump point and every potential breakpoint.
 
-Point evaluations exactly at an interior node return the right limit by
-default; the left limit is available through ``side="-"``.
+At a jump point ``segment_of``, ``weight_at`` and ``PiecewiseSolution.eval``
+return the right limit, or the left one with ``side="-"``; at a breakpoint
+the potentials return the value of the segment to its right.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "Piece",
     "ValidatedProblem",
     "validate",
-    "weight_at",
     "gauge_transform",
     "problem_to_dict",
     "problem_from_dict",
@@ -147,17 +147,11 @@ class PiecewisePolynomial:
     def edges(self):
         return (0.0,) + self.breakpoints + (PI,)
 
-    def piece_index(self, x, side="+"):
-        edges = self.edges
-        if side == "-":
-            i = bisect_right(edges, x) - 1
-            if x == edges[i] and i > 0:
-                i -= 1
-        else:
-            i = bisect_right(edges, x) - 1
+    def piece_index(self, x):
+        i = bisect_right(self.edges, x) - 1
         return min(max(i, 0), len(self.coefficients) - 1)
 
-    def __call__(self, x, side="+"):
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
         edges = np.asarray(self.edges)
         idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(self.coefficients) - 1)
@@ -211,7 +205,7 @@ class SampledGrid:
     def breakpoints(self):
         return ()
 
-    def __call__(self, x, side="+"):
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.order == 0:
             idx = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, len(self.values) - 1)
@@ -311,9 +305,6 @@ class ValidatedProblem:
     def w_end(self):
         return self.weights[-1]
 
-    def q(self, x, side="+"):
-        return self.potential(x, side)
-
     def max_abs_q(self):
         return self.potential.max_abs()
 
@@ -411,11 +402,6 @@ def _constant_value(pot, xl, xr):
     if all(c == 0.0 for c in coeffs[1:]):
         return coeffs[0]
     return None
-
-
-def weight_at(problem: ValidatedProblem, x, side="+"):
-    """Module-level alias for :meth:`ValidatedProblem.weight_at`."""
-    return problem.weight_at(x, side)
 
 
 def gauge_transform(problem: ValidatedProblem) -> ValidatedProblem:

@@ -59,22 +59,21 @@ _COMMUTATOR = math.sqrt(3.0) / 12.0
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """lambda together with its principal square root rho and tau = Im rho."""
+    """lambda together with its principal square root rho."""
 
     lam: complex
     rho: complex
-    tau: float
 
     @classmethod
     def from_lambda(cls, lam):
         lam = complex(lam)
-        rho = np.sqrt(complex(lam))  # principal branch: Re rho >= 0, cut on (-inf, 0)
-        return cls(lam=lam, rho=complex(rho), tau=float(rho.imag))
+        # principal branch: Re rho >= 0, cut on (-inf, 0)
+        return cls(lam=lam, rho=complex(np.sqrt(lam)))
 
     @classmethod
     def from_rho(cls, rho):
         rho = complex(rho)
-        return cls(lam=rho * rho, rho=rho, tau=float(rho.imag))
+        return cls(lam=rho * rho, rho=rho)
 
 
 class StateVector(NamedTuple):
@@ -285,18 +284,12 @@ class PiecewiseSolution:
     limits at interior nodes are selected with ``side``.
     """
 
-    def __init__(self, problem, kind, sp, piece_sols, state0, state_pi):
-        self.problem = problem
-        self.kind = kind
+    def __init__(self, problem, sp, piece_sols, state0, state_pi):
         self.sp = sp
         self._pieces = piece_sols
         self._edges = np.array([p.xl for p in problem.pieces] + [problem.pieces[-1].xr])
         self.state0 = state0          # (y, y') at 0
         self.state_pi = state_pi      # (y, y') at pi
-
-    @property
-    def lam(self):
-        return self.sp.lam
 
     def eval(self, x, side="+"):
         """Return (y, y') at x; vectorized, with one-sided limits at nodes."""
@@ -317,12 +310,6 @@ class PiecewiseSolution:
         if scalar:
             return complex(y[0]), complex(yp[0])
         return y, yp
-
-    def value(self, x, side="+"):
-        return self.eval(x, side)[0]
-
-    def derivative(self, x, side="+"):
-        return self.eval(x, side)[1]
 
 
 def initial_state(problem, kind, lam):
@@ -346,34 +333,28 @@ def initial_state(problem, kind, lam):
     raise ValueError(f"unknown solution kind {kind!r}")
 
 
-def _psi_at_zero(problem, lam, cpm_density=CPM_DENSITY):
+def _psi_at_zero(problem, lam):
     """Backward solve: psi Cauchy data (y, y') at 0, for an array of lambda."""
     lam = np.asarray(lam, dtype=complex)
     (y0, yp0), _ = initial_state(problem, "psi", lam)
-    return propagate_endpoints_batch(problem, lam, y0, yp0, backward=True,
-                                     cpm_density=cpm_density)
+    return propagate_endpoints_batch(problem, lam, y0, yp0, backward=True)
 
 
-def fundamental_solution(problem, kind, sp, left_init=None):
+def fundamental_solution(problem, kind, sp):
     """Build phi, psi or chi at the given spectral point with dense output.
 
     phi and chi propagate forward from 0 applying jumps left to right; psi
     propagates backward from pi solving the jump equations for the left
-    data.  ``left_init`` overrides the Cauchy data at 0 (used for secondary
-    spectra with a modified left boundary condition).
+    data.  Their Cauchy data are those of :func:`initial_state`.
     """
-    if left_init is not None and kind == "psi":
-        raise ValueError("left_init only applies to forward solutions")
     init, _ = initial_state(problem, kind, sp.lam)
-    if left_init is not None:
-        init = left_init
     start = (complex(init[0]), complex(init[1]))
     piece_sols = [None] * len(problem.pieces)
     backward = kind == "psi"
     end = _walk(problem, sp.lam, start, backward, CPM_DENSITY, piece_sols)
     end = (complex(end[0]), complex(end[1]))
     state0, state_pi = (end, start) if backward else (start, end)
-    return PiecewiseSolution(problem, kind, sp, piece_sols, state0, state_pi)
+    return PiecewiseSolution(problem, sp, piece_sols, state0, state_pi)
 
 
 def modified_wronskian(problem, u, v, x, side="+"):

@@ -18,6 +18,9 @@ from .errors import QuadratureError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
+#: panel doublings per cell before the quadrature gives up
+MAX_DOUBLINGS = 5
+
 
 def _integrate_cell(func, xl, xr, panels):
     edges = np.linspace(xl, xr, panels + 1)
@@ -28,7 +31,7 @@ def _integrate_cell(func, xl, xr, panels):
     return np.sum(half[:, 0] * (vals @ _GL_WEIGHTS))
 
 
-def integrate_solution(problem, sol, transform=None, rtol=1e-9, max_doublings=5):
+def integrate_solution(problem, sol, transform=None, rtol=1e-9):
     """Integral of transform(y) * w over [0, pi] for a PiecewiseSolution.
 
     ``transform`` defaults to y -> y**2; use ``np.abs(y)**2`` for energy
@@ -47,7 +50,7 @@ def integrate_solution(problem, sol, transform=None, rtol=1e-9, max_doublings=5)
 
         panels = max(4, int(math.ceil(freq * piece.length / 2.5)))
         val = _integrate_cell(func, piece.xl, piece.xr, panels)
-        for _ in range(max_doublings):
+        for _ in range(MAX_DOUBLINGS):
             panels *= 2
             val2 = _integrate_cell(func, piece.xl, piece.xr, panels)
             if abs(val2 - val) <= rtol * max(1.0, abs(val2)):

@@ -13,8 +13,9 @@ lambda, and optionally certified by an argument-principle contour count.
 Norming constants and coupling coefficients of a whole spectrum come from
 two batched propagations: the squared norm of phi is the Lagrange bracket
 w (u phi' - phi u') at pi of phi and its variational companion u started
-from zero, and beta_n is read off one backward solve of psi.  No dense
-solution or quadrature is involved.
+from zero, and beta_n = psi/phi is read off at pi, where psi's data are
+exact.  One forward propagation serves a whole spectrum, with no dense
+solution and no quadrature.
 
 Sign convention: the derivative identity at an eigenvalue reads
 
@@ -68,6 +69,9 @@ __all__ = [
     "export_json",
     "load_csv",
 ]
+
+#: cap on the sample points of an adaptively refined contour
+CONTOUR_MAX_POINTS = 40000
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,6 @@ def _left_init_batch(problem, lam, left):
         return initial_state(problem, "phi", lam)
     if left == "dirichlet":
         return (0.0, 1.0), (0.0, 0.0)
-    if isinstance(left, tuple) and left[0] == "robin":
-        return (1.0, -left[1]), (0.0, 0.0)
     raise ValueError(f"unknown left boundary override {left!r}")
 
 
@@ -158,8 +160,8 @@ def _l2_of(problem, lam, y, yp, u=None, up=None):
 
 
 def _l1_of(problem, lam, y, yp):
-    """Delta = L1(psi) and beta (psi(0), or R1(psi)/r1 in the eigenparameter
-    variant) from the Cauchy data (y, y') of psi at 0."""
+    """Delta = L1(psi) and the Weyl numerator psi(0), or R1(psi)/r1 in the
+    eigenparameter variant, from the Cauchy data (y, y') of psi at 0."""
     bc = problem.boundary
     if problem.variant == "robin":
         return yp + bc.h * y, y
@@ -269,15 +271,17 @@ def _sign_brackets(problem, s_grid, vals, left, cpm_density, refine_depth=1):
     # a local minimum of |Delta| without a sign change may hide a close pair
     if refine_depth > 0:
         av = np.abs(vals)
-        for i in range(1, len(s_grid) - 1):
-            if av[i] < av[i - 1] and av[i] < av[i + 1] \
-                    and vals[i - 1] * vals[i] > 0.0 and vals[i] * vals[i + 1] > 0.0 \
-                    and av[i] < 1e-3 * max(av[i - 1], av[i + 1]):
-                fine = np.linspace(s_grid[i - 1], s_grid[i + 1], 65)
-                fvals = delta_batch(problem, _scan_lambda(fine), left=left,
-                                    cpm_density=cpm_density).real
-                parts.append(_sign_brackets(problem, fine, fvals, left,
-                                            cpm_density, refine_depth - 1))
+        a, m, b = av[:-2], av[1:-1], av[2:]
+        hidden = 1 + np.flatnonzero(
+            (m < a) & (m < b) & (vals[:-2] * vals[1:-1] > 0.0)
+            & (vals[1:-1] * vals[2:] > 0.0) & (m < 1e-3 * np.maximum(a, b)))
+        if hidden.size:
+            fine = np.linspace(s_grid[hidden - 1], s_grid[hidden + 1], 65, axis=1)
+            fvals = delta_batch(problem, _scan_lambda(fine.ravel()), left=left,
+                                cpm_density=cpm_density).real.reshape(fine.shape)
+            parts.extend(_sign_brackets(problem, f, fv, left, cpm_density,
+                                        refine_depth - 1)
+                         for f, fv in zip(fine, fvals))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -365,7 +369,7 @@ def eigenvalues(problem, count, verify=True, left="spec",
 
 
 def count_zeros_contour(problem, rectangle, left="spec",
-                        cpm_density=CPM_DENSITY, max_points=40000):
+                        cpm_density=CPM_DENSITY):
     """Winding number of Delta around a rectangle in the lambda plane."""
     re_min, re_max, im_min, im_max = rectangle
     if re_min >= re_max or im_min >= im_max:
@@ -404,7 +408,7 @@ def count_zeros_contour(problem, rectangle, left="spec",
         if len(bad) == 0:
             winding = float(np.sum(dphase)) / (2.0 * math.pi)
             return int(round(winding))
-        if len(pts) + len(bad) > max_points:
+        if len(pts) + len(bad) > CONTOUR_MAX_POINTS:
             raise ContourTooCloseError("contour refinement exhausted")
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         mvals = delta_batch(problem, mids, left=left, cpm_density=cpm_density)
@@ -418,8 +422,8 @@ def count_zeros_contour(problem, rectangle, left="spec",
 # ----------------------------------------------------------------------
 
 def _norming_data(problem, lams, cpm_density):
-    """(gamma, beta) arrays at real eigenvalues from two batched propagations
-    (see :func:`spectral_data`)."""
+    """(gamma, beta) arrays at real eigenvalues from one batched forward
+    propagation (see :func:`spectral_data`)."""
     lam = np.asarray(lams, dtype=complex)
     bc = problem.boundary
     (y0, yp0), _ = initial_state(problem, "phi", lam)
@@ -430,12 +434,18 @@ def _norming_data(problem, lams, cpm_density):
     if problem.variant == "eigenparameter":
         norm2 += (problem.weights[0] / bc.r1) * np.real(yp0 + bc.h1 * y0) ** 2 \
             + (problem.w_end / bc.r2) * np.real(yp + bc.H1 * y) ** 2
-    bad = np.flatnonzero(~(norm2 > 0.0) | ~np.isfinite(norm2))
+    # psi = beta phi, and psi's data at pi are exact: compare the component
+    # that is further from its zero (phi' carries an extra factor ~rho)
+    (psi, psip), _ = initial_state(problem, "psi", lam)
+    scale = np.sqrt(np.maximum(1.0, np.abs(lam)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.real(np.where(np.abs(psi) * scale >= np.abs(psip),
+                                psi / y, psip / yp))
+    bad = np.flatnonzero(~(norm2 > 0.0) | ~np.isfinite(norm2 + beta))
     if bad.size:
-        raise ToleranceError(
-            f"nonpositive squared norm at lambda={lam[bad[0]].real}")
-    _, beta = _l1_of(problem, lam, *_psi_at_zero(problem, lam, cpm_density))
-    return 1.0 / norm2, np.real(beta)
+        raise ToleranceError("nonpositive squared norm or non-finite beta "
+                             f"at lambda={lam[bad[0]].real}")
+    return 1.0 / norm2, beta
 
 
 def spectral_data(problem, eigs) -> SpectralData:
@@ -444,8 +454,11 @@ def spectral_data(problem, eigs) -> SpectralData:
     gamma_n is the reciprocal squared weighted norm of phi(., lambda_n);
     in the eigenparameter variant the norm additionally carries the
     (w(0)/r1) R1(phi)^2 + (w(pi)/r2) R2(phi)^2 boundary terms.  beta_n is
-    psi(0, lambda_n) (Robin) or (psi'(0) + h1 psi(0))/r1 (eigenparameter),
-    read off one backward solve of psi for all records at once.
+    the coupling coefficient psi = beta_n phi, read off at pi as psi/phi
+    (or psi'/phi' where psi(pi) is small against psi'(pi)/rho, as at
+    lambda = H2 in the eigenparameter variant); psi's data at pi are the
+    exact boundary data, so no backward solve is needed.  One batched
+    forward propagation gives both for all records at once.
 
     The norm needs no quadrature.  The variational step carries u beside
     phi from u(0) = u'(0) = 0, so -u'' + q u = lambda u + phi, Lagrange's

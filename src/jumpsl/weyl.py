@@ -61,23 +61,28 @@ class WeylSample:
 def weyl_m(problem, lam, sd: SpectralData | None = None):
     """m(lambda); raises PoleError at (or too near) an eigenvalue.
 
-    ``sd`` supplies known eigenvalues for the proximity check; without it
-    only an exactly vanishing Delta is rejected.
+    ``lam`` may be a scalar or an array: one backward solve of psi serves
+    every point, and the sample's fields are then arrays of lam's shape
+    (Python complex numbers for a scalar).  ``sd`` supplies known
+    eigenvalues for the proximity check; without it only an exactly
+    vanishing Delta is rejected.
     """
-    lam = complex(lam)
-    if sd is not None:
+    lam = np.asarray(lam, dtype=complex)
+    flat = lam.reshape(-1)
+    if sd is not None and len(sd) and flat.size:
         lams = sd.lambdas
-        if lams.size and np.min(np.abs(lam - lams)) < 1e-10 * max(
-                1.0, np.max(np.abs(lams))):
-            raise PoleError(f"lambda={lam} is an eigenvalue of the problem")
-    y, yp = _psi_at_zero(problem, np.array([lam]))
-    y = complex(y[0])
-    delta, numer = _l1_of(problem, lam, y, complex(yp[0]))
-    if delta == 0.0:
-        raise PoleError(f"Delta vanishes at lambda={lam}")
-    m = -numer / delta
-    return WeylSample(lam=lam, m=m, delta=delta, theta0=y / delta,
-                      variant=problem.variant)
+        gap = np.min(np.abs(flat[:, None] - lams), axis=1)
+        near = flat[gap < 1e-10 * max(1.0, np.max(np.abs(lams)))]
+        if near.size:
+            raise PoleError(f"lambda={near[0]} is an eigenvalue of the problem")
+    y, yp = _psi_at_zero(problem, flat)
+    delta, numer = _l1_of(problem, flat, y, yp)
+    if not delta.all():
+        raise PoleError(f"Delta vanishes at lambda={flat[delta == 0.0][0]}")
+    fields = (flat, -numer / delta, delta, y / delta)
+    if lam.ndim == 0:
+        return WeylSample(*[f.item() for f in fields], variant=problem.variant)
+    return WeylSample(*[f.reshape(lam.shape) for f in fields], variant=problem.variant)
 
 
 def weyl_theta(problem, x, lam, sd: SpectralData | None = None):
@@ -203,15 +208,16 @@ def numerical_residue(func, center, radius=1e-3, n=128):
 
 
 def _m_samples_text(samples):
-    """CSV text of Weyl samples: re_lambda,im_lambda,re_m,im_m."""
+    """The text that :func:`export_m_samples` writes."""
     lines = ["re_lambda,im_lambda,re_m,im_m"]
-    for s in samples:
-        lam, m = complex(s.lam), complex(s.m)
-        lines.append(",".join([_fmt(lam.real), _fmt(lam.imag),
-                               _fmt(m.real), _fmt(m.imag)]))
+    for s in (samples,) if isinstance(samples, WeylSample) else samples:
+        for lam, m in zip(np.ravel(s.lam), np.ravel(s.m)):
+            lines.append(",".join([_fmt(lam.real), _fmt(lam.imag),
+                                   _fmt(m.real), _fmt(m.imag)]))
     return "\n".join(lines) + "\n"
 
 
 def export_m_samples(samples, path):
-    """CSV export of Weyl samples: re_lambda,im_lambda,re_m,im_m."""
+    """CSV export of one WeylSample or a sequence of them (array fields give
+    one row per point): re_lambda,im_lambda,re_m,im_m."""
     _atomic_write(path, _m_samples_text(samples))

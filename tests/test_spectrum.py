@@ -6,6 +6,7 @@ import pytest
 
 from jumpsl import (
     ContourTooCloseError,
+    EigenparameterBC,
     PiecewisePolynomial,
     ProblemSpec,
     RobinBC,
@@ -287,7 +288,82 @@ def test_spectral_data_call_count(monkeypatch, four_jump):
         monkeypatch.setattr(mod, "fundamental_solution", dense)
     sd = spectral_data(four_jump, eigs)
     assert len(sd) == 400
-    assert calls == {"batch": 2, "dense": 0}
+    assert calls == {"batch": 1, "dense": 0}
+
+
+@pytest.mark.parametrize("name", ["eig_desk", "four_jump"])
+def test_beta_matches_derivative_identity(request, name):
+    # Delta'(lambda_n) gamma_n / beta_n = 1, with Delta' from the
+    # variational system and beta_n read off at pi
+    p = request.getfixturevalue(name)
+    sd = spectral_data(p, eigenvalues(p, 400, verify=False))
+    _, dd = delta_batch(p, sd.lambdas, derivative=True)
+    assert np.max(np.abs(dd.real * sd.gammas / sd.betas - 1.0)) <= 1e-11
+
+
+def test_beta_next_to_psi_zero():
+    # q = 0, left data (0, 0, 1): phi(pi) = lam cos(rho pi) + sin(rho pi)/rho.
+    # With H2 just above a zero lam* of phi(pi), an eigenvalue sits within
+    # ~1e-12 of H2, where psi(pi) = H2 - lam nearly vanishes and psi/phi at
+    # pi loses its digits (1e-3 here); psi'/phi' keeps them
+    from scipy.optimize import brentq
+
+    lam_star = brentq(lambda l: l * math.cos(math.sqrt(l) * PI)
+                      + math.sin(math.sqrt(l) * PI) / math.sqrt(l), 3.0, 9.0,
+                      xtol=1e-15)
+    p = validate(ProblemSpec(constant_potential(0.0), EigenparameterBC(
+        0.0, 0.0, 1.0, 1.0, lam_star + 1e-12, 1.0)))
+    sd = spectral_data(p, eigenvalues(p, 10, verify=False))
+    assert np.min(np.abs(sd.lambdas - lam_star)) < 1e-11
+    _, dd = delta_batch(p, sd.lambdas, derivative=True)
+    assert np.max(np.abs(dd.real * sd.gammas / sd.betas - 1.0)) <= 1e-11
+
+
+def test_non_finite_beta_raises(monkeypatch, free):
+    # phi(pi) = 0 with a positive norm: psi/phi cannot give beta
+    def fake(problem, lam, *args, **kwargs):
+        zero, one = np.zeros_like(lam), np.ones_like(lam)
+        return zero, one, one, zero
+
+    monkeypatch.setattr(spectrum, "propagate_endpoints_batch", fake)
+    with pytest.raises(ToleranceError):
+        spectral_data(free, [0.25])
+
+
+def _sign_brackets_loop(s_grid, vals, fake):
+    """Reference: the near-double-root scan as a loop over scan points."""
+    av = np.abs(vals)
+    parts = []
+    for i in range(1, len(s_grid) - 1):
+        if av[i] < av[i - 1] and av[i] < av[i + 1] \
+                and vals[i - 1] * vals[i] > 0.0 and vals[i] * vals[i + 1] > 0.0 \
+                and av[i] < 1e-3 * max(av[i - 1], av[i + 1]):
+            lam = spectrum._scan_lambda(np.linspace(s_grid[i - 1], s_grid[i + 1], 65))
+            f = fake(lam).real
+            k = np.flatnonzero(f[:-1] * f[1:] < 0.0)
+            parts.append((lam[k], lam[k + 1], f[k]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def test_sign_brackets_split_close_pairs(monkeypatch):
+    # two pairs of roots, each pair inside one coarse scan cell next to a
+    # grid point, so |Delta| dips there without changing sign
+    s_grid = np.arange(0.0, 5.0, 0.02)
+    roots = [s_grid[100] ** 2 + 2e-4, s_grid[100] ** 2 + 6e-3,
+             s_grid[180] ** 2 + 3e-4, s_grid[180] ** 2 + 1e-2]
+
+    def fake(lam):
+        return np.prod([np.asarray(lam, dtype=complex) - r for r in roots], axis=0)
+
+    monkeypatch.setattr(spectrum, "delta_batch", lambda problem, lam, **kw: fake(lam))
+    vals = fake(spectrum._scan_lambda(s_grid)).real
+    assert not np.any(vals[:-1] * vals[1:] < 0.0)
+    lo, hi, flo = spectrum._sign_brackets(None, s_grid, vals, "spec", 160)
+    for got, want in zip((lo, hi, flo), _sign_brackets_loop(s_grid, vals, fake)):
+        assert np.array_equal(got, want)
+    assert len(lo) == 4
+    for r in roots:
+        assert np.sum((lo <= r) & (r <= hi)) == 1
 
 
 def test_mathieu_reference():

@@ -52,6 +52,28 @@ def test_herglotz_positivity_grid(generic):
             assert m.imag * im > 0
 
 
+@pytest.mark.parametrize("name", ["generic", "eig_desk"])
+def test_array_m_equals_scalar_loop(request, name):
+    p = request.getfixturevalue(name)
+    lam = np.linspace(-20.0, 300.0, 41).reshape(1, 41) + np.array([[0.5j], [-2.0j]])
+    ws = weyl_m(p, lam)
+    assert ws.m.shape == lam.shape and ws.lam.shape == lam.shape
+    for field in ("m", "delta", "theta0"):
+        loop = np.array([[getattr(weyl_m(p, z), field) for z in row] for row in lam])
+        assert np.array_equal(getattr(ws, field), loop)
+    scalar = weyl_m(p, lam[0, 0])
+    assert all(type(getattr(scalar, f)) is complex
+               for f in ("lam", "m", "delta", "theta0"))
+
+
+def test_array_pole_error(free):
+    sd = eigenvalues(free, 5)
+    with pytest.raises(PoleError):
+        weyl_m(free, np.array([-1.0, 0.5 + 1j, 9.0 + 1e-13]), sd)
+    with pytest.raises(PoleError):
+        weyl_m(free, np.array([-1.0, 0.0, 7.5]))   # Delta(0) = 0 exactly
+
+
 def test_pole_error(free):
     sd = eigenvalues(free, 5)
     with pytest.raises(PoleError):
@@ -169,3 +191,12 @@ def test_export_m_samples(tmp_path, free):
     assert lines[0] == "re_lambda,im_lambda,re_m,im_m"
     assert len(lines) == 3
     assert float(lines[1].split(",")[2]) == pytest.approx(samples[0].m.real)
+
+
+def test_export_m_samples_array(tmp_path, free):
+    # one sample with array fields writes the rows of the scalar samples
+    lam = np.array([-2.0, -2.0 + 1.0j])
+    scalar, array = tmp_path / "scalar.csv", tmp_path / "array.csv"
+    export_m_samples([weyl_m(free, z) for z in lam], scalar)
+    export_m_samples(weyl_m(free, lam), array)
+    assert array.read_text() == scalar.read_text()
