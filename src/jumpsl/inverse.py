@@ -26,7 +26,6 @@ import re as _re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     BoundaryConstraintError,
@@ -302,6 +301,9 @@ def _bounds_arrays(fs: FitSpec):
 
 def fit(fs: FitSpec, initial_guess=None, raise_on_failure=False) -> FitResult:
     """Trust-region least-squares fit of the unknowns to the targets."""
+    # imported here: scipy.optimize is most of the cost of ``import jumpsl``
+    from scipy.optimize import least_squares
+
     if initial_guess is None:
         x0 = pack_parameters(fs)
     else:

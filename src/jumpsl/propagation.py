@@ -19,9 +19,12 @@ h^4.
 
 Everything broadcasts over arrays of lambda; the batch entry point
 :func:`propagate_endpoints_batch` is what the spectrum module builds its
-characteristic-function scans on.  Dense solutions keep the state at every
-step node and reach any other point by one partial step from the nearest
-node.
+characteristic-function scans on.  Each cell builds its step matrices for
+a block of steps times all lambdas (about ``_BLOCK_ELEMS`` entries) in one
+numpy call and applies them by multiply-adds, with the expressions of a
+single step, so blocking changes no bit.  Dense solutions run this loop on
+one-element arrays, keep the state at every step node and reach any other
+point by one partial step from the nearest node.
 
 The lambda-derivative of a solution is propagated through the analytic
 derivative of the step (no finite differences).
@@ -55,6 +58,8 @@ CPM_DENSITY = 160
 
 _GAUSS = math.sqrt(3.0) / 6.0     # Gauss nodes sit at the step midpoint -+ this
 _COMMUTATOR = math.sqrt(3.0) / 12.0
+#: bound on (steps x lambda) entries per block of precomputed step matrices
+_BLOCK_ELEMS = 4096
 
 
 @dataclass(frozen=True)
@@ -114,40 +119,59 @@ def _magnus_q(piece, x0, h):
     return 0.5 * (q1 + q2), _COMMUTATOR * h * h * (q1 - q2)
 
 
+def _coefs(h, lam, qb, a, var=False):
+    """Entries t11, hS, t21, t22 of the Gauss-Magnus step matrix, and with
+    ``var`` also those of its lambda-derivative; broadcasts over all inputs."""
+    ql = qb - lam
+    w = ql * (-h * h) - a * a
+    C, S, D = _cs_d(w) if var else (*_cs(w), None)
+    hS, aS = h * S, a * S
+    T = [C + aS, hS, ql * hS, C - aS]
+    if var:
+        # dT/dlambda, from dC/dw = -S/2, dS/dw = D and dw/dlambda = h^2
+        h2 = h * h
+        aD, halfS = a * D, 0.5 * S
+        T += [h2 * (aD - halfS), (h2 * h) * D, (h2 * h) * (ql * D) - hS,
+              -h2 * (aD + halfS)]
+    return T
+
+
 def _step(h, lam, qb, a, y, yp):
     """Advance (y, y') by one Gauss-Magnus step of signed width h."""
-    ql = qb - lam
-    C, S = _cs(ql * (-h * h) - a * a)
-    hS, aS = h * S, a * S
-    return (C + aS) * y + hS * yp, (ql * hS) * y + (C - aS) * yp
+    t11, hS, t21, t22 = _coefs(h, lam, qb, a)
+    return t11 * y + hS * yp, t21 * y + t22 * yp
 
 
-def _step_var(h, lam, qb, a, y, yp, u, up):
-    """Advance (y, y', u, u') with u the lambda-derivative of y."""
-    ql = qb - lam
-    C, S, D = _cs_d(ql * (-h * h) - a * a)
-    h2 = h * h
-    hS, aS, aD, halfS = h * S, a * S, a * D, 0.5 * S
-    t11, t21, t22 = C + aS, ql * hS, C - aS
-    # dT/dlambda, from dC/dw = -S/2, dS/dw = D and dw/dlambda = h^2
-    d11 = h2 * (aD - halfS)
-    d22 = -h2 * (aD + halfS)
-    d12 = (h2 * h) * D
-    d21 = (h2 * h) * (ql * D) - hS
-    return (t11 * y + hS * yp, t21 * y + t22 * yp,
-            t11 * u + hS * up + d11 * y + d12 * yp,
-            t21 * u + t22 * up + d21 * y + d22 * yp)
-
-
-def _cell_steps(piece, x0, x1, density):
-    """Signed step width, step nodes and per-step (qbar, a) from x0 to x1."""
+def _cross_cell(piece, x0, x1, lam, state, density, nodes=None):
+    """Carry (y, y') or (y, y', u, u') from x0 to x1 inside one cell, with
+    each step's state appended to ``nodes`` if given.  Returns the signed
+    step width, the step nodes and the end state."""
+    var = len(state) == 4
     if piece.q_const is not None:
-        return x1 - x0, np.array([x0, x1]), [piece.q_const], [0.0]
-    n = max(32, int(math.ceil(abs(x1 - x0) * density)))
-    h = (x1 - x0) / n
-    xs = x0 + h * np.arange(n + 1)
-    qb, a = _magnus_q(piece, xs[:-1], h)
-    return h, xs, qb.tolist(), a.tolist()
+        h, xs = x1 - x0, np.array([x0, x1])
+        blocks = [[_coefs(h, lam, piece.q_const, 0.0, var)]]
+    else:
+        n = max(32, int(math.ceil(abs(x1 - x0) * density)))
+        h = (x1 - x0) / n
+        xs = x0 + h * np.arange(n + 1)
+        qb, a = (v.reshape((-1,) + (1,) * lam.ndim) for v in _magnus_q(piece, xs[:-1], h))
+        block = max(1, _BLOCK_ELEMS // max(1, lam.size))
+        blocks = (zip(*_coefs(h, lam, qb[k:k + block], a[k:k + block], var))
+                  for k in range(0, n, block))
+    # per-step matrices: one scalar step on a constant cell, else blocks
+    for rows in blocks:
+        for t11, hS, t21, t22, *dT in rows:
+            y, yp = state[0], state[1]
+            nxt = (t11 * y + hS * yp, t21 * y + t22 * yp)
+            if var:
+                d11, d12, d21, d22 = dT
+                u, up = state[2], state[3]
+                nxt += (t11 * u + hS * up + d11 * y + d12 * yp,
+                        t21 * u + t22 * up + d21 * y + d22 * yp)
+            state = nxt
+            if nodes is not None:
+                nodes.append(state)
+    return h, xs, state
 
 
 # ----------------------------------------------------------------------
@@ -194,19 +218,14 @@ def _walk(problem, lam, state, backward, density, cells=None):
     With ``cells``, a list with one slot per cell, each slot receives the
     cell's dense-output record.
     """
-    step = _step if len(state) == 2 else _step_var
     pieces, jumps = problem.pieces, problem.jump_after_piece
     for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
         piece = pieces[i]
         if backward and jumps[i] is not None:
             state = _jump_state(jumps[i], state, inverse=True)
         x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
-        h, xs, qbs, avals = _cell_steps(piece, x0, x1, density)
-        nodes = [state]
-        for qb, a in zip(qbs, avals):
-            state = step(h, lam, qb, a, *state)
-            if cells is not None:
-                nodes.append(state)
+        nodes = None if cells is None else [state]
+        h, xs, state = _cross_cell(piece, x0, x1, lam, state, density, nodes)
         if cells is not None:
             cells[i] = _PieceSol(piece, xs, h, nodes)
         if not backward and jumps[i] is not None:
@@ -239,9 +258,8 @@ def propagate_interval(q, sp, state, x_from, x_to):
     y, yp = complex(state.y), complex(state.yp)
     if x_to == x_from:
         return StateVector(y, yp, x_to)
-    h, _, qbs, avals = _cell_steps(piece, x_from, x_to, CPM_DENSITY)
-    for qb, a in zip(qbs, avals):
-        y, yp = _step(h, sp.lam, qb, a, y, yp)
+    _, _, (y, yp) = _cross_cell(piece, x_from, x_to, np.asarray(sp.lam, dtype=complex),
+                                (y, yp), CPM_DENSITY)
     return StateVector(complex(y), complex(yp), x_to)
 
 
@@ -258,8 +276,8 @@ class _PieceSol:
         self.piece = piece
         self.xs = xs                # step nodes, in propagation order
         self.h = h                  # signed step width
-        self.ys = np.array([s[0] for s in nodes], dtype=complex)
-        self.yps = np.array([s[1] for s in nodes], dtype=complex)
+        self.ys = np.concatenate([s[0] for s in nodes])
+        self.yps = np.concatenate([s[1] for s in nodes])
 
     def eval(self, x, lam):
         """(y, y') at x by one partial step from the nearest node; on a
@@ -351,8 +369,10 @@ def fundamental_solution(problem, kind, sp):
     start = (complex(init[0]), complex(init[1]))
     piece_sols = [None] * len(problem.pieces)
     backward = kind == "psi"
-    end = _walk(problem, sp.lam, start, backward, CPM_DENSITY, piece_sols)
-    end = (complex(end[0]), complex(end[1]))
+    # one-element arrays take the batch path's arithmetic, bit for bit
+    end = _walk(problem, np.array([sp.lam]), tuple(np.array([v]) for v in start),
+                backward, CPM_DENSITY, piece_sols)
+    end = (complex(end[0][0]), complex(end[1][0]))
     state0, state_pi = (end, start) if backward else (start, end)
     return PiecewiseSolution(problem, sp, piece_sols, state0, state_pi)
 

@@ -88,11 +88,13 @@ class EigenRecord:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Ordered eigenvalue records plus a problem fingerprint."""
+    """Ordered eigenvalue records plus a problem fingerprint and the
+    propagation density the records were computed at."""
 
     records: tuple
     fingerprint: str
     variant: str
+    cpm_density: int = CPM_DENSITY
 
     def __post_init__(self):
         for i, rec in enumerate(self.records):
@@ -365,7 +367,7 @@ def eigenvalues(problem, count, verify=True, left="spec",
         for i, lam in enumerate(lams)
     )
     return SpectralData(records=records, fingerprint=problem.fingerprint(),
-                        variant=problem.variant)
+                        variant=problem.variant, cpm_density=cpm_density)
 
 
 def count_zeros_contour(problem, rectangle, left="spec",
@@ -458,7 +460,10 @@ def spectral_data(problem, eigs) -> SpectralData:
     (or psi'/phi' where psi(pi) is small against psi'(pi)/rho, as at
     lambda = H2 in the eigenparameter variant); psi's data at pi are the
     exact boundary data, so no backward solve is needed.  One batched
-    forward propagation gives both for all records at once.
+    forward propagation gives both for all records at once, at the
+    ``cpm_density`` that ``eigs`` records (``CPM_DENSITY`` for a plain
+    sequence), so the norming constants share the eigenvalues'
+    discretization.
 
     The norm needs no quadrature.  The variational step carries u beside
     phi from u(0) = u'(0) = 0, so -u'' + q u = lambda u + phi, Lagrange's
@@ -472,18 +477,18 @@ def spectral_data(problem, eigs) -> SpectralData:
     terms enter as positive squares.
     """
     if isinstance(eigs, SpectralData):
-        records = eigs.records
+        records, density = eigs.records, eigs.cpm_density
     else:
+        density = CPM_DENSITY
         records = tuple(
             EigenRecord(n=i, lam=float(l), rho=complex(np.sqrt(complex(l))),
                         gamma=None, beta=None, certification="bracketed")
             for i, l in enumerate(eigs))
-    gammas, betas = _norming_data(problem, [r.lam for r in records],
-                                  CPM_DENSITY)
+    gammas, betas = _norming_data(problem, [r.lam for r in records], density)
     out = tuple(replace(rec, gamma=float(g), beta=float(b))
                 for rec, g, b in zip(records, gammas, betas))
     return SpectralData(records=out, fingerprint=problem.fingerprint(),
-                        variant=problem.variant)
+                        variant=problem.variant, cpm_density=density)
 
 
 # ----------------------------------------------------------------------

@@ -200,11 +200,14 @@ def m_from_two_spectra(ts: TwoSpectra, lam, n_terms=None, lam_cal=None):
 
 
 def numerical_residue(func, center, radius=1e-3, n=128):
-    """Residue of func at center via a trapezoid contour integral."""
+    """Residue of func at center via a trapezoid contour integral.
+
+    ``func`` must accept an array of points (as ``weyl_m`` does); it is
+    called once, on the whole contour.
+    """
     theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     z = center + radius * np.exp(1j * theta)
-    vals = np.array([func(zi) for zi in z])
-    return complex(np.mean(vals * (z - center)))
+    return complex(np.mean(func(z) * (z - center)))
 
 
 def _m_samples_text(samples):

@@ -302,7 +302,7 @@ def test_criterion_11_inverse_round_trips():
                                                      x_true.size))
     err = np.max(np.abs(res.params - x_true))
     t_full = time.perf_counter() - t0
-    ok &= res.converged and err < 1e-6 and t_full < 600
+    ok &= res.converged and err < 1e-10 and t_full < 600
     details.append(f"full {err:.1e}/{t_full:.0f}s")
 
     # two-spectra mode: h, H, q coefficients from 30 + 30 eigenvalues

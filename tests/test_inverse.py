@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from jumpsl import (
     spectral_data,
     unpack_parameters,
 )
+import jumpsl
 from jumpsl import inverse
 from jumpsl.inverse import FLAG_RESIDUAL
 
@@ -196,3 +201,14 @@ def test_raise_on_failure(one_jump):
     with pytest.raises(NonconvergenceError) as ei:
         fit(fs, initial_guess=np.array([3.0, -3.0]), raise_on_failure=True)
     assert ei.value.result.converged is False
+
+
+def test_import_leaves_optimizer_unloaded():
+    # scipy.optimize is imported by fit() alone, not by ``import jumpsl``
+    src = str(Path(jumpsl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, jumpsl, jumpsl.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -8,10 +8,14 @@ from jumpsl import (
     JumpCondition,
     MismatchError,
     PiecewisePolynomial,
+    ProblemSpec,
+    RobinBC,
+    SampledGrid,
     SpectralPoint,
     fundamental_solution,
     initial_state,
     modified_wronskian,
+    validate,
 )
 from jumpsl.propagation import (
     StateVector,
@@ -210,3 +214,121 @@ def test_propagate_interval_rejects_straddle(generic):
         propagate_interval(piece, sp, StateVector(1.0, 0.0, d - 0.1),
                            d - 0.1, d + 0.1)
     assert piece.xr <= d + 1e-15
+
+
+# ----------------------------------------------------------------------
+# bit-identity of the blocked step loop against a per-step reference
+# ----------------------------------------------------------------------
+
+def _ref_cs(w):
+    z = np.sqrt(np.asarray(w, dtype=complex))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S = np.where(z == 0.0, 1.0, np.sin(z) / z)
+    return np.cos(z), S
+
+
+def _ref_cs_d(w):
+    w = np.asarray(w, dtype=complex)
+    C, S = _ref_cs(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = np.where(np.abs(w) < 1e-3,
+                     -1.0 / 6.0 + w * (1.0 / 60.0 + w * (-1.0 / 1680.0 + w / 90720.0)),
+                     (C - S) / (2.0 * w))
+    return C, S, D
+
+
+def _ref_step(h, lam, qb, a, y, yp):
+    ql = qb - lam
+    C, S = _ref_cs(ql * (-h * h) - a * a)
+    hS, aS = h * S, a * S
+    return (C + aS) * y + hS * yp, (ql * hS) * y + (C - aS) * yp
+
+
+def _ref_step_var(h, lam, qb, a, y, yp, u, up):
+    ql = qb - lam
+    C, S, D = _ref_cs_d(ql * (-h * h) - a * a)
+    h2 = h * h
+    hS, aS, aD, halfS = h * S, a * S, a * D, 0.5 * S
+    t11, t21, t22 = C + aS, ql * hS, C - aS
+    d11 = h2 * (aD - halfS)
+    d22 = -h2 * (aD + halfS)
+    d12 = (h2 * h) * D
+    d21 = (h2 * h) * (ql * D) - hS
+    return (t11 * y + hS * yp, t21 * y + t22 * yp,
+            t11 * u + hS * up + d11 * y + d12 * yp,
+            t21 * u + t22 * up + d21 * y + d22 * yp)
+
+
+def _ref_walk(problem, lam, state, backward, density):
+    """One step at a time, as scalars per step; returns the end state and
+    the states at the step nodes of every cell, in propagation order."""
+    step = _ref_step if len(state) == 2 else _ref_step_var
+    pieces, jumps = problem.pieces, problem.jump_after_piece
+    cells = {}
+    for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
+        piece = pieces[i]
+        if backward and jumps[i] is not None:
+            state = sum((apply_jump(jumps[i], state[k:k + 2], inverse=True)
+                         for k in range(0, len(state), 2)), ())
+        x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
+        if piece.q_const is not None:
+            h, qbs, avals = x1 - x0, [piece.q_const], [0.0]
+        else:
+            n = max(32, int(math.ceil(abs(x1 - x0) * density)))
+            h = (x1 - x0) / n
+            xs = x0 + h * np.arange(n)
+            q1 = piece.qfun(xs + (0.5 - math.sqrt(3.0) / 6.0) * h)
+            q2 = piece.qfun(xs + (0.5 + math.sqrt(3.0) / 6.0) * h)
+            qbs = (0.5 * (q1 + q2)).tolist()
+            avals = (math.sqrt(3.0) / 12.0 * h * h * (q1 - q2)).tolist()
+        cells[i] = [state]
+        for qb, a in zip(qbs, avals):
+            state = step(h, lam, qb, a, *state)
+            cells[i].append(state)
+        if not backward and jumps[i] is not None:
+            state = sum((apply_jump(jumps[i], state[k:k + 2])
+                         for k in range(0, len(state), 2)), ())
+    return state, cells
+
+
+@pytest.fixture(scope="module")
+def mathieu():
+    x = np.linspace(0.0, PI, 513)
+    return validate(ProblemSpec(SampledGrid(x, 4.0 * np.cos(2.0 * x), order=3),
+                                RobinBC(0.0, 0.0)))
+
+
+@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump"])
+@pytest.mark.parametrize("n", [1, 40, 5000])
+def test_blocked_batch_bit_identical_to_step_loop(name, n, request):
+    # n = 5000 exceeds the block bound, so each block holds a single step
+    p = request.getfixturevalue(name)
+    lam = np.linspace(-5.0, 900.0, n) + 1j * np.linspace(0.0, 2.0, n)
+    y0, yp0 = 1.0 + 0.0 * lam, -0.4 + 0.0 * lam
+    du0, dup0 = 0.3 + 0.0 * lam, -0.7 + 0.0 * lam
+    for backward in (False, True):
+        got = propagate_endpoints_batch(p, lam, y0, yp0, backward=backward,
+                                        cpm_density=96)
+        ref, _ = _ref_walk(p, lam, (y0, yp0), backward, 96)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+        got = propagate_endpoints_batch(p, lam, y0, yp0, derivative=True,
+                                        backward=backward, du0=du0, dup0=dup0,
+                                        cpm_density=96)
+        ref, _ = _ref_walk(p, lam, (y0, yp0, du0, dup0), backward, 96)
+        assert len(got) == 4
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump"])
+def test_dense_nodes_bit_identical_to_step_loop(name, request):
+    p = request.getfixturevalue(name)
+    sp = SpectralPoint.from_lambda(37.3 + 0.4j)
+    lam = np.array([sp.lam])
+    for kind in ("phi", "psi"):
+        (y0, yp0), _ = initial_state(p, kind, sp.lam)
+        start = (np.array([complex(y0)]), np.array([complex(yp0)]))
+        _, cells = _ref_walk(p, lam, start, kind == "psi", 160)
+        sol = fundamental_solution(p, kind, sp)
+        for i, cell in cells.items():
+            assert np.array_equal(sol._pieces[i].ys, np.concatenate([s[0] for s in cell]))
+            assert np.array_equal(sol._pieces[i].yps, np.concatenate([s[1] for s in cell]))

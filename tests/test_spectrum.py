@@ -399,3 +399,22 @@ def test_root_polish_call_count(monkeypatch):
     sd = eigenvalues(p, 40, verify=False, cpm_density=96)
     assert len(sd) == 40
     assert len(calls) <= 10
+
+
+def test_spectral_data_reuses_eigenvalue_density(cubic, tmp_path):
+    sd = spectrum.eigenvalues(cubic, 8, verify=False, cpm_density=96)
+    assert sd.cpm_density == 96
+    full = spectral_data(cubic, sd)
+    assert full.cpm_density == 96
+    gammas, betas = spectrum._norming_data(cubic, sd.lambdas, 96)
+    assert np.array_equal(full.gammas, gammas)
+    assert np.array_equal(full.betas, betas)
+    # a plain sequence of eigenvalues takes the default density
+    plain = spectral_data(cubic, list(sd.lambdas))
+    assert plain.cpm_density == propagation.CPM_DENSITY
+    gammas, _ = spectrum._norming_data(cubic, sd.lambdas, propagation.CPM_DENSITY)
+    assert np.array_equal(plain.gammas, gammas)
+    assert not np.array_equal(plain.gammas, full.gammas)
+    # the density is not exported, so loaded data take the default too
+    spectrum.export_csv(full, tmp_path / "s.csv")
+    assert load_csv(tmp_path / "s.csv").cpm_density == propagation.CPM_DENSITY
