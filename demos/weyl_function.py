@@ -38,11 +38,12 @@ for r in sd.records[1:4]:
 
 print("\nTwo-spectra reconstruction: the primary spectrum n^2 and the")
 print("secondary (Dirichlet-at-0) spectrum (n + 1/2)^2 determine m through")
-print("a calibrated infinite product, no potential required:")
+print("products normalized by the leading-order functions (Hadamard")
+print("factorization), no potential and no fitted constant required:")
 prim = eigenvalues(problem, 100, verify=False)
 sec = secondary_spectrum(problem, 100, verify=False)
-ts = TwoSpectra(prim, sec)
-approx = m_from_two_spectra(ts, -1.0)
-print(f"  m(-1) from 100+100 eigenvalues: {approx:.6f}")
-print(f"  exact coth(pi):                 {coth_pi:.6f}")
+ts = TwoSpectra(prim, sec, problem)
+approx = m_from_two_spectra(ts, -1.0).real
+print(f"  m(-1) from 100+100 eigenvalues: {approx:.15f}")
+print(f"  exact coth(pi):                 {coth_pi:.15f}")
 print(f"  error: {abs(approx - coth_pi):.2e}")

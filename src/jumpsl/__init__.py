@@ -5,7 +5,6 @@ conditions."""
 
 from .errors import (
     BoundaryConstraintError,
-    CalibrationError,
     ConfigParseError,
     ContourTooCloseError,
     DomainError,

@@ -85,10 +85,7 @@ def asymptotic_eval(problem, target, x, rho):
         raise DomainError("asymptotic forms require rho != 0")
     eig = problem.variant == "eigenparameter"
     if target == "delta":
-        terms = reflection_terms(problem, len(problem.jumps))
-        val = problem.w_end * rho * sum(
-            t.coefficient * np.sin(rho * (PI + t.phase)) for t in terms
-        )
+        val = problem.w_end * rho * _leading_sum(problem, "sin")(rho)
         if eig:
             # Delta = W(phi, psi) carries an extra -rho^4 here: the
             # lambda-affine boundary data contribute rho^2 per endpoint and
@@ -109,10 +106,15 @@ def asymptotic_eval(problem, target, x, rho):
 
 
 def _leading_sum(problem, trig):
-    """rho -> the leading trigonometric sum of Delta, vectorized over rho."""
+    """rho -> the leading trigonometric sum of Delta, vectorized over rho.
+
+    ``trig="sinc"`` gives the sine sum divided by rho, finite at rho = 0.
+    """
     terms = reflection_terms(problem, len(problem.jumps))
     coeff = np.array([t.coefficient for t in terms])
     shift = PI + np.array([t.phase for t in terms])
+    if trig == "sinc":
+        return lambda rho: np.sinc(np.multiply.outer(rho, shift / PI)) @ (coeff * shift)
     fn = np.sin if trig == "sin" else np.cos
     return lambda rho: fn(np.multiply.outer(rho, shift)) @ coeff
 

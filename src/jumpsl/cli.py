@@ -86,7 +86,7 @@ def _build_parser():
     p.add_argument("--count", type=int, required=True,
                    help="eigenvalues per spectrum")
     p.add_argument("--lam", required=True,
-                   help="comma-separated negative lambda evaluation points")
+                   help="comma-separated lambda evaluation points")
     p.add_argument("--truncation", type=int, default=None)
 
     p = add("fit", "inverse fit from a fit-spec JSON")
@@ -156,10 +156,9 @@ def _cmd_two_spectra(args):
     p = load_problem(args.config)
     prim = eigenvalues(p, args.count)
     sec = weyl.secondary_spectrum(p, args.count)
-    ts = weyl.TwoSpectra(primary=prim, secondary=sec)
-    lams = _parse_floats(args.lam)
-    approx = [weyl.m_from_two_spectra(ts, lam, n_terms=args.truncation)
-              for lam in lams]
+    ts = weyl.TwoSpectra(primary=prim, secondary=sec, problem=p)
+    lams = np.array(_parse_floats(args.lam))
+    approx = weyl.m_from_two_spectra(ts, lams, n_terms=args.truncation).real
     direct = weyl.weyl_m(p, lams, prim).m.real
     lines = ["lambda,m_two_spectra,m_direct"]
     lines += [",".join(map(_fmt, row)) for row in zip(lams, approx, direct)]

@@ -78,10 +78,6 @@ class InterlacingError(NumericalError):
     """Two spectra fail the interlacing requirement."""
 
 
-class CalibrationError(NumericalError):
-    """Calibration of the two-spectra product failed."""
-
-
 class NonconvergenceError(NumericalError):
     """Least-squares iteration stopped without meeting its tolerance."""
 

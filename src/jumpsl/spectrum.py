@@ -38,6 +38,7 @@ import numpy as np
 
 from .asymptotics import eigenvalue_guesses
 from .errors import (
+    ConfigParseError,
     ContourTooCloseError,
     DomainError,
     MissedEigenvalueError,
@@ -545,21 +546,27 @@ def export_json(sd: SpectralData, path):
 
 
 def load_csv(path) -> SpectralData:
+    """Read a table written by :func:`export_csv`; ConfigParseError, naming
+    the file, if it is empty or a row lacks or garbles a required field."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
     variant = "robin"
     records = []
-    for ln in lines[1:]:
-        fields = dict(zip(header, ln.split(",")))
-        if "variant" in fields and fields["variant"]:
-            variant = fields["variant"]
-        records.append(EigenRecord(
-            n=int(fields["n"]),
-            lam=float(fields["lambda"]),
-            rho=complex(fields["rho"]),
-            gamma=float(fields["gamma"]) if fields.get("gamma") else None,
-            beta=float(fields["beta"]) if fields.get("beta") else None,
-            certification=fields.get("certification", "bracketed"),
-        ))
+    try:
+        header = lines[0].split(",")
+        for ln in lines[1:]:
+            fields = dict(zip(header, ln.split(",")))
+            if "variant" in fields and fields["variant"]:
+                variant = fields["variant"]
+            records.append(EigenRecord(
+                n=int(fields["n"]),
+                lam=float(fields["lambda"]),
+                rho=complex(fields["rho"]),
+                gamma=float(fields["gamma"]) if fields.get("gamma") else None,
+                beta=float(fields["beta"]) if fields.get("beta") else None,
+                certification=fields.get("certification", "bracketed"),
+            ))
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ConfigParseError(f"{path}: malformed spectrum CSV "
+                               f"({type(exc).__name__}: {exc})") from exc
     return SpectralData(records=tuple(records), fingerprint="", variant=variant)

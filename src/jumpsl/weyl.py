@@ -7,13 +7,11 @@ solve yields both numerator and denominator.  The residue of m at an
 eigenvalue lambda_n equals -gamma_n, which fixes the partial-fraction
 series sum gamma_n/(lambda_n - lambda).
 
-The two-spectra route multiplies out the truncated ratio product
-P_N(lambda) = prod (mu_n - lambda)/(lambda_n - lambda) and calibrates the
-missing constant against the deep-negative-axis law m ~ 1/sqrt(-lambda).
-Calibrating at a point far outside the truncation window is numerically
-useless (the truncated product has not converged there), so the constant
-is measured at two moderate depths tied to the truncation order and
-log-linearly extrapolated to the evaluation point.
+The two-spectra route is the Hadamard factorization of psi(0) and Delta:
+each truncated product over mu_n or lambda_n is normalized by the same
+product over the zeros of its leading-order entire function, so the
+constant in front is exactly that of m0 = -C(rho)/(rho S(rho)), the
+leading-order m, and no calibration is needed.
 """
 
 from __future__ import annotations
@@ -23,13 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    DomainError,
-    InterlacingError,
-    MismatchError,
-    PoleError,
-)
+from .asymptotics import _leading_sum, eigenvalue_guesses
+from .errors import InterlacingError, MismatchError, PoleError, VariantError
 from .problem import ValidatedProblem, _atomic_write
 from .propagation import SpectralPoint, _psi_at_zero, fundamental_solution
 from .spectrum import SpectralData, _fmt, _l1_of, eigenvalues, spectral_data
@@ -58,6 +51,15 @@ class WeylSample:
     variant: str
 
 
+def _reject_poles(flat, lams):
+    """PoleError if a point of ``flat`` lies within 1e-10 (relative to the
+    largest |lambda_n|) of one of the eigenvalues ``lams``."""
+    gap = np.min(np.abs(flat[:, None] - lams), axis=1)
+    near = flat[gap < 1e-10 * max(1.0, np.max(np.abs(lams)))]
+    if near.size:
+        raise PoleError(f"lambda={near[0]} is an eigenvalue of the problem")
+
+
 def weyl_m(problem, lam, sd: SpectralData | None = None):
     """m(lambda); raises PoleError at (or too near) an eigenvalue.
 
@@ -69,12 +71,8 @@ def weyl_m(problem, lam, sd: SpectralData | None = None):
     """
     lam = np.asarray(lam, dtype=complex)
     flat = lam.reshape(-1)
-    if sd is not None and len(sd) and flat.size:
-        lams = sd.lambdas
-        gap = np.min(np.abs(flat[:, None] - lams), axis=1)
-        near = flat[gap < 1e-10 * max(1.0, np.max(np.abs(lams)))]
-        if near.size:
-            raise PoleError(f"lambda={near[0]} is an eigenvalue of the problem")
+    if sd is not None and len(sd):
+        _reject_poles(flat, sd.lambdas)
     y, yp = _psi_at_zero(problem, flat)
     delta, numer = _l1_of(problem, flat, y, yp)
     if not delta.all():
@@ -132,16 +130,16 @@ def partial_fraction_m(sd: SpectralData, lam, n_terms=None):
 @dataclass(frozen=True)
 class TwoSpectra:
     """Primary spectrum plus the spectrum with the condition at 0 replaced
-    by a Dirichlet condition (k = infinity)."""
+    by a Dirichlet condition, and the problem whose jump data (d_i, a_i,
+    b_i) fix the leading-order terms.  Robin variant only."""
 
     primary: SpectralData
     secondary: SpectralData
-    k: float = math.inf
+    problem: ValidatedProblem
 
     def __post_init__(self):
-        if not math.isinf(self.k):
-            raise DomainError("only the Dirichlet secondary condition "
-                              "(k = inf) is supported")
+        if self.problem.variant == "eigenparameter":
+            raise VariantError("two-spectra recovery needs the Robin variant")
         lams = self.primary.lambdas
         mus = self.secondary.lambdas
         n = min(len(lams), len(mus))
@@ -159,44 +157,38 @@ def secondary_spectrum(problem, count, verify=True) -> SpectralData:
     return eigenvalues(problem, count, verify=verify, left="dirichlet")
 
 
-def _log_calibration(lams, mus, lam_cal):
-    p = np.prod((mus - lam_cal) / (lams - lam_cal))
-    target = 1.0 / math.sqrt(-lam_cal)
-    c = target / p
-    if c <= 0.0:
-        raise CalibrationError(f"nonpositive calibration constant at "
-                               f"lambda_cal={lam_cal}")
-    return math.log(c)
+def m_from_two_spectra(ts: TwoSpectra, lam, n_terms=None):
+    """m(lambda) from the first ``n_terms`` eigenvalues of both spectra.
 
+    m = m0 * prod (mu_n - lambda)/(mu0_n - lambda)
+           * prod (lambda0_n - lambda)/(lambda_n - lambda),
 
-def m_from_two_spectra(ts: TwoSpectra, lam, n_terms=None, lam_cal=None):
-    """m(lambda) on the negative real axis from the truncated ratio product.
-
-    The constant in front of P_N is calibrated at two moderate depths
-    (lam_cal and 2*lam_cal) against 1/sqrt(-lambda) and its logarithm is
-    extrapolated linearly in lambda to the evaluation point; this keeps the
-    calibration inside the region where the truncated product has
-    converged.
+    where m0 = -C(rho)/(rho S(rho)) is the leading-order m and lambda0_n,
+    mu0_n = rho^2 at the zeros of S and C (``eigenvalue_guesses``).  As
+    lambda0_0 = 0, the factor -lambda is cancelled against rho S(rho)
+    analytically, so lambda = 0 needs no special case.  ``lam`` may be a
+    scalar or an array (as in ``weyl_m``), at any point that is not a
+    primary eigenvalue; PoleError there.
     """
-    lam = float(lam)
-    if lam >= 0.0:
-        raise DomainError("two-spectra evaluation requires lambda < 0")
-    if n_terms is None:
-        n_terms = min(len(ts.primary), len(ts.secondary))
-    if n_terms > min(len(ts.primary), len(ts.secondary)):
-        raise MismatchError("n_terms exceeds the available spectra")
-    lams = ts.primary.lambdas[:n_terms]
-    mus = ts.secondary.lambdas[:n_terms]
-    if np.min(np.abs(lam - lams)) == 0.0:
-        raise PoleError(f"lambda={lam} is a primary eigenvalue")
-    if lam_cal is None:
-        lam_cal = -max(float(n_terms), 4.0 * abs(lam), 10.0)
-    lc1, lc2 = float(lam_cal), 2.0 * float(lam_cal)
-    g1 = _log_calibration(lams, mus, lc1)
-    g2 = _log_calibration(lams, mus, lc2)
-    log_c = g1 + (lam - lc1) * (g2 - g1) / (lc2 - lc1)
-    p = np.prod((mus - lam) / (lams - lam))
-    return math.exp(log_c) * float(p)
+    avail = min(len(ts.primary), len(ts.secondary))
+    n = avail if n_terms is None else n_terms
+    if not 1 <= n <= avail:
+        raise MismatchError(f"n_terms={n} outside 1..{avail}")
+    lams = ts.primary.lambdas[:n]
+    mus = ts.secondary.lambdas[:n]
+    lam = np.asarray(lam, dtype=complex)
+    flat = lam.reshape(-1)
+    _reject_poles(flat, lams)
+    z = flat[:, None]
+    lam0 = np.square(eigenvalue_guesses(ts.problem, n, trig="sin"))
+    mu0 = np.square(eigenvalue_guesses(ts.problem, n, trig="cos"))
+    rho = np.sqrt(flat)
+    # m0 * (lambda0_0 - lambda) = C(rho) / (S(rho)/rho)
+    m = (_leading_sum(ts.problem, "cos")(rho)
+         / _leading_sum(ts.problem, "sinc")(rho) / (lams[0] - flat)
+         * np.prod((mus - z) / (mu0 - z), axis=1)
+         * np.prod((lam0[1:] - z) / (lams[1:] - z), axis=1))
+    return m.item() if lam.ndim == 0 else m.reshape(lam.shape)
 
 
 def numerical_residue(func, center, radius=1e-3, n=128):

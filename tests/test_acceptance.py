@@ -255,7 +255,7 @@ def test_criterion_09_gamma_sum_rule(eig_desk):
             f"sum rel err {rel:.2e}, tail exponent {expo:.2f}")
 
 
-def test_criterion_10_two_spectra_krein():
+def test_criterion_10_two_spectra_krein(free):
     n = np.arange(100)
     prim = SpectralData(records=tuple(
         EigenRecord(int(i), float(i * i), complex(float(i)), float("nan"),
@@ -265,13 +265,14 @@ def test_criterion_10_two_spectra_krein():
         EigenRecord(int(i), float((i + 0.5) ** 2), complex(i + 0.5),
                     float("nan"), float("nan"), "closed-form") for i in n),
         fingerprint="", variant="robin")
-    ts = TwoSpectra(prim, sec)
+    ts = TwoSpectra(prim, sec, free)
     coth_pi = 1.0 / math.tanh(PI)
-    err = abs(m_from_two_spectra(ts, -1.0) - coth_pi)
-    stab = abs(m_from_two_spectra(ts, -1.0, lam_cal=-100.0)
-               - m_from_two_spectra(ts, -1.0, lam_cal=-200.0))
-    _record(10, err < 1e-2 and stab < 1e-3,
-            f"m(-1) err {err:.1e}, calibration stability {stab:.1e}")
+    err = abs(m_from_two_spectra(ts, -1.0) - coth_pi) / coth_pi
+    lam = np.array([-5.0, -20.0, 3.3 + 0.5j, 10.0 - 2.0j])
+    direct = weyl_m(free, lam).m
+    dev = np.max(np.abs(m_from_two_spectra(ts, lam) - direct) / np.abs(direct))
+    _record(10, err < 1e-12 and dev < 1e-12,
+            f"m(-1) rel err {err:.1e}, max rel dev from weyl_m {dev:.1e}")
 
 
 def _cubic_two_segment(jump_d, h, H, jumps):

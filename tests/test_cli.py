@@ -102,7 +102,14 @@ def test_two_spectra_cmd(free_cfg, tmp_path):
     assert lines[0] == "lambda,m_two_spectra,m_direct"
     for line in lines[1:]:
         _, approx, direct = (float(v) for v in line.split(","))
-        assert approx == pytest.approx(direct, abs=5e-2)
+        assert approx == pytest.approx(direct, rel=1e-10)
+
+
+def test_two_spectra_cmd_eigenparameter(tmp_path, eig_desk, capsys):
+    cfg = tmp_path / "desk.json"
+    save_problem(eig_desk, cfg)
+    assert main(["two-spectra", str(cfg), "--count", "10", "--lam=-1"]) == 1
+    assert "VariantError" in capsys.readouterr().err
 
 
 def test_contour_count_cmd(free_cfg, capsys):
@@ -128,6 +135,22 @@ def test_fit_cmd(tmp_path, one_jump, one_jump_cfg):
     assert report["converged"] is True
     assert report["parameters"]["c0"] == pytest.approx(
         one_jump.jumps[0].c, abs=1e-6)
+
+
+@pytest.mark.parametrize("text", ["", "n,rho\n0,0\n", "n,lambda,rho\n0,abc,0\n"],
+                         ids=["empty", "no_lambda", "bad_lambda"])
+def test_fit_malformed_targets(tmp_path, one_jump_cfg, text, capsys):
+    targets = tmp_path / "targets.csv"
+    targets.write_text(text)
+    fitspec = tmp_path / "fit.json"
+    fitspec.write_text(json.dumps({
+        "mode": "full_spectral",
+        "unknowns": ["c0"],
+        "targets_file": str(targets),
+    }))
+    assert main(["fit", one_jump_cfg, str(fitspec)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigParseError" in err and str(targets) in err
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 from jumpsl import (
-    DomainError,
     InterlacingError,
+    JumpCondition,
     PoleError,
+    ProblemSpec,
+    RobinBC,
     SpectralData,
     TwoSpectra,
+    VariantError,
+    constant_potential,
     eigenvalues,
     m_from_two_spectra,
     numerical_residue,
     partial_fraction_m,
     secondary_spectrum,
     spectral_data,
+    validate,
     weyl_m,
     weyl_theta,
 )
@@ -162,25 +167,43 @@ def test_secondary_spectrum_free(free):
 def test_two_spectra_free(free):
     prim = eigenvalues(free, 100, verify=False)
     sec = secondary_spectrum(free, 100, verify=False)
-    ts = TwoSpectra(prim, sec)
+    ts = TwoSpectra(prim, sec, free)
     approx = m_from_two_spectra(ts, -1.0)
-    assert abs(approx - COTH_PI) < 1e-2
-    # calibration-depth stability
-    a1 = m_from_two_spectra(ts, -1.0, lam_cal=-100.0)
-    a2 = m_from_two_spectra(ts, -1.0, lam_cal=-200.0)
-    assert abs(a1 - a2) < 1e-3
+    assert isinstance(approx, complex)
+    assert approx == pytest.approx(COTH_PI, rel=1e-12)
+    # array input: the shape of lam, the values of the direct solve
+    lam = np.array([[-5.0, -20.0], [3.3 + 0.5j, 10.0 - 2.0j]])
+    approx = m_from_two_spectra(ts, lam)
+    assert approx.shape == lam.shape
+    assert np.allclose(approx, weyl_m(free, lam).m, rtol=1e-12, atol=0.0)
 
 
-def test_two_spectra_domain_and_interlacing(free):
+@pytest.mark.parametrize("name", ["jump_q", "cubic", "robin_q"])
+def test_two_spectra_matches_weyl_m(name, cubic):
+    jump = JumpCondition(PI / 3, 2.0, 1.0, 0.5)
+    problem = cubic if name == "cubic" else validate(ProblemSpec(
+        constant_potential(0.5), RobinBC(0.3, -0.2),
+        (jump,) if name == "jump_q" else ()))
+    ts = TwoSpectra(eigenvalues(problem, 100, verify=False),
+                    secondary_spectrum(problem, 100, verify=False), problem)
+    # lambda = 0 is a removable 0 * inf of the product form
+    lam = np.array([-1.0, -5.0, -20.0, 3.3 + 0.5j, 2.5, 0.0])
+    direct = weyl_m(problem, lam).m
+    rel = np.abs(m_from_two_spectra(ts, lam) - direct) / np.abs(direct)
+    assert np.max(rel) <= 5e-3
+
+
+def test_two_spectra_domain_and_interlacing(free, eig_desk):
     prim = eigenvalues(free, 10, verify=False)
     sec = secondary_spectrum(free, 10, verify=False)
-    ts = TwoSpectra(prim, sec)
-    with pytest.raises(DomainError):
-        m_from_two_spectra(ts, 1.0)
-    with pytest.raises(DomainError):
-        TwoSpectra(prim, sec, k=2.0)
+    ts = TwoSpectra(prim, sec, free)
+    with pytest.raises(PoleError):
+        m_from_two_spectra(ts, 1.0)     # a primary eigenvalue
     with pytest.raises(InterlacingError):
-        TwoSpectra(sec, prim)   # swapped lists cannot interlace
+        TwoSpectra(sec, prim, free)     # swapped lists cannot interlace
+    with pytest.raises(VariantError):
+        TwoSpectra(eigenvalues(eig_desk, 10, verify=False),
+                   secondary_spectrum(eig_desk, 10, verify=False), eig_desk)
 
 
 def test_export_m_samples(tmp_path, free):
