@@ -132,7 +132,7 @@ def sine_sum(problem, rho, trig="sin"):
 def eigenvalue_guesses(problem, count, trig="sin", step=0.05):
     """Ascending real zeros of the leading sine sum, used as bracket seeds:
     exact zeros on a grid of width ``step`` plus its sign changes, bisected
-    together to 1e-13 (rho = 0 counts only where the sum vanishes)."""
+    together to b - a <= 4 eps b (rho = 0 counts only where the sum vanishes)."""
     g = _leading_sum(problem, trig)
     zeros = [0.0] if g(0.0) == 0.0 else []
     lo, chunk = 0.0, max(10.0, float(count))
@@ -143,7 +143,7 @@ def eigenvalue_guesses(problem, count, trig="sin", step=0.05):
         exact = grid[:-1][inner & (vals[:-1] == 0.0)]
         i = np.flatnonzero(inner & (vals[:-1] * vals[1:] < 0.0))
         a, b, ga = grid[i], grid[i + 1], vals[i]
-        while np.any(b - a > 1e-13 + 4.0 * np.finfo(float).eps * b):
+        while np.any(b - a > 4.0 * np.finfo(float).eps * b):
             m = 0.5 * (a + b)
             gm = g(m)
             right = np.sign(gm) == np.sign(ga)

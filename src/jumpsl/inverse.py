@@ -350,15 +350,18 @@ def load_fitspec(path, template: ValidatedProblem) -> FitSpec:
         mode = data["mode"]
         unknowns = tuple(data["unknowns"])
         targets_file = data["targets_file"]
+        kwargs = {
+            "bounds": {k: (float(lo), float(hi))
+                       for k, (lo, hi) in dict(data.get("bounds", {})).items()},
+            "max_iter": int(data.get("max_iter", 100)),
+            "tol": float(data.get("tol", 1e-10)),
+        }
+        if "cpm_density" in data:
+            kwargs["cpm_density"] = int(data["cpm_density"])
     except KeyError as exc:
-        raise ConfigParseError(f"fit spec missing key {exc}")
-    kwargs = {
-        "bounds": {k: tuple(v) for k, v in data.get("bounds", {}).items()},
-        "max_iter": int(data.get("max_iter", 100)),
-        "tol": float(data.get("tol", 1e-10)),
-    }
-    if "cpm_density" in data:
-        kwargs["cpm_density"] = int(data["cpm_density"])
+        raise ConfigParseError(f"fit spec {path} missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"malformed fit spec {path}: {exc}") from exc
     if mode == "two_spectra":
         if not (isinstance(targets_file, (list, tuple))
                 and len(targets_file) == 2):

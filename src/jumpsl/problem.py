@@ -451,14 +451,16 @@ def problem_from_dict(data) -> ValidatedProblem:
             raise ConfigParseError(f"unknown potential type {pot_type!r}")
         bc_data = dict(data["boundary"])
         bc_type = bc_data.pop("type")
+        bc_data = {k: float(v) for k, v in bc_data.items()}
         if bc_type == "robin":
             bc = RobinBC(**bc_data)
         elif bc_type == "eigenparameter":
             bc = EigenparameterBC(**bc_data)
         else:
             raise ConfigParseError(f"unknown boundary type {bc_type!r}")
-        jumps = tuple(JumpCondition(**j) for j in data.get("jumps", []))
-    except (KeyError, TypeError) as exc:
+        jumps = tuple(JumpCondition(**{k: float(v) for k, v in dict(j).items()})
+                      for j in data.get("jumps", []))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"malformed problem configuration: {exc}") from exc
     return validate(ProblemSpec(pot, bc, jumps))
 
@@ -469,7 +471,10 @@ def load_problem(path) -> ValidatedProblem:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"cannot read problem configuration {path}: {exc}") from exc
-    return problem_from_dict(data)
+    try:
+        return problem_from_dict(data)
+    except ConfigParseError as exc:
+        raise ConfigParseError(f"{path}: {exc}") from exc
 
 
 def _atomic_write(path, text):

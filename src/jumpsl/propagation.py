@@ -332,7 +332,8 @@ class PiecewiseSolution:
 
 def initial_state(problem, kind, lam):
     """Defining Cauchy data of phi, chi (at 0) or psi (at pi) per variant,
-    with their lambda-derivatives; ``lam`` may be an array."""
+    with their lambda-derivatives; ``lam`` may be an array.  Delta, Delta'
+    and m are Wronskians against these data, which no other code restates."""
     bc = problem.boundary
     if problem.variant == "robin":
         if kind == "phi":

@@ -1,10 +1,10 @@
 """Characteristic function Delta, eigenvalues, and spectral data.
 
-Delta(lambda) = -w(pi) L2(phi(lambda)) is evaluated from the forward
-solution through the batch transfer kernels, so scans over many lambda are
-vectorized and, for piecewise-constant potentials, exact.  Its
-lambda-derivative comes from the variational system, never from finite
-differences.
+Delta(lambda) = W(phi, psi) is taken at pi, where phi, propagated forward
+through the batch transfer kernels, meets psi's data from ``initial_state``,
+so scans over many lambda are vectorized and, for piecewise-constant
+potentials, exact.  Its lambda-derivative comes from the variational
+system, never from finite differences.
 
 Eigenvalues are located by a sign-change scan on the real axis (the scan
 floor extends below zero), polished by a safeguarded Newton iteration in
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -130,63 +130,33 @@ class SpectralData:
 # characteristic function
 # ----------------------------------------------------------------------
 
-def _left_init_batch(problem, lam, left):
-    """Cauchy data at 0 (and its lambda-derivative) for the scanned family."""
-    if left == "spec":
-        return initial_state(problem, "phi", lam)
-    if left == "dirichlet":
-        return (0.0, 1.0), (0.0, 0.0)
-    raise ValueError(f"unknown left boundary override {left!r}")
-
-
-def _l2_of(problem, lam, y, yp, u=None, up=None):
-    """Signed L2 functional at pi such that Delta = sign * w(pi) * L2(phi).
-
-    The sign is chosen so that Delta equals the modified Wronskian
-    W(phi, psi) = L1(psi) in both variants: -1 for Robin, +1 for the
-    eigenparameter variant (whose lambda-affine initial data flip the
-    Wronskian's relation to L2).  This keeps the derivative identity
-    dDelta/dlambda(lambda_n) = +beta_n/gamma_n and the residue structure
-    of the Weyl function uniform across variants.
-    """
-    bc = problem.boundary
-    if problem.variant == "robin":
-        val = -(yp + bc.H * y)
-        dval = None if u is None else -(up + bc.H * u)
-    else:
-        r2fun = yp + bc.H1 * y
-        val = lam * r2fun - bc.H2 * yp - bc.H3 * y
-        dval = None if u is None else (
-            r2fun + lam * (up + bc.H1 * u) - bc.H2 * up - bc.H3 * u
-        )
-    return val, dval
-
-
-def _l1_of(problem, lam, y, yp):
-    """Delta = L1(psi) and the Weyl numerator psi(0), or R1(psi)/r1 in the
-    eigenparameter variant, from the Cauchy data (y, y') of psi at 0."""
-    bc = problem.boundary
-    if problem.variant == "robin":
-        return yp + bc.h * y, y
-    r1psi = yp + bc.h1 * y
-    return lam * r1psi - bc.h2 * yp - bc.h3 * y, r1psi / bc.r1
+def _wronskian(a, b):
+    """W(a, b) = y_a y_b' - y_a' y_b of two Cauchy data pairs (broadcasts)."""
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def delta_batch(problem, lam, derivative=False, left="spec",
                 cpm_density=CPM_DENSITY):
-    """Delta (and optionally dDelta/dlambda) over an array of lambda."""
+    """Delta = w(pi) W(phi, psi) at pi over an array of lambda, and with
+    ``derivative`` also Delta' = w(pi) (W(u, psi) + W(phi, dpsi/dlambda)),
+    u being phi's variational companion.  phi and psi take the data of
+    :func:`initial_state`; ``left="dirichlet"`` starts phi from (0, 1)."""
     lam = np.asarray(lam, dtype=complex)
-    (y0, yp0), (du0, dup0) = _left_init_batch(problem, lam, left)
-    if derivative:
-        y, yp, u, up = propagate_endpoints_batch(
-            problem, lam, y0, yp0, derivative=True, du0=du0, dup0=dup0,
-            cpm_density=cpm_density)
-        l2, dl2 = _l2_of(problem, lam, y, yp, u, up)
-        return problem.w_end * l2, problem.w_end * dl2
-    y, yp = propagate_endpoints_batch(problem, lam, y0, yp0,
-                                      cpm_density=cpm_density)
-    l2, _ = _l2_of(problem, lam, y, yp)
-    return problem.w_end * l2
+    if left == "spec":
+        (y0, yp0), (du0, dup0) = initial_state(problem, "phi", lam)
+    elif left == "dirichlet":
+        (y0, yp0), (du0, dup0) = (0.0, 1.0), (0.0, 0.0)
+    else:
+        raise ValueError(f"unknown left boundary override {left!r}")
+    psi, dpsi = initial_state(problem, "psi", lam)
+    end = propagate_endpoints_batch(
+        problem, lam, y0, yp0, derivative=derivative, du0=du0, dup0=dup0,
+        cpm_density=cpm_density)
+    delta = problem.w_end * _wronskian(end, psi)
+    if not derivative:
+        return delta
+    return delta, problem.w_end * (_wronskian(end[2:], psi)
+                                   + _wronskian(end, dpsi))
 
 
 def char_delta(problem, lam, left="spec"):
@@ -201,14 +171,15 @@ def char_delta_derivative(problem, lam):
 
 
 def char_delta_forms(problem, lam):
-    """The three Delta formulas: -w(pi) L2(phi), L1(psi), W(phi, psi).
-
-    Their pairwise agreement is the cross-check mode of the Delta
-    evaluation; W is sampled at an interior cell midpoint.
+    """Delta = W(phi, psi) three ways: at pi (as :func:`delta_batch`), at 0
+    from a backward solve of psi, and at an interior cell midpoint from the
+    dense solutions.  Their pairwise agreement is the cross-check mode of
+    the Delta evaluation.
     """
     d1 = char_delta(problem, lam)
-    y, yp = _psi_at_zero(problem, np.array([complex(lam)]))
-    d2, _ = _l1_of(problem, lam, complex(y[0]), complex(yp[0]))
+    lam1 = np.array([complex(lam)])
+    d2 = _wronskian(initial_state(problem, "phi", lam1)[0],
+                    _psi_at_zero(problem, lam1))[0]
     sp = SpectralPoint.from_lambda(lam)
     phi = fundamental_solution(problem, "phi", sp)
     psi = fundamental_solution(problem, "psi", sp)
@@ -229,12 +200,7 @@ def lambda_floor(problem):
     magnitudes of the boundary constants enter the bound alongside the
     potential and the jump c-terms.
     """
-    s = 1.0 + problem.max_abs_q()
-    bc = problem.boundary
-    if problem.variant == "robin":
-        s += max(abs(bc.h), abs(bc.H))
-    else:
-        s += max(abs(v) for v in (bc.h1, bc.h2, bc.h3, bc.H1, bc.H2, bc.H3))
+    s = 1.0 + problem.max_abs_q() + max(map(abs, astuple(problem.boundary)))
     if problem.jumps:
         s += sum(abs(j.c) for j in problem.jumps) / min(1.0, problem.min_node_gap())
     return -(s * s)
@@ -435,7 +401,9 @@ def _norming_data(problem, lams, cpm_density):
         cpm_density=cpm_density)
     norm2 = problem.w_end * np.real(u * yp - y * up)
     if problem.variant == "eigenparameter":
-        norm2 += (problem.weights[0] / bc.r1) * np.real(yp0 + bc.h1 * y0) ** 2 \
+        # phi's data give R1(phi) = r1 at every lambda, so the left term
+        # (w(0)/r1) R1(phi)^2 is w(0) r1
+        norm2 += problem.weights[0] * bc.r1 \
             + (problem.w_end / bc.r2) * np.real(yp + bc.H1 * y) ** 2
     # psi = beta phi, and psi's data at pi are exact: compare the component
     # that is further from its zero (phi' carries an extra factor ~rho)

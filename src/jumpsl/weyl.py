@@ -1,9 +1,9 @@
 """Weyl m-function, its partial-fraction expansion, and recovery of m
 from two spectra.
 
-m(lambda) = -psi(0, lambda)/Delta(lambda) in the Robin variant and
--R1(psi)/(r1 Delta) in the eigenparameter variant, so a single backward
-solve yields both numerator and denominator.  The residue of m at an
+m(lambda) = W(chi, psi)/W(phi, psi) at 0 (-psi(0)/Delta for Robin data,
+-R1(psi)/(r1 Delta) for eigenparameter data), so a single backward solve of
+psi yields both numerator and denominator.  The residue of m at an
 eigenvalue lambda_n equals -gamma_n, which fixes the partial-fraction
 series sum gamma_n/(lambda_n - lambda).
 
@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _leading_sum, eigenvalue_guesses
-from .errors import InterlacingError, MismatchError, PoleError, VariantError
+from .errors import (DomainError, InterlacingError, MismatchError, PoleError,
+                     VariantError)
 from .problem import ValidatedProblem, _atomic_write
-from .propagation import SpectralPoint, _psi_at_zero, fundamental_solution
-from .spectrum import SpectralData, _fmt, _l1_of, eigenvalues, spectral_data
+from .propagation import SpectralPoint, _psi_at_zero, fundamental_solution, initial_state
+from .spectrum import SpectralData, _fmt, _wronskian, eigenvalues, spectral_data
 
 __all__ = [
     "WeylSample",
@@ -60,6 +61,14 @@ def _reject_poles(flat, lams):
         raise PoleError(f"lambda={near[0]} is an eigenvalue of the problem")
 
 
+def _reject_overflow(flat, m):
+    """DomainError at the first point of ``flat`` where ``m`` overflowed, as
+    the solutions do below about lambda = -5e4 (exp(|Im rho| pi) > 1e308)."""
+    bad = flat[~np.isfinite(m)]
+    if bad.size:
+        raise DomainError(f"m is not finite at lambda={bad[0]} (overflow)")
+
+
 def weyl_m(problem, lam, sd: SpectralData | None = None):
     """m(lambda); raises PoleError at (or too near) an eigenvalue.
 
@@ -67,17 +76,20 @@ def weyl_m(problem, lam, sd: SpectralData | None = None):
     every point, and the sample's fields are then arrays of lam's shape
     (Python complex numbers for a scalar).  ``sd`` supplies known
     eigenvalues for the proximity check; without it only an exactly
-    vanishing Delta is rejected.
+    vanishing Delta is rejected.  DomainError where m overflows.
     """
     lam = np.asarray(lam, dtype=complex)
     flat = lam.reshape(-1)
     if sd is not None and len(sd):
         _reject_poles(flat, sd.lambdas)
-    y, yp = _psi_at_zero(problem, flat)
-    delta, numer = _l1_of(problem, flat, y, yp)
-    if not delta.all():
-        raise PoleError(f"Delta vanishes at lambda={flat[delta == 0.0][0]}")
-    fields = (flat, -numer / delta, delta, y / delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi0 = _psi_at_zero(problem, flat)
+        delta = _wronskian(initial_state(problem, "phi", flat)[0], psi0)
+        if not delta.all():
+            raise PoleError(f"Delta vanishes at lambda={flat[delta == 0.0][0]}")
+        m = _wronskian(initial_state(problem, "chi", flat)[0], psi0) / delta
+    _reject_overflow(flat, m)
+    fields = (flat, m, delta, psi0[0] / delta)
     if lam.ndim == 0:
         return WeylSample(*[f.item() for f in fields], variant=problem.variant)
     return WeylSample(*[f.reshape(lam.shape) for f in fields], variant=problem.variant)
@@ -168,7 +180,8 @@ def m_from_two_spectra(ts: TwoSpectra, lam, n_terms=None):
     lambda0_0 = 0, the factor -lambda is cancelled against rho S(rho)
     analytically, so lambda = 0 needs no special case.  ``lam`` may be a
     scalar or an array (as in ``weyl_m``), at any point that is not a
-    primary eigenvalue; PoleError there.
+    primary eigenvalue; PoleError there, and DomainError where the leading
+    sums overflow.
     """
     avail = min(len(ts.primary), len(ts.secondary))
     n = avail if n_terms is None else n_terms
@@ -184,10 +197,12 @@ def m_from_two_spectra(ts: TwoSpectra, lam, n_terms=None):
     mu0 = np.square(eigenvalue_guesses(ts.problem, n, trig="cos"))
     rho = np.sqrt(flat)
     # m0 * (lambda0_0 - lambda) = C(rho) / (S(rho)/rho)
-    m = (_leading_sum(ts.problem, "cos")(rho)
-         / _leading_sum(ts.problem, "sinc")(rho) / (lams[0] - flat)
-         * np.prod((mus - z) / (mu0 - z), axis=1)
-         * np.prod((lam0[1:] - z) / (lams[1:] - z), axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (_leading_sum(ts.problem, "cos")(rho)
+             / _leading_sum(ts.problem, "sinc")(rho) / (lams[0] - flat)
+             * np.prod((mus - z) / (mu0 - z), axis=1)
+             * np.prod((lam0[1:] - z) / (lams[1:] - z), axis=1))
+    _reject_overflow(flat, m)
     return m.item() if lam.ndim == 0 else m.reshape(lam.shape)
 
 

@@ -153,6 +153,42 @@ def test_fit_malformed_targets(tmp_path, one_jump_cfg, text, capsys):
     assert "ConfigParseError" in err and str(targets) in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("potential", "coefficients", [["abc"]]),
+    ("jumps", "d", "x"),
+    ("boundary", "h", "zz"),
+], ids=["coefficient", "jump_d", "robin_h"])
+def test_eigs_malformed_config_value(tmp_path, one_jump_cfg, section, key,
+                                     value, capsys):
+    with open(one_jump_cfg) as fh:
+        data = json.load(fh)
+    (data[section][0] if section == "jumps" else data[section])[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["eigs", str(cfg), "--count", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigParseError" in err and str(cfg) in err
+
+
+@pytest.mark.parametrize("extra", [
+    {"max_iter": "many"}, {"tol": "small"}, {"cpm_density": "x"},
+    {"bounds": {"h": 3}}, {"unknowns": 5},
+], ids=["max_iter", "tol", "cpm_density", "bounds", "unknowns"])
+def test_fit_malformed_spec_value(tmp_path, one_jump, one_jump_cfg, extra,
+                                  capsys):
+    from jumpsl import eigenvalues, export_csv, spectral_data
+    targets = tmp_path / "targets.csv"
+    export_csv(spectral_data(one_jump, eigenvalues(one_jump, 4, verify=False)),
+               targets)
+    fitspec = tmp_path / "fit.json"
+    fitspec.write_text(json.dumps({
+        "mode": "full_spectral", "unknowns": ["c0"],
+        "targets_file": str(targets), **extra}))
+    assert main(["fit", one_jump_cfg, str(fitspec)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigParseError" in err and str(fitspec) in err
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["eigs", str(tmp_path / "missing.json"), "--count", "2"]) == 1
     bad = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ import pytest
 from jumpsl import (
     ContourTooCloseError,
     EigenparameterBC,
+    JumpCondition,
     PiecewisePolynomial,
     ProblemSpec,
     RobinBC,
@@ -25,6 +26,7 @@ from jumpsl import (
     load_csv,
     spectral_data,
     validate,
+    weyl_m,
 )
 from jumpsl import propagation, spectrum
 from jumpsl.eigenparameter import boundary_functionals
@@ -418,3 +420,86 @@ def test_spectral_data_reuses_eigenvalue_density(cubic, tmp_path):
     # the density is not exported, so loaded data take the default too
     spectrum.export_csv(full, tmp_path / "s.csv")
     assert load_csv(tmp_path / "s.csv").cpm_density == propagation.CPM_DENSITY
+
+
+# ----------------------------------------------------------------------
+# Delta, Delta' and m as Wronskians against initial_state
+# ----------------------------------------------------------------------
+
+def _functional_delta(p, lam, left):
+    """Delta and Delta' from each variant's boundary functional at pi, with
+    the per-variant sign that makes it W(phi, psi): the reference form."""
+    bc = p.boundary
+    (y0, yp0), (du0, dup0) = (propagation.initial_state(p, "phi", lam)
+                              if left == "spec" else ((0.0, 1.0), (0.0, 0.0)))
+    y, yp, u, up = propagation.propagate_endpoints_batch(
+        p, lam, y0, yp0, derivative=True, du0=du0, dup0=dup0)
+    if p.variant == "robin":
+        return p.w_end * -(yp + bc.H * y), p.w_end * -(up + bc.H * u)
+    r2 = yp + bc.H1 * y
+    return (p.w_end * (lam * r2 - bc.H2 * yp - bc.H3 * y),
+            p.w_end * (r2 + lam * (up + bc.H1 * u) - bc.H2 * up - bc.H3 * u))
+
+
+def _functional_m(p, lam):
+    """m = -psi(0)/Delta (Robin) or -R1(psi)/(r1 Delta), with Delta = L1(psi)."""
+    bc = p.boundary
+    y, yp = propagation._psi_at_zero(p, lam)
+    if p.variant == "robin":
+        return -y / (yp + bc.h * y)
+    r1psi = yp + bc.h1 * y
+    return -(r1psi / bc.r1) / (lam * r1psi - bc.h2 * yp - bc.h3 * y)
+
+
+def _eig_h1():
+    """Eigenparameter problem with h1, H1 != 0 and a jump with c != 0."""
+    return validate(ProblemSpec(constant_potential(0.0),
+                                EigenparameterBC(0.5, 1.0, 2.0, 1.0, 3.0, 1.0),
+                                (JumpCondition(1.0, 1.3, 0.9, 0.2),)))
+
+
+@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump"])
+def test_robin_wronskians_bit_identical_to_functionals(request, name):
+    if name == "mathieu":
+        x = np.linspace(0.0, PI, 513)
+        p = validate(ProblemSpec(SampledGrid(x, 4.0 * np.cos(2.0 * x), order=3),
+                                 RobinBC(0.0, 0.0)))
+    else:
+        p = request.getfixturevalue(name)
+    rng = np.random.default_rng(8)
+    lam = np.concatenate([rng.uniform(-50.0, 400.0, 300),
+                          rng.uniform(-50.0, 400.0, 100)
+                          + 1j * rng.uniform(-20.0, 20.0, 100)]).astype(complex)
+    for left in ("spec", "dirichlet"):
+        ref, dref = _functional_delta(p, lam, left)
+        assert np.array_equal(delta_batch(p, lam, left=left), ref)
+        got, dgot = delta_batch(p, lam, derivative=True, left=left)
+        assert np.array_equal(got, ref) and np.array_equal(dgot, dref)
+    assert np.array_equal(weyl_m(p, lam).m, _functional_m(p, lam))
+
+
+@pytest.mark.parametrize("name", ["eig_desk", "eig_h1"])
+def test_eigenparameter_wronskians_match_functionals(request, name):
+    p = _eig_h1() if name == "eig_h1" else request.getfixturevalue(name)
+    lams = eigenvalues(p, 40).lambdas
+    # away from zeros: between eigenvalues, and off the real axis
+    lam = np.concatenate([0.5 * (lams[1:] + lams[:-1]),
+                          np.linspace(-20.0, 1500.0, 60)
+                          + 1j * np.linspace(1.0, 30.0, 60)]).astype(complex)
+    ref, dref = _functional_delta(p, lam, "spec")
+    got, dgot = delta_batch(p, lam, derivative=True)
+    for a, b in ((got, ref), (dgot, dref), (weyl_m(p, lam).m, _functional_m(p, lam))):
+        assert np.max(np.abs(a / b - 1.0)) <= 1e-13
+
+
+def test_eigenparameter_h1_derivative_identity():
+    # h1, H1 != 0 put lambda-dependent data at both ends of phi and psi
+    p = _eig_h1()
+    sd = spectral_data(p, eigenvalues(p, 200))
+    _, dd = delta_batch(p, sd.lambdas, derivative=True)
+    assert np.max(np.abs(dd.real * sd.gammas / sd.betas - 1.0)) <= 1e-11
+
+
+def test_delta_batch_unknown_left(generic):
+    with pytest.raises(ValueError):
+        delta_batch(generic, np.array([1.0]), left="chi")

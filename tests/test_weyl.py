@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jumpsl import (
+    DomainError,
     InterlacingError,
     JumpCondition,
     PoleError,
@@ -176,6 +177,38 @@ def test_two_spectra_free(free):
     approx = m_from_two_spectra(ts, lam)
     assert approx.shape == lam.shape
     assert np.allclose(approx, weyl_m(free, lam).m, rtol=1e-12, atol=0.0)
+
+
+def _closed_form_two_spectra(free, n):
+    """The free problem's spectra n^2 and (n + 1/2)^2, as exact records."""
+    def sd(lams):
+        return SpectralData(records=tuple(
+            EigenRecord(n=i, lam=float(l), rho=complex(math.sqrt(l)), gamma=None,
+                        beta=None, certification="bracketed")
+            for i, l in enumerate(lams)), fingerprint="", variant="robin")
+    k = np.arange(n)
+    return TwoSpectra(sd(k * k), sd((k + 0.5) ** 2), free)
+
+
+def test_two_spectra_full_precision_near_normalizing_roots(free):
+    # 2.5 lies 0.25 from mu0_1 = 2.25, 6.2 lies 0.05 from mu0_2 = 6.25
+    ts = _closed_form_two_spectra(free, 100)
+    lam = np.array([2.5, 6.2])
+    direct = weyl_m(free, lam).m
+    assert np.max(np.abs(m_from_two_spectra(ts, lam) / direct - 1.0)) <= 1e-13
+
+
+def test_deep_negative_axis_raises_domain_error():
+    p = validate(ProblemSpec(constant_potential(0.5), RobinBC(0.3, -0.2),
+                             (JumpCondition(PI / 3, 2.0, 1.0, 0.5),)))
+    ts = TwoSpectra(eigenvalues(p, 20, verify=False),
+                    secondary_spectrum(p, 20, verify=False), p)
+    for fn in (lambda lam: weyl_m(p, lam).m, lambda lam: m_from_two_spectra(ts, lam)):
+        for bad in (-6e4, -1e6):
+            for lam in (bad, np.array([-1.0, bad])):
+                with pytest.raises(DomainError, match=rf"lambda=\({bad:.0f}\+0j\)"):
+                    fn(lam)
+    assert weyl_m(p, -4e4).m == pytest.approx(0.005007479923, rel=1e-10)
 
 
 @pytest.mark.parametrize("name", ["jump_q", "cubic", "robin_q"])
