@@ -16,6 +16,20 @@ The weight function w is never a free parameter (uniqueness needs it
 known), so an ``a<i>`` unknown moves a_i while b_i is retied to keep
 a_i b_i fixed.  The optimizer is scipy's trust-region least squares over
 the forward eigenvalue map.
+
+Each residual is one eigenvalue solve; the Jacobian needs none.  At an
+iterate the lambda_n are known, and the implicit function theorem on
+Delta(lambda_n(p), p) = 0 gives
+
+    dlambda_n/dp = -d_p Delta(lambda_n) / Delta'(lambda_n),
+
+with d_p Delta a central difference in p at fixed lambda_n and Delta' from
+the variational system.  The mu_n of ``two_spectra`` are the zeros of the
+Dirichlet-start Delta, and gamma_n = G(lambda_n(p), p), with G the norming
+constant of :func:`spectrum._norming_data` at any lambda, has
+dgamma_n/dp = d_p G + (d_lambda G) dlambda_n/dp, both partials central
+differences at fixed lambda.  So finite differences touch only smooth
+functions at fixed lambda, never the located roots.
 """
 
 from __future__ import annotations
@@ -45,7 +59,7 @@ from .problem import (
     ValidatedProblem,
     validate,
 )
-from .spectrum import _norming_data, eigenvalues, load_csv
+from .spectrum import _norming_data, delta_batch, eigenvalues, load_csv
 
 __all__ = [
     "FitSpec",
@@ -63,6 +77,10 @@ _EIG_TOKENS = ("h1", "h2", "h3", "H1", "H2", "H3")
 _INDEXED = _re.compile(r"^(a|c|q)(\d+)$")
 
 FLAG_RESIDUAL = 1e6
+
+#: relative step of the Jacobian's central differences: the truncation
+#: error ~ h^2 and the rounding error ~ eps/h balance at h ~ eps^(1/3)
+_FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +115,6 @@ class FitSpec:
 def _validate_fitspec(fs: FitSpec):
     if fs.mode not in _MODES:
         raise ValidationError(f"unknown fit mode {fs.mode!r}")
-    p = fs.template
     if not fs.unknowns:
         raise ValidationError("no unknown parameters declared")
     if not fs.targets_lambda:
@@ -238,37 +255,89 @@ def _forward_targets(fs: FitSpec, problem):
     return lams, gams, mus
 
 
-def residuals(fs: FitSpec, params):
+def _targets(fs: FitSpec):
+    """(targets, divisors) of the residual rows: the lambda_n, then the
+    gamma_n or mu_n of the mode; an eigenvalue row is divided by 1 + |t|,
+    a norming-constant row by t."""
+    tl = np.array(fs.targets_lambda)
+    if fs.mode == "full_spectral":
+        tg = np.array(fs.targets_gamma)
+        return np.concatenate([tl, tg]), np.concatenate([1.0 + np.abs(tl), tg])
+    t = np.concatenate([tl, fs.targets_mu]) if fs.mode == "two_spectra" else tl
+    return t, 1.0 + np.abs(t)
+
+
+def residuals(fs: FitSpec, params, _forward=None):
     """Scaled residual vector at the candidate parameters.
 
     A forward solve that fails (invalid parameters, missed eigenvalues,
     a nonpositive norm) yields a vector of FLAG_RESIDUAL entries so the
-    optimizer backs away instead of crashing.
+    optimizer backs away instead of crashing.  :func:`fit` passes a dict
+    as ``_forward`` to receive the eigenvalues (lams, mus; left as they
+    are when flagged) that its Jacobian starts from.
     """
-    n_out = len(fs.targets_lambda)
-    if fs.mode == "full_spectral":
-        n_out += len(fs.targets_gamma)
-    elif fs.mode == "two_spectra":
-        n_out += len(fs.targets_mu)
+    targets, scales = _targets(fs)
+    flagged = np.full(scales.size, FLAG_RESIDUAL)
     try:
         problem = unpack_parameters(fs, params)
         lams, gams, mus = _forward_targets(fs, problem)
     except JumpSLError:
         # invalid candidate (sign flips, missed roots, nonpositive norms):
         # flag it so the optimizer retreats instead of aborting the fit
-        return np.full(n_out, FLAG_RESIDUAL)
-    tl = np.array(fs.targets_lambda)
-    out = [(lams - tl) / (1.0 + np.abs(tl))]
-    if fs.mode == "full_spectral":
-        tg = np.array(fs.targets_gamma)
-        out.append((gams - tg) / tg)
-    elif fs.mode == "two_spectra":
-        tm = np.array(fs.targets_mu)
-        out.append((mus - tm) / (1.0 + np.abs(tm)))
-    res = np.concatenate(out)
+        return flagged
+    model = np.concatenate([v for v in (lams, gams, mus) if v is not None])
+    res = (model - targets) / scales
     if not np.all(np.isfinite(res)):
-        return np.full(n_out, FLAG_RESIDUAL)
+        return flagged
+    if _forward is not None:
+        _forward.update(lams=lams, mus=mus)
     return res
+
+
+def _jacobian(fs: FitSpec, params, lams, mus):
+    """d residuals / d params from the forward data at ``params``, by the
+    implicit function theorem (see the module docstring): no eigenvalue
+    solve, only propagations at the known lambda_n and mu_n.  Zero when
+    the residual there was flagged (``lams`` None) or a perturbed problem
+    is invalid, so the solver stops instead of crashing."""
+    _, scales = _targets(fs)
+    jac = np.zeros((scales.size, params.size))
+    if lams is None:
+        return jac
+    dens = fs.cpm_density
+    steps = _FD_STEP * np.maximum(1.0, np.abs(params))
+    try:
+        problem = unpack_parameters(fs, params)
+        pairs = [(unpack_parameters(fs, params + e),
+                  unpack_parameters(fs, params - e)) for e in np.diag(steps)]
+
+        def d_param(f):
+            """Central differences of f(problem) in each parameter."""
+            return np.column_stack([f(pp) - f(pm) for pp, pm in pairs]) \
+                / (2.0 * steps)
+
+        def root_rows(lam, left):
+            _, dd = delta_batch(problem, lam, derivative=True, left=left,
+                                cpm_density=dens)
+            dp = d_param(lambda p: delta_batch(p, lam, left=left,
+                                               cpm_density=dens).real)
+            return -dp / dd.real[:, None]
+
+        rows = [root_rows(lams, "spec")]
+        if fs.mode == "full_spectral":
+            def gamma(p, lam):
+                return _norming_data(p, lam, dens)[0]
+
+            dl = _FD_STEP * np.maximum(1.0, np.abs(lams))
+            g_lam = (gamma(problem, lams + dl) - gamma(problem, lams - dl)) \
+                / (2.0 * dl)
+            rows.append(d_param(lambda p: gamma(p, lams))
+                        + g_lam[:, None] * rows[0])
+        elif fs.mode == "two_spectra":
+            rows.append(root_rows(mus, "dirichlet"))
+    except JumpSLError:
+        return jac
+    return np.vstack(rows) / scales[:, None]
 
 
 @dataclass(frozen=True)
@@ -300,7 +369,15 @@ def _bounds_arrays(fs: FitSpec):
 
 
 def fit(fs: FitSpec, initial_guess=None, raise_on_failure=False) -> FitResult:
-    """Trust-region least-squares fit of the unknowns to the targets."""
+    """Trust-region least-squares fit of the unknowns to the targets.
+
+    Each function evaluation is one call of :func:`residuals`, i.e. one
+    eigenvalue solve, and ``max_iter`` caps their number.  The Jacobian
+    comes from the implicit function theorem (see the module docstring):
+    it reuses the eigenvalues of the residual at the same x, which the
+    solver has always just evaluated, and costs only propagations at
+    fixed lambda.
+    """
     # imported here: scipy.optimize is most of the cost of ``import jumpsl``
     from scipy.optimize import least_squares
 
@@ -310,10 +387,23 @@ def fit(fs: FitSpec, initial_guess=None, raise_on_failure=False) -> FitResult:
         x0 = np.asarray(initial_guess, dtype=float)
     lo, hi = _bounds_arrays(fs)
     x0 = np.clip(x0, lo, hi)
-    sol = least_squares(
-        lambda x: residuals(fs, x), x0, bounds=(lo, hi), method="trf",
-        xtol=fs.tol, ftol=fs.tol, gtol=None, diff_step=1e-6,
-        max_nfev=fs.max_iter * (len(x0) + 1))
+    last = {}
+
+    def fun(x):
+        last.update(x=x.copy(), lams=None, mus=None)
+        return residuals(fs, x, _forward=last)
+
+    def jac(x):
+        if not np.array_equal(x, last["x"]):
+            fun(x)
+        return _jacobian(fs, x, last["lams"], last["mus"])
+
+    # a zero Jacobian makes the solver's steps 0/0; a nan step is a flagged
+    # residual, so the fit runs out of evaluations, unconverged
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sol = least_squares(
+            fun, x0, jac=jac, bounds=(lo, hi), method="trf",
+            xtol=fs.tol, ftol=fs.tol, gtol=None, max_nfev=fs.max_iter)
     norm = float(np.linalg.norm(sol.fun))
     converged = bool(sol.success) and norm < math.sqrt(FLAG_RESIDUAL)
     try:

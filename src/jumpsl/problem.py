@@ -24,7 +24,7 @@ import math
 import os
 import tempfile
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -354,16 +354,15 @@ def validate(spec: ProblemSpec) -> ValidatedProblem:
             raise JumpSignError(f"jump at d={j.d} has a*b = {j.a * j.b} <= 0")
 
     bc = spec.boundary
-    if isinstance(bc, RobinBC):
-        if not (math.isfinite(bc.h) and math.isfinite(bc.H)):
-            raise BoundaryConstraintError("non-finite Robin parameters")
-    elif isinstance(bc, EigenparameterBC):
+    if not isinstance(bc, (RobinBC, EigenparameterBC)):
+        raise BoundaryConstraintError(f"unknown boundary condition {bc!r}")
+    if not all(math.isfinite(v) for v in astuple(bc)):
+        raise BoundaryConstraintError(f"non-finite boundary parameters: {bc}")
+    if isinstance(bc, EigenparameterBC):
         if bc.r1 <= 0.0:
             raise BoundaryConstraintError(f"r1 = h3 - h1*h2 = {bc.r1} must be > 0")
         if bc.r2 <= 0.0:
             raise BoundaryConstraintError(f"r2 = H1*H2 - H3 = {bc.r2} must be > 0")
-    else:
-        raise BoundaryConstraintError(f"unknown boundary condition {bc!r}")
 
     pot = spec.potential
     if not isinstance(pot, (PiecewisePolynomial, SampledGrid)):

@@ -9,11 +9,17 @@ import numpy as np
 import pytest
 
 from jumpsl import (
+    EigenparameterBC,
     FitSpec,
+    JumpCondition,
     MismatchError,
     MissedEigenvalueError,
     NonconvergenceError,
+    PiecewisePolynomial,
+    ProblemSpec,
+    RobinBC,
     ValidationError,
+    constant_potential,
     eigenvalues,
     export_csv,
     fit,
@@ -22,6 +28,7 @@ from jumpsl import (
     residuals,
     spectral_data,
     unpack_parameters,
+    validate,
 )
 import jumpsl
 from jumpsl import inverse
@@ -201,6 +208,85 @@ def test_raise_on_failure(one_jump):
     with pytest.raises(NonconvergenceError) as ei:
         fit(fs, initial_guess=np.array([3.0, -3.0]), raise_on_failure=True)
     assert ei.value.result.converged is False
+
+
+def _jacobian_case(name):
+    """A fit spec whose targets come from the template, and a point off it."""
+    if name == "robin_jump":
+        p = validate(ProblemSpec(constant_potential(0.5), RobinBC(0.3, -0.2),
+                                 (JumpCondition(PI / 3, 2.0, 1.0, 0.5),)))
+        fs = _full_spec(p, 10, unknowns=("h", "H", "a0", "c0"))
+    elif name == "eigenparameter":
+        p = validate(ProblemSpec(constant_potential(0.2),
+                                 EigenparameterBC(0.1, 0.5, 1.5, 1.0, 2.0, 0.8),
+                                 (JumpCondition(1.2, 1.5, 1.0, 0.4),)))
+        fs = _full_spec(p, 10, unknowns=("h1", "H2", "H3", "c0"))
+    elif name == "two_spectra":
+        p = validate(ProblemSpec(
+            PiecewisePolynomial(coefficients=((0.2, -0.3, 0.1, 0.05),)),
+            RobinBC(0.3, -0.2)))
+        fs = FitSpec(mode="two_spectra", template=p, unknowns=("h", "H", "q0"),
+                     targets_lambda=tuple(eigenvalues(p, 10, verify=False).lambdas),
+                     targets_mu=tuple(eigenvalues(p, 10, verify=False,
+                                                  left="dirichlet").lambdas))
+    else:
+        p = validate(ProblemSpec(
+            PiecewisePolynomial(coefficients=((0.25, -0.1, 0.2, 0.0),
+                                              (0.1, 0.3, -0.2, 0.08)),
+                                breakpoints=(PI / 2,)),
+            RobinBC(0.2, -0.4)))
+        fs = FitSpec(mode="half_inverse", template=p, unknowns=("H", "q1"),
+                     targets_lambda=tuple(eigenvalues(p, 12, verify=False).lambdas))
+    x = pack_parameters(fs)
+    return fs, x + 0.03 * np.cos(np.arange(x.size))
+
+
+@pytest.mark.parametrize("name", ["robin_jump", "eigenparameter",
+                                  "two_spectra", "half_inverse"])
+def test_jacobian_matches_central_differences(name):
+    fs, x = _jacobian_case(name)
+    fwd = {}
+    r = residuals(fs, x, _forward=fwd)
+    assert np.all(r != FLAG_RESIDUAL)
+    jac = inverse._jacobian(fs, x, fwd["lams"], fwd["mus"])
+    ref = np.empty_like(jac)
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = 1e-5 * max(1.0, abs(x[j]))
+        ref[:, j] = (residuals(fs, x + e) - residuals(fs, x - e)) / (2 * e[j])
+    assert np.max(np.abs(jac - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode", ["full_spectral", "two_spectra"])
+def test_fit_jacobian_needs_no_eigenvalue_solve(monkeypatch, one_jump, mode):
+    if mode == "full_spectral":
+        fs = _full_spec(one_jump, 10, unknowns=("h", "H", "c0"))
+    else:
+        fs = FitSpec(mode="two_spectra", template=one_jump, unknowns=("h", "H"),
+                     targets_lambda=tuple(eigenvalues(one_jump, 10).lambdas),
+                     targets_mu=tuple(eigenvalues(one_jump, 10,
+                                                  left="dirichlet").lambdas))
+    calls = []
+    solve = inverse.eigenvalues
+    monkeypatch.setattr(inverse, "eigenvalues",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    x = pack_parameters(fs)
+    result = fit(fs, initial_guess=x + 0.1 * np.cos(np.arange(x.size)))
+    assert result.converged
+    assert len(calls) == result.nfev * (2 if mode == "two_spectra" else 1)
+
+
+def test_fit_from_flagged_start_ends_unconverged():
+    # a0 = 0 is a singular jump: every residual there is flagged, and the
+    # Jacobian must not try to rebuild the problem from it
+    p = validate(ProblemSpec(constant_potential(0.0), RobinBC(0.7, -0.4),
+                             (JumpCondition(PI / 2, 2.0, 0.5, 0.35),)))
+    fs = _full_spec(p, 30, unknowns=("a0",))
+    result = fit(fs, initial_guess=[0.0])
+    assert not result.converged
+    assert np.all(result.residual == FLAG_RESIDUAL)
+    with pytest.raises(NonconvergenceError):
+        fit(fs, initial_guess=[0.0], raise_on_failure=True)
 
 
 def test_import_leaves_optimizer_unloaded():

@@ -73,6 +73,26 @@ def test_boundary_constraint_error():
                              EigenparameterBC(1, 1, 1, 1, 2, 1)))
 
 
+@pytest.mark.parametrize("field", ["h1", "h2", "h3", "H1", "H2", "H3"])
+def test_eigenparameter_nonfinite_rejected(field):
+    # a nan field makes r1 or r2 nan, which no "<= 0" test catches
+    data = dict(h1=0.0, h2=0.0, h3=1.0, H1=1.0, H2=2.0, H3=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BoundaryConstraintError):
+            validate(ProblemSpec(constant_potential(0.0),
+                                 EigenparameterBC(**{**data, field: bad})))
+
+
+def test_eigenparameter_nan_in_config_rejected(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(
+        '{"potential": {"type": "piecewise_polynomial", "coefficients": [[0.0]]},'
+        ' "boundary": {"type": "eigenparameter", "h1": NaN, "h2": 0, "h3": 1,'
+        ' "H1": 1, "H2": 2, "H3": 1}}')
+    with pytest.raises(BoundaryConstraintError):
+        load_problem(path)
+
+
 def test_potential_error_nonfinite():
     with pytest.raises(PotentialError):
         PiecewisePolynomial(coefficients=((0.0, math.nan),))
