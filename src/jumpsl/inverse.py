@@ -298,12 +298,10 @@ def _jacobian(fs: FitSpec, params, lams, mus):
     """d residuals / d params from the forward data at ``params``, by the
     implicit function theorem (see the module docstring): no eigenvalue
     solve, only propagations at the known lambda_n and mu_n.  Zero when
-    the residual there was flagged (``lams`` None) or a perturbed problem
-    is invalid, so the solver stops instead of crashing."""
+    a perturbed problem is invalid, so the solver stops instead of
+    crashing; ``fit`` never asks it at a flagged residual."""
     _, scales = _targets(fs)
     jac = np.zeros((scales.size, params.size))
-    if lams is None:
-        return jac
     dens = fs.cpm_density
     steps = _FD_STEP * np.maximum(1.0, np.abs(params))
     try:
@@ -320,8 +318,8 @@ def _jacobian(fs: FitSpec, params, lams, mus):
             _, dd = delta_batch(problem, lam, derivative=True, left=left,
                                 cpm_density=dens)
             dp = d_param(lambda p: delta_batch(p, lam, left=left,
-                                               cpm_density=dens).real)
-            return -dp / dd.real[:, None]
+                                               cpm_density=dens))
+            return -dp / dd[:, None]
 
         rows = [root_rows(lams, "spec")]
         if fs.mode == "full_spectral":
@@ -379,7 +377,7 @@ def fit(fs: FitSpec, initial_guess=None, raise_on_failure=False) -> FitResult:
     fixed lambda.
     """
     # imported here: scipy.optimize is most of the cost of ``import jumpsl``
-    from scipy.optimize import least_squares
+    from scipy.optimize import OptimizeResult, least_squares
 
     if initial_guess is None:
         x0 = pack_parameters(fs)
@@ -391,19 +389,26 @@ def fit(fs: FitSpec, initial_guess=None, raise_on_failure=False) -> FitResult:
 
     def fun(x):
         last.update(x=x.copy(), lams=None, mus=None)
-        return residuals(fs, x, _forward=last)
+        last["res"] = residuals(fs, x, _forward=last)
+        return last["res"]
 
     def jac(x):
         if not np.array_equal(x, last["x"]):
             fun(x)
+        if last["lams"] is None:  # a flagged start: J is asked only at accepted x
+            raise NonconvergenceError("the forward solve failed at the initial guess")
         return _jacobian(fs, x, last["lams"], last["mus"])
 
     # a zero Jacobian makes the solver's steps 0/0; a nan step is a flagged
     # residual, so the fit runs out of evaluations, unconverged
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sol = least_squares(
-            fun, x0, jac=jac, bounds=(lo, hi), method="trf",
-            xtol=fs.tol, ftol=fs.tol, gtol=None, max_nfev=fs.max_iter)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sol = least_squares(
+                fun, x0, jac=jac, bounds=(lo, hi), method="trf",
+                xtol=fs.tol, ftol=fs.tol, gtol=None, max_nfev=fs.max_iter)
+    except NonconvergenceError as exc:
+        sol = OptimizeResult(x=last["x"], fun=last["res"], nfev=1, success=False,
+                             message=str(exc))
     norm = float(np.linalg.norm(sol.fun))
     converged = bool(sol.success) and norm < math.sqrt(FLAG_RESIDUAL)
     try:

@@ -24,7 +24,9 @@ a block of steps times all lambdas (about ``_BLOCK_ELEMS`` entries) in one
 numpy call and applies them by multiply-adds, with the expressions of a
 single step, so blocking changes no bit.  Dense solutions run this loop on
 one-element arrays, keep the state at every step node and reach any other
-point by one partial step from the nearest node.
+point by one partial step from the nearest node.  The arithmetic follows
+the dtype of lambda: real lambda runs in float64 and gives the real parts
+of the complex evaluation bit for bit, complex lambda stays complex.
 
 The lambda-derivative of a solution is propagated through the analytic
 derivative of the step (no finite differences).
@@ -94,21 +96,27 @@ class StateVector(NamedTuple):
 # ----------------------------------------------------------------------
 
 def _cs(w):
-    """C(w) = cos(sqrt w) and S(w) = sin(sqrt w)/sqrt w, entire in w."""
-    z = np.sqrt(np.asarray(w, dtype=complex))
+    """C(w) = cos(sqrt w) and S(w) = sin(sqrt w)/sqrt w, entire in w.  Real w
+    gives the complex formula's bits: numpy divides a by a real-valued complex
+    c as a * (1/c), and entries with w < 0 take the complex formula."""
+    w = np.asarray(w)
+    real = not np.iscomplexobj(w)
+    z = np.sqrt(np.maximum(w, 0.0) if real else w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        S = np.where(z == 0.0, 1.0, np.sin(z) / z)
-    return np.cos(z), S
+        S = np.where(z == 0.0, 1.0, np.sin(z) * (1.0 / z) if real else np.sin(z) / z)
+    C = np.asarray(np.cos(z))
+    if real and (neg := w < 0.0).any():
+        C[neg], S[neg] = (v.real for v in _cs(w[neg].astype(complex)))
+    return C, S
 
 
 def _cs_d(w):
     """C, S and D = (C - S)/(2 w) = dS/dw, with a series near w = 0."""
-    w = np.asarray(w, dtype=complex)
     C, S = _cs(w)
     with np.errstate(divide="ignore", invalid="ignore"):
         D = np.where(np.abs(w) < 1e-3,
-                     -1.0 / 6.0 + w * (1.0 / 60.0 + w * (-1.0 / 1680.0 + w / 90720.0)),
-                     (C - S) / (2.0 * w))
+                     -1.0 / 6.0 + w * (1.0 / 60.0 + w * (-1.0 / 1680.0 + w * (1.0 / 90720.0))),
+                     (C - S) / (2.0 * w) if np.iscomplexobj(w) else (C - S) * (0.5 / w))
     return C, S, D
 
 
@@ -408,10 +416,10 @@ def propagate_endpoints_batch(problem, lam, y0, yp0, derivative=False,
     variational (u, u') arrays, started from (du0, dup0) or zero, when
     ``derivative`` is set.
     """
-    lam = np.asarray(lam, dtype=complex)
+    lam = np.asarray(lam, dtype=complex if np.iscomplexobj(lam) else float)
 
     def start(v):
-        return np.broadcast_to(np.asarray(0.0 if v is None else v, dtype=complex), lam.shape)
+        return np.zeros_like(lam) + (0.0 if v is None else v)
 
     state = (start(y0), start(yp0))
     if derivative:

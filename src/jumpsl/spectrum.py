@@ -140,8 +140,9 @@ def delta_batch(problem, lam, derivative=False, left="spec",
     """Delta = w(pi) W(phi, psi) at pi over an array of lambda, and with
     ``derivative`` also Delta' = w(pi) (W(u, psi) + W(phi, dpsi/dlambda)),
     u being phi's variational companion.  phi and psi take the data of
-    :func:`initial_state`; ``left="dirichlet"`` starts phi from (0, 1)."""
-    lam = np.asarray(lam, dtype=complex)
+    :func:`initial_state`; ``left="dirichlet"`` starts phi from (0, 1).
+    Real lambda gives float64 arrays, the complex result's real parts."""
+    lam = np.asarray(lam)
     if left == "spec":
         (y0, yp0), (du0, dup0) = initial_state(problem, "phi", lam)
     elif left == "dirichlet":
@@ -221,10 +222,10 @@ def _root_scan(problem, count, left, cpm_density, step_neg=0.05, step_pos=0.02):
     s_pos = np.arange(0.0, rho_max + step_pos, step_pos)
     s_grid = np.concatenate([s_neg, s_pos])
     vals = delta_batch(problem, _scan_lambda(s_grid), left=left,
-                       cpm_density=cpm_density).real
+                       cpm_density=cpm_density)
     roots, droots = _polish_roots(
-        lambda lam: tuple(d.real for d in delta_batch(
-            problem, lam, derivative=True, left=left, cpm_density=cpm_density)),
+        lambda lam: delta_batch(problem, lam, derivative=True, left=left,
+                                cpm_density=cpm_density),
         *_sign_brackets(problem, s_grid, vals, left, cpm_density))
     order = np.argsort(roots)
     return roots[order], droots[order], floor
@@ -247,7 +248,7 @@ def _sign_brackets(problem, s_grid, vals, left, cpm_density, refine_depth=1):
         if hidden.size:
             fine = np.linspace(s_grid[hidden - 1], s_grid[hidden + 1], 65, axis=1)
             fvals = delta_batch(problem, _scan_lambda(fine.ravel()), left=left,
-                                cpm_density=cpm_density).real.reshape(fine.shape)
+                                cpm_density=cpm_density).reshape(fine.shape)
             parts.extend(_sign_brackets(problem, f, fv, left, cpm_density,
                                         refine_depth - 1)
                          for f, fv in zip(fine, fvals))
@@ -393,29 +394,28 @@ def count_zeros_contour(problem, rectangle, left="spec",
 def _norming_data(problem, lams, cpm_density):
     """(gamma, beta) arrays at real eigenvalues from one batched forward
     propagation (see :func:`spectral_data`)."""
-    lam = np.asarray(lams, dtype=complex)
+    lam = np.asarray(lams, dtype=float)
     bc = problem.boundary
     (y0, yp0), _ = initial_state(problem, "phi", lam)
     y, yp, u, up = propagate_endpoints_batch(
         problem, lam, y0, yp0, derivative=True, du0=0.0, dup0=0.0,
         cpm_density=cpm_density)
-    norm2 = problem.w_end * np.real(u * yp - y * up)
+    norm2 = problem.w_end * (u * yp - y * up)
     if problem.variant == "eigenparameter":
         # phi's data give R1(phi) = r1 at every lambda, so the left term
         # (w(0)/r1) R1(phi)^2 is w(0) r1
         norm2 += problem.weights[0] * bc.r1 \
-            + (problem.w_end / bc.r2) * np.real(yp + bc.H1 * y) ** 2
+            + (problem.w_end / bc.r2) * (yp + bc.H1 * y) ** 2
     # psi = beta phi, and psi's data at pi are exact: compare the component
     # that is further from its zero (phi' carries an extra factor ~rho)
     (psi, psip), _ = initial_state(problem, "psi", lam)
     scale = np.sqrt(np.maximum(1.0, np.abs(lam)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.real(np.where(np.abs(psi) * scale >= np.abs(psip),
-                                psi / y, psip / yp))
+        beta = np.where(np.abs(psi) * scale >= np.abs(psip), psi / y, psip / yp)
     bad = np.flatnonzero(~(norm2 > 0.0) | ~np.isfinite(norm2 + beta))
     if bad.size:
         raise ToleranceError("nonpositive squared norm or non-finite beta "
-                             f"at lambda={lam[bad[0]].real}")
+                             f"at lambda={lam[bad[0]]}")
     return 1.0 / norm2, beta
 
 

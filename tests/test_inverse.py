@@ -289,6 +289,22 @@ def test_fit_from_flagged_start_ends_unconverged():
         fit(fs, initial_guess=[0.0], raise_on_failure=True)
 
 
+def test_fit_stops_at_flagged_start(monkeypatch):
+    # one evaluation at a flagged start shows that there is nothing to fit
+    p = validate(ProblemSpec(constant_potential(0.0), RobinBC(0.7, -0.4),
+                             (JumpCondition(PI / 2, 2.0, 0.5, 0.35),)))
+    fs = _full_spec(p, 30, unknowns=("a0",))
+    calls = []
+    res = inverse.residuals
+    monkeypatch.setattr(inverse, "residuals",
+                        lambda *a, **k: calls.append(1) or res(*a, **k))
+    result = fit(fs, initial_guess=[0.0])
+    assert (result.nfev, len(calls)) == (1, 1)
+    assert not result.converged
+    assert "forward solve failed" in result.message
+    assert np.array_equal(result.params, [0.0])
+
+
 def test_import_leaves_optimizer_unloaded():
     # scipy.optimize is imported by fit() alone, not by ``import jumpsl``
     src = str(Path(jumpsl.__file__).resolve().parents[1])

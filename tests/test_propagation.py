@@ -18,11 +18,13 @@ from jumpsl import (
     validate,
 )
 from jumpsl.propagation import (
+    CPM_DENSITY,
     StateVector,
     apply_jump,
     propagate_endpoints_batch,
     propagate_interval,
 )
+from jumpsl.spectrum import _norming_data, delta_batch, eigenvalues
 
 PI = math.pi
 
@@ -332,3 +334,32 @@ def test_dense_nodes_bit_identical_to_step_loop(name, request):
         for i, cell in cells.items():
             assert np.array_equal(sol._pieces[i].ys, np.concatenate([s[0] for s in cell]))
             assert np.array_equal(sol._pieces[i].yps, np.concatenate([s[1] for s in cell]))
+
+
+@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump", "eig_desk", "one_jump"])
+def test_real_lambda_bit_identical_to_complex(name, request):
+    # real lambda runs in float64 and must give the real parts of the
+    # complex evaluation, also where w <= 0 (lambda < 0, lambda below q,
+    # lambda = q on a constant cell)
+    p = request.getfixturevalue(name)
+    lam = np.concatenate([np.linspace(-60.0, 4.0, 129), [0.0, 0.3],
+                          np.linspace(4.0, 1500.0, 300)])
+    for left in ("spec", "dirichlet"):
+        got = delta_batch(p, lam, left=left)
+        ref = delta_batch(p, lam.astype(complex), left=left)
+        assert got.dtype == np.float64 and np.array_equal(got, ref.real)
+        got = delta_batch(p, lam, derivative=True, left=left)
+        ref = delta_batch(p, lam.astype(complex), derivative=True, left=left)
+        assert all(g.dtype == np.float64 and np.array_equal(g, r.real)
+                   for g, r in zip(got, ref))
+    # gamma: the Lagrange bracket of spectral_data, propagated in complex
+    lams = eigenvalues(p, 60, verify=False).lambdas
+    gamma, _ = _norming_data(p, lams, CPM_DENSITY)
+    zl = lams.astype(complex)
+    (y0, yp0), _ = initial_state(p, "phi", zl)
+    y, yp, u, up = propagate_endpoints_batch(p, zl, y0, yp0, derivative=True)
+    norm2 = p.w_end * (u * yp - y * up).real
+    if p.variant == "eigenparameter":
+        bc = p.boundary
+        norm2 += p.weights[0] * bc.r1 + (p.w_end / bc.r2) * (yp + bc.H1 * y).real ** 2
+    assert gamma.dtype == np.float64 and np.array_equal(gamma, 1.0 / norm2)
