@@ -35,7 +35,8 @@ for r in sd.records:
     print(f"{r.n:>3} {r.lam:>14.8f} {r.rho.real:>10.6f} {r.gamma:>12.6e} "
           f"{r.beta:>12.5f}  {r.certification}")
 
-print("\nEach eigenvalue is simple and certified by an argument-principle")
-print("contour count, so no root of the characteristic function was missed.")
+print("\nEach eigenvalue is simple and certified by the oscillation index:")
+print("exactly n eigenvalues lie below the gap above lambda_(n-1), so no root")
+print("of the characteristic function was missed.")
 print("rho_n = sqrt(lambda_n) approaches n + o(n): ratios rho_n/n =",
       [round(r.rho.real / r.n, 4) for r in sd.records[5:]])

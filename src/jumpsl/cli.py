@@ -27,7 +27,7 @@ _HINTS = {
     "JumpOrderError": "jump points must be strictly increasing inside (0, pi)",
     "JumpSignError": "each jump needs a*b > 0",
     "BoundaryConstraintError": "eigenparameter data must satisfy r1 > 0 and r2 > 0",
-    "MissedEigenvalueError": "increase --count head-room or loosen the scan",
+    "MissedEigenvalueError": "two eigenvalues closer than the scan step were missed",
     "ContourTooCloseError": "shift the contour away from eigenvalues",
     "InterlacingError": "primary and secondary spectra must interlace",
     "NonconvergenceError": "try a closer initial guess or wider bounds",
@@ -63,7 +63,7 @@ def _build_parser():
     p = add("eigs", "lowest eigenvalues as CSV")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--no-verify", action="store_true",
-                   help="skip the contour certification")
+                   help="skip the oscillation-index certification")
 
     p = add("spectral-data", "eigenvalues with gamma_n and beta_n as CSV")
     p.add_argument("--count", type=int, required=True)

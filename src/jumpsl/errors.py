@@ -59,7 +59,7 @@ class ToleranceError(NumericalError):
 
 
 class MissedEigenvalueError(NumericalError):
-    """Contour count disagrees with the number of bracketed eigenvalues."""
+    """Too few eigenvalues located, or the oscillation index disagrees."""
 
 
 class ContourTooCloseError(NumericalError):

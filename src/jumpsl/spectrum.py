@@ -8,7 +8,7 @@ system, never from finite differences.
 
 Eigenvalues are located by a sign-change scan on the real axis (the scan
 floor extends below zero), polished by a safeguarded Newton iteration in
-lambda, and optionally certified by an argument-principle contour count.
+lambda, and optionally certified by the exact oscillation index.
 
 Norming constants and coupling coefficients of a whole spectrum come from
 two batched propagations: the squared norm of phi is the Lagrange bracket
@@ -48,7 +48,9 @@ from .problem import _atomic_write
 from .propagation import (
     CPM_DENSITY,
     SpectralPoint,
+    _magnus_q,
     _psi_at_zero,
+    _walk,
     fundamental_solution,
     initial_state,
     modified_wronskian,
@@ -84,7 +86,7 @@ class EigenRecord:
     rho: complex            # real >= 0, or positive-imaginary for lam < 0
     gamma: float | None
     beta: float | None
-    certification: str      # "bracketed" | "contour-verified"
+    certification: str      # "bracketed" | "index-verified"
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def char_delta_forms(problem, lam):
 # ----------------------------------------------------------------------
 
 def lambda_floor(problem):
-    """Scan floor for negative eigenvalues (completeness is contour-checked).
+    """Scan floor for negative eigenvalues (certified by the oscillation index).
 
     Attractive boundary data produce bound states near -h^2, so the
     magnitudes of the boundary constants enter the bound alongside the
@@ -207,52 +209,36 @@ def lambda_floor(problem):
     return -(s * s)
 
 
-def _scan_lambda(s):
-    """Scan parameter to lambda: s < 0 maps to -s^2, s >= 0 to s^2."""
-    return s * np.abs(s)
-
-
-def _root_scan(problem, count, left, cpm_density, step_neg=0.05, step_pos=0.02):
-    guesses = eigenvalue_guesses(
-        problem, count + 2,
-        trig="cos" if left == "dirichlet" else "sin")
-    rho_max = guesses[-1] + 0.75
-    floor = lambda_floor(problem)
-    s_neg = np.arange(-math.sqrt(-floor) - step_neg, 0.0, step_neg)
-    s_pos = np.arange(0.0, rho_max + step_pos, step_pos)
-    s_grid = np.concatenate([s_neg, s_pos])
-    vals = delta_batch(problem, _scan_lambda(s_grid), left=left,
-                       cpm_density=cpm_density)
-    roots, droots = _polish_roots(
-        lambda lam: delta_batch(problem, lam, derivative=True, left=left,
-                                cpm_density=cpm_density),
-        *_sign_brackets(problem, s_grid, vals, left, cpm_density))
-    order = np.argsort(roots)
-    return roots[order], droots[order], floor
-
-
-def _sign_brackets(problem, s_grid, vals, left, cpm_density, refine_depth=1):
-    """Lambda brackets (lo, hi, Delta(lo)) of a scan; lo == hi at exact zeros."""
-    lam = _scan_lambda(s_grid)
-    change = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    zero = np.flatnonzero(vals == 0.0)
-    parts = [(lam[change], lam[change + 1], vals[change]),
-             (lam[zero], lam[zero], vals[zero])]
-    # a local minimum of |Delta| without a sign change may hide a close pair
-    if refine_depth > 0:
-        av = np.abs(vals)
-        a, m, b = av[:-2], av[1:-1], av[2:]
-        hidden = 1 + np.flatnonzero(
-            (m < a) & (m < b) & (vals[:-2] * vals[1:-1] > 0.0)
-            & (vals[1:-1] * vals[2:] > 0.0) & (m < 1e-3 * np.maximum(a, b)))
-        if hidden.size:
-            fine = np.linspace(s_grid[hidden - 1], s_grid[hidden + 1], 65, axis=1)
-            fvals = delta_batch(problem, _scan_lambda(fine.ravel()), left=left,
-                                cpm_density=cpm_density).reshape(fine.shape)
-            parts.extend(_sign_brackets(problem, f, fv, left, cpm_density,
-                                        refine_depth - 1)
-                         for f, fv in zip(fine, fvals))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+def _index(problem, lam, left, cpm_density):
+    """N(lambda), the number of eigenvalues below each real lambda, from the
+    Pruefer angle theta = atan2(phi, phi') at pi (Pryce 1993).  A step turns
+    (s phi, a phi + h phi') rigidly through s = sqrt(w), so it counts the
+    zeros of phi exactly (by a sign change if s < pi); theta passes k pi only
+    upwards, and jumps keep it in [k pi, (k + 1) pi).  theta(pi) - atan2(psi,
+    psi')(pi) grows with lambda and tends into (-pi, 0) as lambda -> -inf,
+    except that phi's eigenparameter data (lambda - h2, h3 - lambda h1) tend
+    to (-1, h1) and start theta a pi lower (Binding et al. 1993): + 1."""
+    y0, yp0 = initial_state(problem, "phi", lam)[0] if left == "spec" else (0.0, 1.0)
+    cells = [None] * len(problem.pieces)
+    y, yp = _walk(problem, lam, (y0 + 0.0 * lam, yp0 + 0.0 * lam), False,
+                  cpm_density, cells)
+    zeros = 0
+    for c in cells:
+        ys, yps = (v.reshape(-1, lam.size) for v in (c.ys, c.yps))
+        qb, a = (v[:, None] for v in _magnus_q(c.piece, c.xs[:-1], c.h))
+        s = np.sqrt(np.maximum((qb - lam) * (-c.h * c.h) - a * a, 0.0))
+        start, end = (np.arctan2(s * ys[k], a * ys[k] + c.h * yps[k])
+                      for k in (slice(None, -1), slice(1, None)))
+        # the end angle nearest the turn that agrees with the end state
+        end += 2.0 * math.pi * np.round((start + s - end) / (2.0 * math.pi))
+        flips = (ys[:-1] != 0.0) & (np.sign(ys[:-1]) != np.sign(ys[1:]))
+        zeros = zeros + np.where(s < math.pi, flips, np.floor(end / math.pi)
+                                 - np.floor(start / math.pi)).sum(axis=0)
+    theta = math.pi * (np.floor(np.arctan2(y0, yp0) / math.pi) + zeros) \
+        + np.mod(np.arctan2(y, yp), math.pi)
+    psi, _ = initial_state(problem, "psi", lam)
+    shift = left == "spec" and problem.variant == "eigenparameter"
+    return np.ceil((theta - np.arctan2(*psi)) / math.pi).astype(int) + shift
 
 
 def _polish_roots(fdf, lo, hi, flo):
@@ -294,16 +280,28 @@ def eigenvalues(problem, count, verify=True, left="spec",
                 cpm_density=CPM_DENSITY) -> SpectralData:
     """The lowest ``count`` eigenvalues, bracketed and Newton-polished.
 
-    With ``verify`` the count is certified against an argument-principle
-    contour; a mismatch triggers one refined re-scan before raising
-    MissedEigenvalueError.
-    """
+    With ``verify`` the oscillation index must count 0, 1, ..., count
+    eigenvalues below the floor, between the located roots and past the
+    last one, or MissedEigenvalueError names the interval that disagrees."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    roots, droots, floor = _root_scan(problem, count, left, cpm_density)
-    if len(roots) < count:
-        roots, droots, floor = _root_scan(problem, count, left, cpm_density,
-                                          step_neg=0.0125, step_pos=0.005)
+    guesses = eigenvalue_guesses(
+        problem, count + 2,
+        trig="cos" if left == "dirichlet" else "sin")
+    rho_max = guesses[-1] + 0.75
+    floor = lambda_floor(problem)
+    s = np.concatenate([np.arange(-math.sqrt(-floor) - 0.05, 0.0, 0.05),
+                        np.arange(0.0, rho_max + 0.02, 0.02)])
+    lam = s * np.abs(s)          # s = sign(lambda) sqrt|lambda|
+    vals = delta_batch(problem, lam, left=left, cpm_density=cpm_density)
+    # signs, not products: |Delta| passes 1e154 at deep floors; an exact
+    # zero of Delta on the grid is its own bracket, not a sign change
+    lo = np.flatnonzero((vals[:-1] == 0.0)
+                        | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0))
+    hi = np.where(vals[lo] == 0.0, lo, lo + 1)
+    roots, droots = _polish_roots(
+        lambda x: delta_batch(problem, x, derivative=True, left=left,
+                              cpm_density=cpm_density), lam[lo], lam[hi], vals[lo])
     if len(roots) < count:
         raise MissedEigenvalueError(
             f"found only {len(roots)} of {count} requested eigenvalues")
@@ -315,18 +313,18 @@ def eigenvalues(problem, count, verify=True, left="spec",
 
     certification = "bracketed"
     if verify:
-        if len(roots) > count:
-            upper = 0.5 * (roots[count - 1] + roots[count])
-        else:
-            upper = lams[-1] + max(1.0, 2.0 * math.sqrt(abs(lams[-1])) + 1.0)
-        n_inside = count_zeros_contour(
-            problem, (floor - 0.5, upper, -1.0, 1.0), left=left,
-            cpm_density=cpm_density)
-        if n_inside != count:
+        # the floor, between roots, and short of the next root or the top
+        edges = np.append(roots, lam[-1])[:count + 1]
+        pts = np.concatenate([[floor], 0.5 * (edges[1:] + edges[:-1])])
+        index = _index(problem, pts, left, cpm_density)
+        bad = np.flatnonzero(index != np.arange(count + 1))
+        if bad.size:
+            k = bad[0]
             raise MissedEigenvalueError(
-                f"contour count {n_inside} disagrees with {count} "
-                f"bracketed eigenvalues")
-        certification = "contour-verified"
+                f"the oscillation index counts {index[k]} eigenvalues below "
+                f"lambda = {pts[k]:.10g}, the scan located {k}: the mismatch "
+                f"lies in ({pts[k - 1] if k else -math.inf:.10g}, {pts[k]:.10g})")
+        certification = "index-verified"
 
     records = tuple(
         EigenRecord(n=i, lam=float(lam),
@@ -338,8 +336,7 @@ def eigenvalues(problem, count, verify=True, left="spec",
                         variant=problem.variant, cpm_density=cpm_density)
 
 
-def count_zeros_contour(problem, rectangle, left="spec",
-                        cpm_density=CPM_DENSITY):
+def count_zeros_contour(problem, rectangle):
     """Winding number of Delta around a rectangle in the lambda plane."""
     re_min, re_max, im_min, im_max = rectangle
     if re_min >= re_max or im_min >= im_max:
@@ -368,10 +365,10 @@ def count_zeros_contour(problem, rectangle, left="spec",
                                                     endpoint=False))
     pts.append(corners[0])
     pts = np.array(pts)
-    vals = delta_batch(problem, pts, left=left, cpm_density=cpm_density)
-    scale = np.median(np.abs(vals))
+    vals = delta_batch(problem, pts)
     for _ in range(40):
-        if np.any(np.abs(vals) < 1e-10 * max(scale, 1e-280)):
+        av = np.abs(vals)      # nearness is local: |Delta| spans many decades
+        if np.any(av[1:-1] < 1e-10 * np.maximum(av[:-2], av[2:])):
             raise ContourTooCloseError("Delta nearly vanishes on the contour")
         dphase = np.angle(vals[1:] / vals[:-1])
         bad = np.flatnonzero(np.abs(dphase) > 0.5 * math.pi)
@@ -381,7 +378,7 @@ def count_zeros_contour(problem, rectangle, left="spec",
         if len(pts) + len(bad) > CONTOUR_MAX_POINTS:
             raise ContourTooCloseError("contour refinement exhausted")
         mids = 0.5 * (pts[bad] + pts[bad + 1])
-        mvals = delta_batch(problem, mids, left=left, cpm_density=cpm_density)
+        mvals = delta_batch(problem, mids)
         pts = np.insert(pts, bad + 1, mids)
         vals = np.insert(vals, bad + 1, mvals)
     raise ContourTooCloseError("contour refinement did not settle")

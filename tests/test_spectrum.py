@@ -8,6 +8,7 @@ from jumpsl import (
     ContourTooCloseError,
     EigenparameterBC,
     JumpCondition,
+    MissedEigenvalueError,
     PiecewisePolynomial,
     ProblemSpec,
     RobinBC,
@@ -70,7 +71,7 @@ def test_free_spectrum_exact(free):
 def test_one_jump_spectrum(one_jump):
     sd = eigenvalues(one_jump, 10)
     assert np.allclose(sd.lambdas, np.arange(10) ** 2, atol=1e-8)
-    assert all(r.certification == "contour-verified" for r in sd.records)
+    assert all(r.certification == "index-verified" for r in sd.records)
 
 
 def test_delta_forms_agree(generic, eig_desk):
@@ -144,7 +145,7 @@ def test_csv_roundtrip(tmp_path, free):
     back = load_csv(path)
     assert np.allclose(back.lambdas, sd.lambdas, rtol=0, atol=0)
     assert np.allclose(back.gammas, sd.gammas, rtol=0, atol=0)
-    assert back.records[2].certification == "contour-verified"
+    assert back.records[2].certification == "index-verified"
 
 
 def test_csv_17_digits(tmp_path, free):
@@ -332,40 +333,102 @@ def test_non_finite_beta_raises(monkeypatch, free):
         spectral_data(free, [0.25])
 
 
-def _sign_brackets_loop(s_grid, vals, fake):
-    """Reference: the near-double-root scan as a loop over scan points."""
-    av = np.abs(vals)
-    parts = []
-    for i in range(1, len(s_grid) - 1):
-        if av[i] < av[i - 1] and av[i] < av[i + 1] \
-                and vals[i - 1] * vals[i] > 0.0 and vals[i] * vals[i + 1] > 0.0 \
-                and av[i] < 1e-3 * max(av[i - 1], av[i + 1]):
-            lam = spectrum._scan_lambda(np.linspace(s_grid[i - 1], s_grid[i + 1], 65))
-            f = fake(lam).real
-            k = np.flatnonzero(f[:-1] * f[1:] < 0.0)
-            parts.append((lam[k], lam[k + 1], f[k]))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+def _barrier(q):
+    """q on (pi/2 - 1/4, pi/2 + 1/4), 0 elsewhere, Neumann: two wells whose
+    eigenvalues come in pairs, the lowest closer than the scan step."""
+    return validate(ProblemSpec(PiecewisePolynomial(
+        ((0.0,), (q,), (0.0,)), (PI / 2 - 0.25, PI / 2 + 0.25)), RobinBC(0.0, 0.0)))
 
 
-def test_sign_brackets_split_close_pairs(monkeypatch):
-    # two pairs of roots, each pair inside one coarse scan cell next to a
-    # grid point, so |Delta| dips there without changing sign
-    s_grid = np.arange(0.0, 5.0, 0.02)
-    roots = [s_grid[100] ** 2 + 2e-4, s_grid[100] ** 2 + 6e-3,
-             s_grid[180] ** 2 + 3e-4, s_grid[180] ** 2 + 1e-2]
+def test_index_names_missed_close_pair():
+    # the scan misses the ground pair near 0; its first root, 10.7309, is
+    # really the third eigenvalue
+    p = _barrier(80.0)
+    sd = eigenvalues(p, 8, verify=False)
+    assert sd.lambdas[0] == pytest.approx(10.7309, abs=1e-4)
+    assert all(r.certification == "bracketed" for r in sd.records)
+    mid = 0.5 * (sd.lambdas[0] + sd.lambdas[1])
+    assert spectrum._index(p, np.array([mid]), "spec", 160)[0] == 3
+    with pytest.raises(MissedEigenvalueError,
+                       match=rf"counts 3 .* located 1: .* \(-6561, {mid:.10g}\)"):
+        eigenvalues(p, 8)
 
-    def fake(lam):
-        return np.prod([np.asarray(lam, dtype=complex) - r for r in roots], axis=0)
 
-    monkeypatch.setattr(spectrum, "delta_batch", lambda problem, lam, **kw: fake(lam))
-    vals = fake(spectrum._scan_lambda(s_grid)).real
-    assert not np.any(vals[:-1] * vals[1:] < 0.0)
-    lo, hi, flo = spectrum._sign_brackets(None, s_grid, vals, "spec", 160)
-    for got, want in zip((lo, hi, flo), _sign_brackets_loop(s_grid, vals, fake)):
-        assert np.array_equal(got, want)
-    assert len(lo) == 4
-    for r in roots:
-        assert np.sum((lo <= r) & (r <= hi)) == 1
+def test_scan_survives_huge_delta_at_floor():
+    # |Delta| passes 1e154 at this floor, so a product of neighbouring
+    # values overflows; the sign test must not (RuntimeWarning is an error)
+    with pytest.raises(MissedEigenvalueError, match="found only 4 of 8"):
+        eigenvalues(_barrier(120.0), 8, verify=False)
+
+
+def _mathieu(q):
+    """Neumann problem with potential 2 q cos 2x (sampled, cubic spline)."""
+    x = np.linspace(0.0, PI, 513)
+    return validate(ProblemSpec(SampledGrid(x, 2.0 * q * np.cos(2.0 * x), order=3),
+                                RobinBC(0.0, 0.0)))
+
+
+_INDEX_PROBLEMS = {
+    "attractive": lambda: validate(ProblemSpec(    # bound states below 0
+        constant_potential(0.0), RobinBC(3.0, -4.0))),
+    "negative_a": lambda: validate(ProblemSpec(
+        constant_potential(0.5), RobinBC(0.2, -0.1),
+        (JumpCondition(1.0, -1.2, -0.8, 0.3), JumpCondition(2.1, -0.9, -1.1, -0.2)))),
+    "eig_jump": lambda: _eig_h1(),
+    "mathieu": lambda: _mathieu(2.0),
+}
+
+
+@pytest.mark.parametrize("left", ["spec", "dirichlet"])
+@pytest.mark.parametrize("name", ["free", "one_jump", "generic", "four_jump",
+                                  "attractive", "negative_a", "eig_desk",
+                                  "eig_jump", "cubic", "mathieu"])
+def test_index_exact_between_roots(request, name, left):
+    p = (_INDEX_PROBLEMS[name]() if name in _INDEX_PROBLEMS
+         else request.getfixturevalue(name))
+    lams = eigenvalues(p, 40, verify=False, left=left).lambdas
+    if name == "attractive" and left == "spec":
+        assert lams[1] < 0.0
+    pts = np.concatenate([[lambda_floor(p)], 0.5 * (lams[1:] + lams[:-1])])
+    assert np.array_equal(spectrum._index(p, pts, left, 160), np.arange(40))
+
+
+@pytest.mark.parametrize("count", [1500, 3000])
+@pytest.mark.parametrize("name", ["one_jump", "four_jump", "eig_desk"])
+def test_large_counts_certify(request, name, count):
+    sd = eigenvalues(request.getfixturevalue(name), count)
+    assert len(sd) == count and sd[-1].certification == "index-verified"
+    if name == "one_jump":
+        n2 = np.arange(count) ** 2
+        assert np.max(np.abs(sd.lambdas - n2) / np.maximum(1, n2)) <= 2e-15
+
+
+def test_certify_raised_and_deep_spectra():
+    # a spectrum raised to 25 + n^2, and Mathieu q = 12 with a_0 = -17.3
+    sd = eigenvalues(validate(ProblemSpec(constant_potential(25.0),
+                                          RobinBC(0.0, 0.0))), 10)
+    assert np.allclose(sd.lambdas, 25.0 + np.arange(10) ** 2, rtol=0, atol=1e-9)
+    from scipy.special import mathieu_a
+    sd = eigenvalues(_mathieu(12.0), 10)
+    ref = np.array([mathieu_a(k, 12.0) for k in range(10)])
+    assert np.max(np.abs(sd.lambdas - ref)) <= 1e-6
+    assert sd[0].certification == "index-verified"
+
+
+def test_verify_makes_no_contour_call(monkeypatch, eig_desk):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("count_zeros_contour called")
+
+    monkeypatch.setattr(spectrum, "count_zeros_contour", forbidden)
+    assert eigenvalues(eig_desk, 30)[29].certification == "index-verified"
+
+
+def test_contour_judges_nearness_locally():
+    # eigenvalues 25 + n^2; |Delta| spans many orders over these contours
+    p = validate(ProblemSpec(constant_potential(25.0), RobinBC(0.0, 0.0)))
+    lo = lambda_floor(p) - 0.5
+    for top, want in ((27.5, 2), (37.5, 4), (125.5, 11)):
+        assert count_zeros_contour(p, (lo, top, -1.0, 1.0)) == want
 
 
 def test_mathieu_reference():
@@ -373,9 +436,7 @@ def test_mathieu_reference():
     # phi(0) = 1, gamma_n = 2 ce_n(0)^2 / pi (int_0^pi ce_n^2 = pi/2)
     from scipy.special import mathieu_a, mathieu_cem
 
-    x = np.linspace(0.0, PI, 513)
-    p = validate(ProblemSpec(SampledGrid(x, 4.0 * np.cos(2.0 * x), order=3),
-                             RobinBC(0.0, 0.0)))
+    p = _mathieu(2.0)
     sd = spectral_data(p, eigenvalues(p, 20))
     n = np.arange(20)
     ref_lam = np.array([mathieu_a(k, 2.0) for k in n])
@@ -460,12 +521,7 @@ def _eig_h1():
 
 @pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump"])
 def test_robin_wronskians_bit_identical_to_functionals(request, name):
-    if name == "mathieu":
-        x = np.linspace(0.0, PI, 513)
-        p = validate(ProblemSpec(SampledGrid(x, 4.0 * np.cos(2.0 * x), order=3),
-                                 RobinBC(0.0, 0.0)))
-    else:
-        p = request.getfixturevalue(name)
+    p = _mathieu(2.0) if name == "mathieu" else request.getfixturevalue(name)
     rng = np.random.default_rng(8)
     lam = np.concatenate([rng.uniform(-50.0, 400.0, 300),
                           rng.uniform(-50.0, 400.0, 100)
