@@ -165,6 +165,17 @@ def _cmd_two_spectra(args):
     _emit("\n".join(lines) + "\n", args.output)
 
 
+def _named_parameters(fs, params):
+    """Fitted values by token: a list of coefficients for ``q<i>``, else a
+    number."""
+    out, pos = {}, 0
+    for tok, width in inverse._token_slots(fs):
+        chunk = params[pos:pos + width].tolist()
+        out[tok] = chunk if tok.startswith("q") else chunk[0]
+        pos += width
+    return out
+
+
 def _cmd_fit(args):
     template = load_problem(args.config)
     fs = inverse.load_fitspec(args.fitspec, template)
@@ -174,9 +185,7 @@ def _cmd_fit(args):
         "residual_norm": result.norm,
         "nfev": result.nfev,
         "message": result.message,
-        "parameters": {tok: val for tok, val in
-                       zip([t for t, w in inverse._token_slots(fs)
-                            for _ in range(w)], result.params.tolist())},
+        "parameters": _named_parameters(fs, result.params),
         "problem": problem_to_dict(result.problem),
     }
     _emit(json.dumps(data, indent=2) + "\n", args.output)

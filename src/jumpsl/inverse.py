@@ -17,19 +17,30 @@ known), so an ``a<i>`` unknown moves a_i while b_i is retied to keep
 a_i b_i fixed.  The optimizer is scipy's trust-region least squares over
 the forward eigenvalue map.
 
-Each residual is one eigenvalue solve; the Jacobian needs none.  At an
-iterate the lambda_n are known, and the implicit function theorem on
-Delta(lambda_n(p), p) = 0 gives
+Each residual locates the eigenvalues; the Jacobian needs no eigenvalue
+solve.  At an iterate the lambda_n and Delta'(lambda_n) are known from the
+residual, and the implicit function theorem on Delta(lambda_n(p), p) = 0
+gives
 
     dlambda_n/dp = -d_p Delta(lambda_n) / Delta'(lambda_n),
 
-with d_p Delta a central difference in p at fixed lambda_n and Delta' from
-the variational system.  The mu_n of ``two_spectra`` are the zeros of the
-Dirichlet-start Delta, and gamma_n = G(lambda_n(p), p), with G the norming
-constant of :func:`spectrum._norming_data` at any lambda, has
-dgamma_n/dp = d_p G + (d_lambda G) dlambda_n/dp, both partials central
-differences at fixed lambda.  So finite differences touch only smooth
-functions at fixed lambda, never the located roots.
+with d_p Delta a central difference in p at fixed lambda_n.  The mu_n of
+``two_spectra`` are the zeros of the Dirichlet-start Delta, and gamma_n =
+G(lambda_n(p), p), with G the norming constant of
+:func:`spectrum._norming_data` at any lambda, has dgamma_n/dp = d_p G +
+(d_lambda G) dlambda_n/dp, both partials central differences at fixed
+lambda.  So finite differences touch only smooth functions at fixed
+lambda, never the located roots.  The perturbed problems differ in
+numbers only, never in where their cells and jumps lie, so they
+propagate as stacks: one walk for the Delta (and gamma) rows, one for
+the mu rows, and one more of each where moving a ``q<i>`` slope turns a
+constant cell into a stepped one.
+
+The first residual of a fit scans for the roots.  Later residuals start
+from the first-order prediction lambda_n(x_J) + (dlambda_n/dp)(x - x_J)
+of the last Jacobian at x_J: an oscillation-index sweep near the
+predictions recovers the scan's own brackets, or the locator falls back
+to the scan, so a prediction never changes a root's bits.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from .problem import (
     ValidatedProblem,
     validate,
 )
-from .spectrum import _norming_data, delta_batch, eigenvalues, load_csv
+from .spectrum import _locate, _norming_data, _stacked, load_csv
 
 __all__ = [
     "FitSpec",
@@ -241,17 +252,25 @@ def unpack_parameters(fs: FitSpec, params) -> ValidatedProblem:
                                 jumps=tuple(jumps)))
 
 
-def _forward_targets(fs: FitSpec, problem):
-    n = len(fs.targets_lambda)
-    sd = eigenvalues(problem, n, verify=False, cpm_density=fs.cpm_density)
-    lams = sd.lambdas
+def _spectrum(problem, count, left, fs, predicted):
+    """The lowest ``count`` roots of the left="spec" or "dirichlet" Delta,
+    with Delta' at them."""
+    roots, droots, _ = _locate(problem, count, left, fs.cpm_density, predicted)
+    return roots[:count], droots[:count]
+
+
+def _forward_targets(fs: FitSpec, problem, *predicted):
+    """(lams, gams, mus): the lambda_n and the mu_n of ``two_spectra``, each
+    as a (roots, Delta' there) pair, and the gamma_n of ``full_spectral``.
+    ``predicted`` holds predicted lambda_n (and mu_n) to warm-start the
+    root locator."""
+    guess = list(predicted) or [None, None]
+    lams = _spectrum(problem, len(fs.targets_lambda), "spec", fs, guess[0])
     gams = mus = None
     if fs.mode == "full_spectral":
-        gams, _ = _norming_data(problem, lams, fs.cpm_density)
+        gams, _ = _norming_data(problem, lams[0], fs.cpm_density)
     elif fs.mode == "two_spectra":
-        sd2 = eigenvalues(problem, len(fs.targets_mu), verify=False,
-                          left="dirichlet", cpm_density=fs.cpm_density)
-        mus = sd2.lambdas
+        mus = _spectrum(problem, len(fs.targets_mu), "dirichlet", fs, guess[1])
     return lams, gams, mus
 
 
@@ -273,20 +292,23 @@ def residuals(fs: FitSpec, params, _forward=None):
     A forward solve that fails (invalid parameters, missed eigenvalues,
     a nonpositive norm) yields a vector of FLAG_RESIDUAL entries so the
     optimizer backs away instead of crashing.  :func:`fit` passes a dict
-    as ``_forward`` to receive the eigenvalues (lams, mus; left as they
-    are when flagged) that its Jacobian starts from.
+    as ``_forward``: its "predicted" entry, a tuple of predicted roots per
+    spectrum, warm-starts the root locator, and the dict receives the
+    (roots, Delta') pairs (lams, mus; left as they are when flagged) that
+    the Jacobian starts from.
     """
     targets, scales = _targets(fs)
     flagged = np.full(scales.size, FLAG_RESIDUAL)
+    predicted = () if _forward is None else _forward.get("predicted", ())
     try:
         problem = unpack_parameters(fs, params)
-        lams, gams, mus = _forward_targets(fs, problem)
+        lams, gams, mus = _forward_targets(fs, problem, *predicted)
     except JumpSLError:
         # invalid candidate (sign flips, missed roots, nonpositive norms):
         # flag it so the optimizer retreats instead of aborting the fit
         return flagged
-    model = np.concatenate([v for v in (lams, gams, mus) if v is not None])
-    res = (model - targets) / scales
+    model = [lams[0], gams, None if mus is None else mus[0]]
+    res = (np.concatenate([v for v in model if v is not None]) - targets) / scales
     if not np.all(np.isfinite(res)):
         return flagged
     if _forward is not None:
@@ -297,42 +319,43 @@ def residuals(fs: FitSpec, params, _forward=None):
 def _jacobian(fs: FitSpec, params, lams, mus):
     """d residuals / d params from the forward data at ``params``, by the
     implicit function theorem (see the module docstring): no eigenvalue
-    solve, only propagations at the known lambda_n and mu_n.  Zero when
-    a perturbed problem is invalid, so the solver stops instead of
-    crashing; ``fit`` never asks it at a flagged residual."""
+    solve, and Delta' at the roots comes with ``lams`` and ``mus``, the
+    (roots, Delta') pairs of :func:`residuals`.  The perturbed problems
+    (and, for gamma_n, the problem at lambda_n -+ dl) share one stacked
+    propagation per kind of row.  Zero when a perturbed problem is
+    invalid, so the solver stops instead of crashing; ``fit`` never asks
+    it at a flagged residual."""
     _, scales = _targets(fs)
     jac = np.zeros((scales.size, params.size))
     dens = fs.cpm_density
     steps = _FD_STEP * np.maximum(1.0, np.abs(params))
     try:
-        problem = unpack_parameters(fs, params)
-        pairs = [(unpack_parameters(fs, params + e),
-                  unpack_parameters(fs, params - e)) for e in np.diag(steps)]
+        # rows: params + steps_j for each j, then params - steps_j
+        shifted = [unpack_parameters(fs, params + sign * e)
+                   for sign in (1.0, -1.0) for e in np.diag(steps)]
 
-        def d_param(f):
-            """Central differences of f(problem) in each parameter."""
-            return np.column_stack([f(pp) - f(pm) for pp, pm in pairs]) \
-                / (2.0 * steps)
+        def d_param(rows):
+            """Central differences in each parameter, one column each."""
+            return (rows[:params.size] - rows[params.size:]).T / (2.0 * steps)
 
-        def root_rows(lam, left):
-            _, dd = delta_batch(problem, lam, derivative=True, left=left,
-                                cpm_density=dens)
-            dp = d_param(lambda p: delta_batch(p, lam, left=left,
-                                               cpm_density=dens))
-            return -dp / dd[:, None]
+        def root_rows(roots, values):
+            return -d_param(values) / roots[1][:, None]
 
-        rows = [root_rows(lams, "spec")]
+        lam = np.tile(lams[0], (len(shifted), 1))
         if fs.mode == "full_spectral":
-            def gamma(p, lam):
-                return _norming_data(p, lam, dens)[0]
-
-            dl = _FD_STEP * np.maximum(1.0, np.abs(lams))
-            g_lam = (gamma(problem, lams + dl) - gamma(problem, lams - dl)) \
-                / (2.0 * dl)
-            rows.append(d_param(lambda p: gamma(p, lams))
-                        + g_lam[:, None] * rows[0])
-        elif fs.mode == "two_spectra":
-            rows.append(root_rows(mus, "dirichlet"))
+            problem = unpack_parameters(fs, params)
+            dl = _FD_STEP * np.maximum(1.0, np.abs(lams[0]))
+            delta, gamma = _stacked(shifted + [problem] * 2,
+                                    np.vstack([lam, lams[0] + dl, lams[0] - dl]),
+                                    "spec", dens, norm=True)
+            rows = [root_rows(lams, delta[:-2])]
+            g_lam = (gamma[-2] - gamma[-1]) / (2.0 * dl)
+            rows.append(d_param(gamma[:-2]) + g_lam[:, None] * rows[0])
+        else:
+            rows = [root_rows(lams, _stacked(shifted, lam, "spec", dens))]
+        if fs.mode == "two_spectra":
+            rows.append(root_rows(mus, _stacked(
+                shifted, np.tile(mus[0], (len(shifted), 1)), "dirichlet", dens)))
     except JumpSLError:
         return jac
     return np.vstack(rows) / scales[:, None]
@@ -369,26 +392,42 @@ def _bounds_arrays(fs: FitSpec):
 def fit(fs: FitSpec, initial_guess=None, raise_on_failure=False) -> FitResult:
     """Trust-region least-squares fit of the unknowns to the targets.
 
-    Each function evaluation is one call of :func:`residuals`, i.e. one
-    eigenvalue solve, and ``max_iter`` caps their number.  The Jacobian
-    comes from the implicit function theorem (see the module docstring):
-    it reuses the eigenvalues of the residual at the same x, which the
-    solver has always just evaluated, and costs only propagations at
-    fixed lambda.
+    Each function evaluation is one call of :func:`residuals`, and
+    ``max_iter`` caps their number; after the first, each starts its root
+    search from the last Jacobian's prediction.  The Jacobian comes from
+    the implicit function theorem: it reuses the eigenvalues and Delta' of
+    the residual at the same x, which the solver has always just
+    evaluated, and costs one or two stacked propagations at fixed lambda.
+    Both are described in the module docstring.
     """
     # imported here: scipy.optimize is most of the cost of ``import jumpsl``
     from scipy.optimize import OptimizeResult, least_squares
 
+    lo, hi = _bounds_arrays(fs)
     if initial_guess is None:
         x0 = pack_parameters(fs)
     else:
         x0 = np.asarray(initial_guess, dtype=float)
-    lo, hi = _bounds_arrays(fs)
+        if x0.shape != lo.shape:
+            raise MismatchError(f"initial guess has shape {x0.shape}, expected "
+                                f"{lo.size} entries")
     x0 = np.clip(x0, lo, hi)
-    last = {}
+    _, scales = _targets(fs)
+    last, lin = {}, {}
+
+    def predict(x):
+        """Each spectrum's roots at x, to first order from the last Jacobian."""
+        if not lin:
+            return ()
+        out, pos = [], 0
+        for roots, _ in lin["spectra"]:
+            rows = slice(pos, pos + roots.size)
+            out.append(roots + (lin["jac"][rows] * scales[rows, None]) @ (x - lin["x"]))
+            pos += roots.size
+        return tuple(out)
 
     def fun(x):
-        last.update(x=x.copy(), lams=None, mus=None)
+        last.update(x=x.copy(), lams=None, mus=None, predicted=predict(x))
         last["res"] = residuals(fs, x, _forward=last)
         return last["res"]
 
@@ -397,7 +436,9 @@ def fit(fs: FitSpec, initial_guess=None, raise_on_failure=False) -> FitResult:
             fun(x)
         if last["lams"] is None:  # a flagged start: J is asked only at accepted x
             raise NonconvergenceError("the forward solve failed at the initial guess")
-        return _jacobian(fs, x, last["lams"], last["mus"])
+        lin.update(x=last["x"], jac=_jacobian(fs, x, last["lams"], last["mus"]),
+                   spectra=[v for v in (last["lams"], last["mus"]) if v is not None])
+        return lin["jac"]
 
     # a zero Jacobian makes the solver's steps 0/0; a nan step is a flagged
     # residual, so the fit runs out of evaluations, unconverged

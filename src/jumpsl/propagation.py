@@ -27,6 +27,8 @@ one-element arrays, keep the state at every step node and reach any other
 point by one partial step from the nearest node.  The arithmetic follows
 the dtype of lambda: real lambda runs in float64 and gives the real parts
 of the complex evaluation bit for bit, complex lambda stays complex.
+Problems that share one cell layout can walk together on a leading
+problem axis of lambda, each row with the bits of its own walk.
 
 The lambda-derivative of a solution is propagated through the analytic
 derivative of the step (no finite differences).
@@ -35,7 +37,7 @@ derivative of the step (no finite differences).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -162,7 +164,9 @@ def _cross_cell(piece, x0, x1, lam, state, density, nodes=None):
         n = max(32, int(math.ceil(abs(x1 - x0) * density)))
         h = (x1 - x0) / n
         xs = x0 + h * np.arange(n + 1)
-        qb, a = (v.reshape((-1,) + (1,) * lam.ndim) for v in _magnus_q(piece, xs[:-1], h))
+        # (steps,) or, for a stack of problems, (steps, problems), against lam
+        qb, a = (v.reshape(v.shape + (1,) * (lam.ndim + 1 - v.ndim))
+                 for v in _magnus_q(piece, xs[:-1], h))
         block = max(1, _BLOCK_ELEMS // max(1, lam.size))
         blocks = (zip(*_coefs(h, lam, qb[k:k + block], a[k:k + block], var))
                   for k in range(0, n, block))
@@ -220,13 +224,37 @@ def _jump_state(jump, state, inverse=False):
 # propagation over the whole interval
 # ----------------------------------------------------------------------
 
+def _stack_piece(pieces):
+    """The same cell of several problems as one Piece: q_const becomes a
+    column, or qfun returns the problems along a last axis."""
+    p = pieces[0]
+    if p.q_const is not None:
+        return replace(p, q_const=np.array([c.q_const for c in pieces])[:, None])
+    return replace(p, qfun=lambda x: np.stack([c.qfun(x) for c in pieces], axis=-1))
+
+
+def _stack_jump(jumps):
+    """The same jump of several problems, with (a, b, c) as columns."""
+    j = jumps[0]
+    return None if j is None else replace(
+        j, **{k: np.array([getattr(i, k) for i in jumps])[:, None] for k in "abc"})
+
+
 def _walk(problem, lam, state, backward, density, cells=None):
     """Carry (y, y') or (y, y', u, u') across every cell and jump.
 
-    With ``cells``, a list with one slot per cell, each slot receives the
-    cell's dense-output record.
+    ``problem`` may be a tuple of problems with one cell layout (the same
+    cells, constant cells and jump points), one per row of a 2-D ``lam``
+    and of the state: each row then takes its own problem's potential and
+    jumps, through the same elementwise operations, so it gets the bits of
+    a walk of that problem alone.  With ``cells``, a list with one slot per
+    cell, each slot receives the cell's dense-output record.
     """
-    pieces, jumps = problem.pieces, problem.jump_after_piece
+    if isinstance(problem, tuple):
+        pieces = [_stack_piece(c) for c in zip(*(p.pieces for p in problem))]
+        jumps = [_stack_jump(j) for j in zip(*(p.jump_after_piece for p in problem))]
+    else:
+        pieces, jumps = problem.pieces, problem.jump_after_piece
     for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
         piece = pieces[i]
         if backward and jumps[i] is not None:

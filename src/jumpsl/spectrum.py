@@ -8,7 +8,9 @@ system, never from finite differences.
 
 Eigenvalues are located by a sign-change scan on the real axis (the scan
 floor extends below zero), polished by a safeguarded Newton iteration in
-lambda, and optionally certified by the exact oscillation index.
+lambda, and optionally certified by the exact oscillation index.  Given
+predicted roots (a fit's residuals have them), the same brackets come
+from one index sweep near the predictions instead of the scan.
 
 Norming constants and coupling coefficients of a whole spectrum come from
 two batched propagations: the squared norm of phi is the Lagrange bracket
@@ -137,6 +139,26 @@ def _wronskian(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
+def _phi_start(problem, lam, left):
+    """phi's Cauchy data at 0 and their lambda-derivatives: those of
+    :func:`initial_state`, or (0, 1) with ``left="dirichlet"``."""
+    if left == "spec":
+        return initial_state(problem, "phi", lam)
+    if left == "dirichlet":
+        return (0.0, 1.0), (0.0, 0.0)
+    raise ValueError(f"unknown left boundary override {left!r}")
+
+
+def _delta_at(problem, lam, end, derivative=False):
+    """Delta, and with ``derivative`` Delta', from phi's end state at pi."""
+    psi, dpsi = initial_state(problem, "psi", lam)
+    delta = problem.w_end * _wronskian(end, psi)
+    if not derivative:
+        return delta
+    return delta, problem.w_end * (_wronskian(end[2:], psi)
+                                   + _wronskian(end, dpsi))
+
+
 def delta_batch(problem, lam, derivative=False, left="spec",
                 cpm_density=CPM_DENSITY):
     """Delta = w(pi) W(phi, psi) at pi over an array of lambda, and with
@@ -145,21 +167,39 @@ def delta_batch(problem, lam, derivative=False, left="spec",
     :func:`initial_state`; ``left="dirichlet"`` starts phi from (0, 1).
     Real lambda gives float64 arrays, the complex result's real parts."""
     lam = np.asarray(lam)
-    if left == "spec":
-        (y0, yp0), (du0, dup0) = initial_state(problem, "phi", lam)
-    elif left == "dirichlet":
-        (y0, yp0), (du0, dup0) = (0.0, 1.0), (0.0, 0.0)
-    else:
-        raise ValueError(f"unknown left boundary override {left!r}")
-    psi, dpsi = initial_state(problem, "psi", lam)
+    (y0, yp0), (du0, dup0) = _phi_start(problem, lam, left)
     end = propagate_endpoints_batch(
         problem, lam, y0, yp0, derivative=derivative, du0=du0, dup0=dup0,
         cpm_density=cpm_density)
-    delta = problem.w_end * _wronskian(end, psi)
-    if not derivative:
-        return delta
-    return delta, problem.w_end * (_wronskian(end[2:], psi)
-                                   + _wronskian(end, dpsi))
+    return _delta_at(problem, lam, end, derivative)
+
+
+def _stacked(problems, lam, left, cpm_density, norm=False):
+    """Delta of ``problems[r]`` at the real ``lam[r]``, and with ``norm``
+    also their gamma (from :func:`_norming_at`), as (rows, lambda) arrays.
+    The problems share their cells and jump points, as a fit's do; those
+    whose constant cells agree share one propagation.  Every row has the
+    bits of :func:`delta_batch` and :func:`_norming_data` for its problem
+    alone."""
+    lam = np.asarray(lam, dtype=float)
+    keys = [tuple(c.q_const is None for c in p.pieces) for p in problems]
+    delta, gamma = np.empty_like(lam), np.empty_like(lam)
+    for key in dict.fromkeys(keys):
+        rows = [r for r, k in enumerate(keys) if k == key]
+        stack, lr = tuple(problems[r] for r in rows), lam[rows]
+        starts = [_phi_start(p, l, left)[0] for p, l in zip(stack, lr)]
+        # each row as propagate_endpoints_batch starts it
+        state = tuple(np.array([np.zeros_like(l) + s[k] for l, s in zip(lr, starts)])
+                      for k in (0, 1))
+        if norm:     # u from zero, as _norming_data starts it
+            state += (np.zeros_like(lr), np.zeros_like(lr))
+        end = _walk(stack, lr, state, False, cpm_density)
+        for i, (r, p) in enumerate(zip(rows, stack)):
+            end_r = tuple(v[i] for v in end)
+            delta[r] = _delta_at(p, lam[r], end_r)
+            if norm:
+                gamma[r] = _norming_at(p, lam[r], end_r)[0]
+    return (delta, gamma) if norm else delta
 
 
 def char_delta(problem, lam, left="spec"):
@@ -210,18 +250,24 @@ def lambda_floor(problem):
 
 
 def _index(problem, lam, left, cpm_density):
-    """N(lambda), the number of eigenvalues below each real lambda, from the
-    Pruefer angle theta = atan2(phi, phi') at pi (Pryce 1993).  A step turns
+    """N(lambda), the number of eigenvalues below each real lambda."""
+    return _sweep(problem, lam, left, cpm_density)[0]
+
+
+def _sweep(problem, lam, left, cpm_density):
+    """N(lambda) at each real lambda, from the Pruefer angle theta =
+    atan2(phi, phi') at pi (Pryce 1993), and Delta there from the same
+    walk, with :func:`delta_batch`'s bits.  A step turns
     (s phi, a phi + h phi') rigidly through s = sqrt(w), so it counts the
     zeros of phi exactly (by a sign change if s < pi); theta passes k pi only
     upwards, and jumps keep it in [k pi, (k + 1) pi).  theta(pi) - atan2(psi,
     psi')(pi) grows with lambda and tends into (-pi, 0) as lambda -> -inf,
     except that phi's eigenparameter data (lambda - h2, h3 - lambda h1) tend
     to (-1, h1) and start theta a pi lower (Binding et al. 1993): + 1."""
-    y0, yp0 = initial_state(problem, "phi", lam)[0] if left == "spec" else (0.0, 1.0)
+    y0, yp0 = _phi_start(problem, lam, left)[0]
     cells = [None] * len(problem.pieces)
-    y, yp = _walk(problem, lam, (y0 + 0.0 * lam, yp0 + 0.0 * lam), False,
-                  cpm_density, cells)
+    y, yp = _walk(problem, lam, (np.zeros_like(lam) + y0, np.zeros_like(lam) + yp0),
+                  False, cpm_density, cells)
     zeros = 0
     for c in cells:
         ys, yps = (v.reshape(-1, lam.size) for v in (c.ys, c.yps))
@@ -238,7 +284,35 @@ def _index(problem, lam, left, cpm_density):
         + np.mod(np.arctan2(y, yp), math.pi)
     psi, _ = initial_state(problem, "psi", lam)
     shift = left == "spec" and problem.variant == "eigenparameter"
-    return np.ceil((theta - np.arctan2(*psi)) / math.pi).astype(int) + shift
+    index = np.ceil((theta - np.arctan2(*psi)) / math.pi).astype(int) + shift
+    return index, _delta_at(problem, lam, (y, yp))
+
+
+def _warm_brackets(problem, lam, predicted, left, cpm_density):
+    """The scan's first ``len(predicted)`` brackets on the grid ``lam`` from
+    one index sweep near the predicted roots, or None.
+
+    N and Delta are taken at lam[0] and at the grid points k - 1 .. k + 2
+    around each prediction's cell [k, k + 1].  The brackets stand if
+    N(lam[0]) = 0, if for each n exactly one evaluated cell has N = n and
+    n + 1 at its ends, and if Delta there passes the scan's rule (an exact
+    zero at the left end, or opposite signs).  N is exact, so no other cell
+    below these holds an eigenvalue or a sign change: they are the scan's
+    own brackets, with its (lo, hi, Delta(lo))."""
+    count = len(predicted)
+    k = np.searchsorted(lam, predicted) - 1
+    idx = np.unique(np.clip(np.append(0, k[:, None] + np.arange(-1, 3)),
+                            0, lam.size - 1))
+    index, vals = _sweep(problem, lam[idx], left, cpm_density)
+    cell = np.flatnonzero((np.diff(idx) == 1) & (np.diff(index) == 1)
+                          & (index[:-1] < count))
+    if index[0] != 0 or not np.array_equal(index[cell], np.arange(count)):
+        return None
+    v0, v1 = vals[cell], vals[cell + 1]
+    if not np.all((v0 == 0.0) | (np.sign(v0) * np.sign(v1) < 0.0)):
+        return None
+    lo = idx[cell]
+    return lam[lo], lam[np.where(v0 == 0.0, lo, lo + 1)], v0
 
 
 def _polish_roots(fdf, lo, hi, flo):
@@ -276,6 +350,46 @@ def _polish_roots(fdf, lo, hi, flo):
     raise ToleranceError(f"{todo.size} root(s) unconverged after 64 Newton steps")
 
 
+def _locate(problem, count, left, cpm_density, predicted=None):
+    """Zeros of Delta on the real axis, polished, with Delta' at them, and
+    the scan grid's range (floor, top).
+
+    The grid runs from below :func:`lambda_floor` past the asymptotic
+    guess of root count + 1.  The brackets come from its sign changes, all
+    of them, or, given ``count`` predicted roots, from
+    :func:`_warm_brackets`, which finds the first ``count`` of the same
+    brackets with no scan and falls back to it; the same brackets give
+    the same bits.  MissedEigenvalueError if fewer than ``count`` roots
+    are found."""
+    guesses = eigenvalue_guesses(
+        problem, count + 2,
+        trig="cos" if left == "dirichlet" else "sin")
+    rho_max = guesses[-1] + 0.75
+    floor = lambda_floor(problem)
+    s = np.concatenate([np.arange(-math.sqrt(-floor) - 0.05, 0.0, 0.05),
+                        np.arange(0.0, rho_max + 0.02, 0.02)])
+    lam = s * np.abs(s)          # s = sign(lambda) sqrt|lambda|
+    brackets = None if predicted is None else \
+        _warm_brackets(problem, lam, predicted, left, cpm_density)
+    if brackets is None:
+        vals = delta_batch(problem, lam, left=left, cpm_density=cpm_density)
+        # signs, not products: |Delta| passes 1e154 at deep floors; an exact
+        # zero of Delta on the grid is its own bracket, not a sign change
+        lo = np.flatnonzero((vals[:-1] == 0.0)
+                            | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0))
+        brackets = lam[lo], lam[np.where(vals[lo] == 0.0, lo, lo + 1)], vals[lo]
+    roots, droots = _polish_roots(
+        lambda x: delta_batch(problem, x, derivative=True, left=left,
+                              cpm_density=cpm_density), *brackets)
+    if len(roots) < count:
+        raise MissedEigenvalueError(
+            f"found only {len(roots)} of {count} requested eigenvalues")
+    # simplicity check: nonzero derivative at every root
+    if np.any(droots[:count] == 0.0):
+        raise ToleranceError("vanishing Delta derivative at a located root")
+    return roots, droots, (floor, lam[-1])
+
+
 def eigenvalues(problem, count, verify=True, left="spec",
                 cpm_density=CPM_DENSITY) -> SpectralData:
     """The lowest ``count`` eigenvalues, bracketed and Newton-polished.
@@ -285,36 +399,13 @@ def eigenvalues(problem, count, verify=True, left="spec",
     last one, or MissedEigenvalueError names the interval that disagrees."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    guesses = eigenvalue_guesses(
-        problem, count + 2,
-        trig="cos" if left == "dirichlet" else "sin")
-    rho_max = guesses[-1] + 0.75
-    floor = lambda_floor(problem)
-    s = np.concatenate([np.arange(-math.sqrt(-floor) - 0.05, 0.0, 0.05),
-                        np.arange(0.0, rho_max + 0.02, 0.02)])
-    lam = s * np.abs(s)          # s = sign(lambda) sqrt|lambda|
-    vals = delta_batch(problem, lam, left=left, cpm_density=cpm_density)
-    # signs, not products: |Delta| passes 1e154 at deep floors; an exact
-    # zero of Delta on the grid is its own bracket, not a sign change
-    lo = np.flatnonzero((vals[:-1] == 0.0)
-                        | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0))
-    hi = np.where(vals[lo] == 0.0, lo, lo + 1)
-    roots, droots = _polish_roots(
-        lambda x: delta_batch(problem, x, derivative=True, left=left,
-                              cpm_density=cpm_density), lam[lo], lam[hi], vals[lo])
-    if len(roots) < count:
-        raise MissedEigenvalueError(
-            f"found only {len(roots)} of {count} requested eigenvalues")
+    roots, _, (floor, top) = _locate(problem, count, left, cpm_density)
     lams = roots[:count]
-
-    # simplicity check: nonzero derivative at every root
-    if np.any(droots[:count] == 0.0):
-        raise ToleranceError("vanishing Delta derivative at a located root")
 
     certification = "bracketed"
     if verify:
         # the floor, between roots, and short of the next root or the top
-        edges = np.append(roots, lam[-1])[:count + 1]
+        edges = np.append(roots, top)[:count + 1]
         pts = np.concatenate([[floor], 0.5 * (edges[1:] + edges[:-1])])
         index = _index(problem, pts, left, cpm_density)
         bad = np.flatnonzero(index != np.arange(count + 1))
@@ -392,11 +483,17 @@ def _norming_data(problem, lams, cpm_density):
     """(gamma, beta) arrays at real eigenvalues from one batched forward
     propagation (see :func:`spectral_data`)."""
     lam = np.asarray(lams, dtype=float)
-    bc = problem.boundary
     (y0, yp0), _ = initial_state(problem, "phi", lam)
-    y, yp, u, up = propagate_endpoints_batch(
+    end = propagate_endpoints_batch(
         problem, lam, y0, yp0, derivative=True, du0=0.0, dup0=0.0,
         cpm_density=cpm_density)
+    return _norming_at(problem, lam, end)
+
+
+def _norming_at(problem, lam, end):
+    """(gamma, beta) from phi and its companion u (started from zero) at pi."""
+    y, yp, u, up = end
+    bc = problem.boundary
     norm2 = problem.w_end * (u * yp - y * up)
     if problem.variant == "eigenparameter":
         # phi's data give R1(phi) = r1 at every lambda, so the left term
@@ -512,7 +609,8 @@ def export_json(sd: SpectralData, path):
 
 def load_csv(path) -> SpectralData:
     """Read a table written by :func:`export_csv`; ConfigParseError, naming
-    the file, if it is empty or a row lacks or garbles a required field."""
+    the file, if it is empty, a row lacks or garbles a required field, or
+    the indices n do not run 0, 1, 2, ..."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     variant = "robin"
@@ -531,7 +629,8 @@ def load_csv(path) -> SpectralData:
                 beta=float(fields["beta"]) if fields.get("beta") else None,
                 certification=fields.get("certification", "bracketed"),
             ))
+        # a gap in n is a ValueError of the constructor
+        return SpectralData(records=tuple(records), fingerprint="", variant=variant)
     except (IndexError, KeyError, ValueError) as exc:
         raise ConfigParseError(f"{path}: malformed spectrum CSV "
                                f"({type(exc).__name__}: {exc})") from exc
-    return SpectralData(records=tuple(records), fingerprint="", variant=variant)

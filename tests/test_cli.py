@@ -196,3 +196,36 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["eigs", str(bad), "--count", "2"]) == 1
     assert "ConfigParseError" in capsys.readouterr().err
     assert main(["no-such-subcommand"]) == 1
+
+
+def test_fit_cmd_lists_potential_coefficients(tmp_path):
+    # a q<i> token frees every coefficient of its piece; the report keeps them all
+    from jumpsl import (PiecewisePolynomial, ProblemSpec, RobinBC, eigenvalues,
+                        export_csv, validate)
+    truth = validate(ProblemSpec(
+        PiecewisePolynomial(coefficients=((0.25, -0.1, 0.2, 0.0),
+                                          (0.1, 0.3, -0.2, 0.08)),
+                            breakpoints=(PI / 2,)),
+        RobinBC(0.2, -0.4)))
+    cfg, targets = tmp_path / "half.json", tmp_path / "targets.csv"
+    save_problem(truth, cfg)
+    export_csv(eigenvalues(truth, 12, verify=False), targets)
+    fitspec = tmp_path / "fit.json"
+    fitspec.write_text(json.dumps({"mode": "half_inverse", "unknowns": ["H", "q1"],
+                                   "targets_file": str(targets)}))
+    out = tmp_path / "report.json"
+    assert main(["fit", str(cfg), str(fitspec), "-o", str(out)]) == 0
+    params = json.loads(out.read_text())["parameters"]
+    assert params["H"] == pytest.approx(-0.4, abs=1e-8)
+    assert params["q1"] == pytest.approx([0.1, 0.3, -0.2, 0.08], abs=1e-6)
+
+
+def test_fit_targets_with_index_gap(tmp_path, one_jump_cfg, capsys):
+    targets = tmp_path / "targets.csv"
+    targets.write_text("n,lambda,rho,gamma\n0,0,0,0.3\n2,4,2,0.6\n")
+    fitspec = tmp_path / "fit.json"
+    fitspec.write_text(json.dumps({"mode": "full_spectral", "unknowns": ["c0"],
+                                   "targets_file": str(targets)}))
+    assert main(["fit", one_jump_cfg, str(fitspec)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigParseError" in err and str(targets) in err

@@ -20,6 +20,7 @@ from jumpsl import (
     RobinBC,
     ValidationError,
     constant_potential,
+    delta_batch,
     eigenvalues,
     export_csv,
     fit,
@@ -32,6 +33,7 @@ from jumpsl import (
 )
 import jumpsl
 from jumpsl import inverse
+from jumpsl import spectrum as inverse_spectrum
 from jumpsl.inverse import FLAG_RESIDUAL
 
 PI = math.pi
@@ -267,9 +269,9 @@ def test_fit_jacobian_needs_no_eigenvalue_solve(monkeypatch, one_jump, mode):
                      targets_mu=tuple(eigenvalues(one_jump, 10,
                                                   left="dirichlet").lambdas))
     calls = []
-    solve = inverse.eigenvalues
-    monkeypatch.setattr(inverse, "eigenvalues",
-                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    locate = inverse._locate
+    monkeypatch.setattr(inverse, "_locate",
+                        lambda *a, **k: calls.append(1) or locate(*a, **k))
     x = pack_parameters(fs)
     result = fit(fs, initial_guess=x + 0.1 * np.cos(np.arange(x.size)))
     assert result.converged
@@ -314,3 +316,106 @@ def test_import_leaves_optimizer_unloaded():
          "import sys, jumpsl, jumpsl.cli; print('scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_fit_checks_initial_guess_length(one_jump):
+    fs = _full_spec(one_jump, 6, unknowns=("h", "H", "c0"))
+    for guess in ([0.3], [0.3, 0.3], [0.3] * 4, 0.3):
+        with pytest.raises(MismatchError, match="expected 3"):
+            fit(fs, initial_guess=guess)
+
+
+def _shifted(fs, x):
+    """The Jacobian's perturbed problems at x, and x's own problem."""
+    steps = inverse._FD_STEP * np.maximum(1.0, np.abs(x))
+    return ([unpack_parameters(fs, x + sign * e)
+             for sign in (1.0, -1.0) for e in np.diag(steps)],
+            unpack_parameters(fs, x))
+
+
+@pytest.mark.parametrize("case", ["jump_mixed_q", "eigenparameter"])
+def test_stacked_rows_bit_identical_to_single_problems(monkeypatch, case):
+    if case == "jump_mixed_q":
+        # q0 = 0.5 + 0 t is constant; moving its slope makes it linear, so
+        # the rows need two cell layouts
+        p = validate(ProblemSpec(
+            PiecewisePolynomial(coefficients=((0.5, 0.0), (0.1, 0.3, -0.2)),
+                                breakpoints=(PI / 2,)),
+            RobinBC(0.3, -0.2), (JumpCondition(1.0, 2.0, 0.5, 0.4),)))
+        fs = FitSpec(mode="full_spectral", template=p,
+                     unknowns=("h", "H", "a0", "c0", "q0"),
+                     targets_lambda=(1.0,), targets_gamma=(0.5,))
+        lefts, layouts = ("spec", "dirichlet"), 2
+    else:
+        fs, _ = _jacobian_case("eigenparameter")
+        lefts, layouts = ("spec",), 1
+    x = pack_parameters(fs)
+    x[:-1] += 0.01      # the last slot, q0's slope, stays 0 at x
+    shifted, base = _shifted(fs, x)
+    problems = shifted + [base] * 2
+    lam = np.linspace(-3.0, 150.0, 25) + 0.1 * np.arange(len(problems))[:, None]
+    walks = []
+    walk = inverse_spectrum._walk
+    monkeypatch.setattr(inverse_spectrum, "_walk",
+                        lambda *a, **k: walks.append(a[0]) or walk(*a, **k))
+    for left in lefts:
+        walks.clear()
+        delta, gamma = inverse_spectrum._stacked(problems, lam, left, 96, norm=True)
+        assert len(walks) == layouts and all(isinstance(w, tuple) for w in walks)
+        for p_r, l_r, d_r, g_r in zip(problems, lam, delta, gamma):
+            assert np.array_equal(d_r, delta_batch(p_r, l_r, left=left, cpm_density=96))
+            if left == "spec":
+                assert np.array_equal(
+                    g_r, inverse_spectrum._norming_data(p_r, l_r, 96)[0])
+        assert np.array_equal(
+            inverse_spectrum._stacked(problems, lam, left, 96), delta)
+
+
+@pytest.mark.parametrize("name", ["robin_jump", "eigenparameter",
+                                  "two_spectra", "half_inverse"])
+def test_jacobian_propagates_stacks_only(monkeypatch, name):
+    # at most two propagations, each over a stack of problems: Delta' at
+    # the roots comes from the residual, not from a walk of the base problem
+    fs, x = _jacobian_case(name)
+    fwd = {}
+    residuals(fs, x, _forward=fwd)
+    walks, batches = [], []
+    walk, batch = inverse_spectrum._walk, inverse_spectrum.propagate_endpoints_batch
+    monkeypatch.setattr(inverse_spectrum, "_walk",
+                        lambda *a, **k: walks.append(a[0]) or walk(*a, **k))
+    monkeypatch.setattr(inverse_spectrum, "propagate_endpoints_batch",
+                        lambda *a, **k: batches.append(1) or batch(*a, **k))
+    jac = inverse._jacobian(fs, x, fwd["lams"], fwd["mus"])
+    assert np.all(np.isfinite(jac)) and np.any(jac != 0.0)
+    assert 1 <= len(walks) <= 2 and not batches
+    assert all(isinstance(w, tuple) and len(w) >= 2 * x.size for w in walks)
+
+
+def test_fit_warm_start_changes_no_bit(monkeypatch):
+    # the benchmark's half-inverse fit, with and without warm brackets
+    p = validate(ProblemSpec(
+        PiecewisePolynomial(coefficients=((0.25, -0.1, 0.2, 0.0),
+                                          (0.1, 0.3, -0.2, 0.08)),
+                            breakpoints=(PI / 2,)),
+        RobinBC(0.2, -0.4)))
+    fs = FitSpec(mode="half_inverse", template=p, unknowns=("H", "q1"),
+                 targets_lambda=tuple(eigenvalues(p, 40, verify=False,
+                                                  cpm_density=96).lambdas),
+                 tol=1e-12, cpm_density=96)
+    start = pack_parameters(fs) + np.random.default_rng(3).uniform(-0.05, 0.05, 5)
+    stood = []
+    warm = inverse_spectrum._warm_brackets
+
+    def spy(*args):
+        out = warm(*args)
+        stood.append(out is not None)
+        return out
+
+    monkeypatch.setattr(inverse_spectrum, "_warm_brackets", spy)
+    on = fit(fs, initial_guess=start)
+    assert on.converged and stood and all(stood)
+    monkeypatch.setattr(inverse_spectrum, "_warm_brackets", lambda *a: None)
+    off = fit(fs, initial_guess=start)
+    assert np.array_equal(on.params, off.params)
+    assert np.array_equal(on.residual, off.residual)
+    assert on.nfev == off.nfev

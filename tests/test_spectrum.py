@@ -559,3 +559,87 @@ def test_eigenparameter_h1_derivative_identity():
 def test_delta_batch_unknown_left(generic):
     with pytest.raises(ValueError):
         delta_batch(generic, np.array([1.0]), left="chi")
+
+
+def _shift_cells(lams, cells):
+    """Move each lambda by ``cells`` cells of the scan grid: steps of 0.05
+    in -sqrt(-lambda) below zero and of 0.02 in sqrt(lambda) above."""
+    s = np.sign(lams) * np.sqrt(np.abs(lams))
+    s = s + cells * np.where(s < 0.0, 0.05, 0.02)
+    return s * np.abs(s)
+
+
+@pytest.fixture
+def warm_stood(monkeypatch):
+    """Per warm-bracket attempt: True if its brackets stood, False if the
+    locator fell back to the scan."""
+    stood = []
+    warm = spectrum._warm_brackets
+
+    def spy(*args):
+        out = warm(*args)
+        stood.append(out is not None)
+        return out
+
+    monkeypatch.setattr(spectrum, "_warm_brackets", spy)
+    return stood
+
+
+def _assert_same_roots(got, scan, count):
+    assert np.array_equal(got[0][:count], scan[0][:count])
+    assert np.array_equal(got[1][:count], scan[1][:count])
+    assert got[2] == scan[2]
+
+
+@pytest.mark.parametrize("left", ["spec", "dirichlet"])
+@pytest.mark.parametrize("name", ["free", "one_jump", "generic", "two_jump",
+                                  "three_jump", "four_jump", "eig_desk", "cubic"])
+def test_warm_brackets_give_the_scan_roots(request, warm_stood, name, left):
+    # exact predictions and predictions one cell off; roots that sit on grid
+    # points (free, one_jump) may fall back, with the same result
+    p = request.getfixturevalue(name)
+    scan = spectrum._locate(p, 30, left, 96)
+    for cells in (0, -1, 1):
+        got = spectrum._locate(p, 30, left, 96, _shift_cells(scan[0][:30], cells))
+        _assert_same_roots(got, scan, 30)
+    if name not in ("free", "one_jump"):
+        assert warm_stood == [True] * 3
+
+
+def test_warm_brackets_one_jump_grid_roots(one_jump, warm_stood):
+    # lambda_n = n^2 lies on the scan grid (sqrt(lambda) = n on a 0.02 step)
+    scan = spectrum._locate(one_jump, 40, "spec", 160)
+    assert np.allclose(scan[0][:40], np.arange(40) ** 2, rtol=0, atol=1e-9)
+    got = spectrum._locate(one_jump, 40, "spec", 160, scan[0][:40])
+    _assert_same_roots(got, scan, 40)
+
+
+@pytest.mark.parametrize("name", ["four_jump", "cubic"])
+def test_warm_brackets_far_prediction_falls_back(request, warm_stood, name):
+    p = request.getfixturevalue(name)
+    scan = spectrum._locate(p, 30, "spec", 96)
+    got = spectrum._locate(p, 30, "spec", 96, _shift_cells(scan[0][:30], 10))
+    assert warm_stood == [False]
+    _assert_same_roots(got, scan, 30)
+
+
+def test_warm_brackets_close_pair_falls_back(warm_stood):
+    # the ground pair (about 1.196 and 1.202) shares one grid cell, so the
+    # index jumps by 2 there: the scan's answer, which misses the pair,
+    # comes back unchanged, from the scan's own roots or from the true pair
+    p = _barrier(80.0)
+    scan = spectrum._locate(p, 8, "spec", 160)
+    assert scan[0][0] == pytest.approx(10.7309, abs=1e-4)
+    for predicted in (scan[0][:8], np.concatenate([[1.197, 1.201], scan[0][:6]])):
+        _assert_same_roots(spectrum._locate(p, 8, "spec", 160, predicted), scan, 8)
+    assert warm_stood == [False, False]
+    with pytest.raises(MissedEigenvalueError, match="found only 4 of 8"):
+        spectrum._locate(_barrier(120.0), 8, "spec", 160, np.arange(8.0) ** 2)
+
+
+def test_sweep_delta_matches_delta_batch(cubic):
+    lam = np.linspace(-30.0, 400.0, 77)
+    for left in ("spec", "dirichlet"):
+        index, delta = spectrum._sweep(cubic, lam, left, 96)
+        assert np.array_equal(index, spectrum._index(cubic, lam, left, 96))
+        assert np.array_equal(delta, delta_batch(cubic, lam, left=left, cpm_density=96))
