@@ -169,9 +169,9 @@ def _named_parameters(fs, params):
     """Fitted values by token: a list of coefficients for ``q<i>``, else a
     number."""
     out, pos = {}, 0
-    for tok, width in inverse._token_slots(fs):
+    for tok, kind, _, width in inverse._token_slots(fs):
         chunk = params[pos:pos + width].tolist()
-        out[tok] = chunk if tok.startswith("q") else chunk[0]
+        out[tok] = chunk if kind == "q" else chunk[0]
         pos += width
     return out
 

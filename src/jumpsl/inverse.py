@@ -14,8 +14,10 @@ Three modes:
 
 The weight function w is never a free parameter (uniqueness needs it
 known), so an ``a<i>`` unknown moves a_i while b_i is retied to keep
-a_i b_i fixed.  The optimizer is scipy's trust-region least squares over
-the forward eigenvalue map.
+a_i b_i fixed.  Each unknown token is parsed and checked in one place,
+:func:`_token_slots`, into a (token, kind, index, width) slot that
+packing, unpacking, the bounds and the CLI report read.  The optimizer
+is scipy's trust-region least squares over the forward eigenvalue map.
 
 Each residual locates the eigenvalues; the Jacobian needs no eigenvalue
 solve.  At an iterate the lambda_n and Delta'(lambda_n) are known from the
@@ -101,7 +103,12 @@ class FitSpec:
     Unknown tokens: boundary constants (``h``/``H`` or ``h1``..``H3``),
     ``c<i>`` and ``a<i>`` for jump i (0-based; ``b`` retied to preserve
     the weight), and ``q<i>`` for all polynomial coefficients of
-    potential piece i.
+    potential piece i.  ``bounds`` maps unknowns to (lo, hi) with lo < hi
+    (infinite ends allowed; a ``q<i>`` bound holds for each coefficient),
+    ``max_iter``, an integer >= 1, caps the residual evaluations, ``tol``
+    (finite, at least machine epsilon) is the solver's xtol and ftol, and
+    ``cpm_density`` >= 1 sets the propagation steps per unit length.
+    ValidationError names a token or setting outside these rules.
     """
 
     mode: str
@@ -136,64 +143,67 @@ def _validate_fitspec(fs: FitSpec):
                                 "gamma target lists")
     if fs.mode == "two_spectra" and not fs.targets_mu:
         raise MismatchError("two_spectra needs a secondary target list")
-    seen = set()
-    for tok in fs.unknowns:
-        if tok in seen:
-            raise ValidationError(f"duplicate unknown token {tok!r}")
-        seen.add(tok)
-        _check_token(fs, tok)
-
-
-def _check_token(fs: FitSpec, tok):
-    p = fs.template
-    if tok in ("w", "d") or _re.match(r"^[bdw]\d+$", tok):
-        raise ValidationError(
-            f"{tok!r} may not be freed: the weight function and jump "
-            f"locations are known data of the inverse problem")
-    if tok in _ROBIN_TOKENS or tok in _EIG_TOKENS:
-        if tok in _ROBIN_TOKENS and p.variant != "robin":
-            raise ValidationError(f"token {tok!r} needs a Robin problem")
-        if tok in _EIG_TOKENS and p.variant != "eigenparameter":
-            raise ValidationError(f"token {tok!r} needs an eigenparameter "
-                                  f"problem")
-        if fs.mode == "half_inverse" and tok in ("h", "h1", "h2", "h3"):
-            raise ValidationError("half_inverse keeps the left boundary "
-                                  "data fixed")
-        return
-    m = _INDEXED.match(tok)
-    if not m:
-        raise ValidationError(f"unrecognized unknown token {tok!r}")
-    kind, idx = m.group(1), int(m.group(2))
-    if kind in ("a", "c"):
-        if idx >= len(p.jumps):
-            raise ValidationError(f"jump index {idx} out of range")
-        if fs.mode == "half_inverse" and p.jumps[idx].d <= PI / 2:
-            raise ValidationError("half_inverse keeps jumps at or left of "
-                                  "pi/2 fixed")
-        return
-    pot = p.potential
-    if not isinstance(pot, PiecewisePolynomial):
-        raise ValidationError("q unknowns require a piecewise polynomial "
-                              "potential")
-    if idx >= len(pot.coefficients):
-        raise ValidationError(f"potential piece index {idx} out of range")
-    if fs.mode == "half_inverse":
-        edges = pot.edges
-        if edges[idx] < PI / 2 - 1e-12:
-            raise ValidationError("half_inverse may free the potential only "
-                                  "on pieces inside (pi/2, pi]")
+    # scipy counts evaluations up to max_nfev exactly: 2.5 would never stop
+    if not (float(fs.max_iter).is_integer() and fs.max_iter >= 1):
+        raise ValidationError(f"max_iter must be an integer >= 1, got "
+                              f"{fs.max_iter}")
+    eps = np.finfo(float).eps
+    if not (math.isfinite(fs.tol) and fs.tol >= eps):
+        raise ValidationError(f"tol must be finite and at least machine "
+                              f"epsilon ({eps:.3g}), got {fs.tol}")
+    if fs.cpm_density < 1:
+        raise ValidationError(f"cpm_density must be at least 1, got "
+                              f"{fs.cpm_density}")
+    _bounds_arrays(fs)      # checks the unknowns, then their bounds
 
 
 def _token_slots(fs: FitSpec):
-    """(token, width) for each unknown; q tokens span all coefficients."""
+    """Each unknown, parsed and checked against the template and mode once,
+    as (token, kind, index, width): kind "bc" for a boundary constant
+    (index None), else "a", "c" or "q" with the jump or potential piece
+    index; a ``q`` token spans all coefficients of its piece."""
+    p, half = fs.template, fs.mode == "half_inverse"
     slots = []
     for tok in fs.unknowns:
+        if tok in (s[0] for s in slots):
+            raise ValidationError(f"duplicate unknown token {tok!r}")
+        if tok in ("w", "d") or _re.match(r"^[bdw]\d+$", tok):
+            raise ValidationError(
+                f"{tok!r} may not be freed: the weight function and jump "
+                f"locations are known data of the inverse problem")
+        if tok in _ROBIN_TOKENS or tok in _EIG_TOKENS:
+            if tok in _ROBIN_TOKENS and p.variant != "robin":
+                raise ValidationError(f"token {tok!r} needs a Robin problem")
+            if tok in _EIG_TOKENS and p.variant != "eigenparameter":
+                raise ValidationError(f"token {tok!r} needs an eigenparameter "
+                                      f"problem")
+            if half and tok in ("h", "h1", "h2", "h3"):
+                raise ValidationError("half_inverse keeps the left boundary "
+                                      "data fixed")
+            slots.append((tok, "bc", None, 1))
+            continue
         m = _INDEXED.match(tok)
-        if m and m.group(1) == "q":
-            width = len(fs.template.potential.coefficients[int(m.group(2))])
-        else:
-            width = 1
-        slots.append((tok, width))
+        if not m:
+            raise ValidationError(f"unrecognized unknown token {tok!r}")
+        kind, idx = m.group(1), int(m.group(2))
+        if kind in ("a", "c"):
+            if idx >= len(p.jumps):
+                raise ValidationError(f"jump index {idx} out of range")
+            if half and p.jumps[idx].d <= PI / 2:
+                raise ValidationError("half_inverse keeps jumps at or left of "
+                                      "pi/2 fixed")
+            slots.append((tok, kind, idx, 1))
+            continue
+        pot = p.potential
+        if not isinstance(pot, PiecewisePolynomial):
+            raise ValidationError("q unknowns require a piecewise polynomial "
+                                  "potential")
+        if idx >= len(pot.coefficients):
+            raise ValidationError(f"potential piece index {idx} out of range")
+        if half and pot.edges[idx] < PI / 2 - 1e-12:
+            raise ValidationError("half_inverse may free the potential only "
+                                  "on pieces inside (pi/2, pi]")
+        slots.append((tok, kind, idx, len(pot.coefficients[idx])))
     return slots
 
 
@@ -201,23 +211,21 @@ def pack_parameters(fs: FitSpec, problem=None):
     """Flatten the unknown parameters of ``problem`` (default: template)."""
     p = problem if problem is not None else fs.template
     out = []
-    for tok, _ in _token_slots(fs):
-        m = _INDEXED.match(tok)
-        if m is None:
+    for tok, kind, i, _ in _token_slots(fs):
+        if kind == "q":
+            out.extend(p.potential.coefficients[i])
+        elif kind == "bc":
             out.append(getattr(p.boundary, tok))
-        elif m.group(1) == "a":
-            out.append(p.jumps[int(m.group(2))].a)
-        elif m.group(1) == "c":
-            out.append(p.jumps[int(m.group(2))].c)
         else:
-            out.extend(p.potential.coefficients[int(m.group(2))])
+            out.append(getattr(p.jumps[i], kind))
     return np.array(out, dtype=float)
 
 
 def unpack_parameters(fs: FitSpec, params) -> ValidatedProblem:
     """Rebuild a validated problem with the unknowns replaced by params."""
     params = np.asarray(params, dtype=float)
-    expected = sum(w for _, w in _token_slots(fs))
+    slots = _token_slots(fs)
+    expected = sum(s[3] for s in slots)
     if len(params) != expected:
         raise MismatchError(f"parameter vector has {len(params)} entries, "
                             f"expected {expected}")
@@ -226,24 +234,20 @@ def unpack_parameters(fs: FitSpec, params) -> ValidatedProblem:
     jumps = list(p.jumps)
     pot = p.potential
     pos = 0
-    for tok, width in _token_slots(fs):
+    for tok, kind, i, width in slots:
         chunk = params[pos:pos + width]
         pos += width
-        m = _INDEXED.match(tok)
-        if m is None:
+        if kind == "bc":
             bc = replace(bc, **{tok: float(chunk[0])})
-        elif m.group(1) == "a":
-            i = int(m.group(2))
+        elif kind == "a":
             j = jumps[i]
             a_new = float(chunk[0])
             if a_new == 0.0:
                 raise JumpSignError("jump coefficient a may not vanish")
             jumps[i] = replace(j, a=a_new, b=(j.a * j.b) / a_new)
-        elif m.group(1) == "c":
-            i = int(m.group(2))
+        elif kind == "c":
             jumps[i] = replace(jumps[i], c=float(chunk[0]))
         else:
-            i = int(m.group(2))
             coeffs = [list(c) for c in pot.coefficients]
             coeffs[i] = [float(v) for v in chunk]
             pot = PiecewisePolynomial(coefficients=coeffs,
@@ -252,25 +256,21 @@ def unpack_parameters(fs: FitSpec, params) -> ValidatedProblem:
                                 jumps=tuple(jumps)))
 
 
-def _spectrum(problem, count, left, fs, predicted):
-    """The lowest ``count`` roots of the left="spec" or "dirichlet" Delta,
-    with Delta' at them."""
-    roots, droots, _ = _locate(problem, count, left, fs.cpm_density, predicted)
-    return roots[:count], droots[:count]
-
-
 def _forward_targets(fs: FitSpec, problem, *predicted):
     """(lams, gams, mus): the lambda_n and the mu_n of ``two_spectra``, each
     as a (roots, Delta' there) pair, and the gamma_n of ``full_spectral``.
     ``predicted`` holds predicted lambda_n (and mu_n) to warm-start the
     root locator."""
     guess = list(predicted) or [None, None]
-    lams = _spectrum(problem, len(fs.targets_lambda), "spec", fs, guess[0])
-    gams = mus = None
+    n = len(fs.targets_lambda)
+    roots, droots, _ = _locate(problem, n, "spec", fs.cpm_density, guess[0])
+    lams, gams, mus = (roots[:n], droots[:n]), None, None
     if fs.mode == "full_spectral":
         gams, _ = _norming_data(problem, lams[0], fs.cpm_density)
     elif fs.mode == "two_spectra":
-        mus = _spectrum(problem, len(fs.targets_mu), "dirichlet", fs, guess[1])
+        n = len(fs.targets_mu)
+        roots, droots, _ = _locate(problem, n, "dirichlet", fs.cpm_density, guess[1])
+        mus = roots[:n], droots[:n]
     return lams, gams, mus
 
 
@@ -375,16 +375,22 @@ class FitResult:
 
 
 def _bounds_arrays(fs: FitSpec):
+    """(lo, hi) per parameter.  ValidationError for a bound on a token that
+    is not an unknown, or one without lo < hi (a nan end has none)."""
     slots = _token_slots(fs)
-    total = sum(w for _, w in slots)
-    lo = np.full(total, -np.inf)
-    hi = np.full(total, np.inf)
+    stray = set(fs.bounds) - {s[0] for s in slots}
+    if stray:
+        raise ValidationError(f"bounds name tokens that are not unknowns: "
+                              f"{sorted(stray, key=str)}")
+    lo = np.full(sum(s[3] for s in slots), -np.inf)
+    hi = np.full(lo.size, np.inf)
     pos = 0
-    for tok, width in slots:
+    for tok, _, _, width in slots:
         if tok in fs.bounds:
-            b = fs.bounds[tok]
-            lo[pos:pos + width] = b[0]
-            hi[pos:pos + width] = b[1]
+            lo[pos:pos + width], hi[pos:pos + width] = fs.bounds[tok]
+            if not np.all(lo[pos:pos + width] < hi[pos:pos + width]):
+                raise ValidationError(f"bound on {tok!r} needs lo < hi and no "
+                                      f"nan end, got {tuple(fs.bounds[tok])}")
         pos += width
     return lo, hi
 
@@ -473,9 +479,9 @@ def fit(fs: FitSpec, initial_guess=None, raise_on_failure=False) -> FitResult:
 def load_fitspec(path, template: ValidatedProblem) -> FitSpec:
     """Read a fit definition from JSON.
 
-    Keys: mode, unknowns, bounds, targets_file (one path, or a pair
-    [primary, secondary] for two_spectra), max_iter, tol.  Target files
-    use the spectrum CSV format.
+    Keys: mode, unknowns (a list of tokens), bounds, targets_file (one
+    path, or a pair [primary, secondary] for two_spectra), max_iter, tol,
+    cpm_density.  Target files use the spectrum CSV format.
     """
     try:
         with open(path) as fh:
@@ -484,7 +490,9 @@ def load_fitspec(path, template: ValidatedProblem) -> FitSpec:
         raise ConfigParseError(f"cannot read fit spec {path}: {exc}")
     try:
         mode = data["mode"]
-        unknowns = tuple(data["unknowns"])
+        unknowns = data["unknowns"]
+        if not (isinstance(unknowns, list) and all(isinstance(t, str) for t in unknowns)):
+            raise TypeError(f"unknowns must be a list of tokens, got {unknowns!r}")
         targets_file = data["targets_file"]
         kwargs = {
             "bounds": {k: (float(lo), float(hi))

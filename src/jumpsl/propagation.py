@@ -17,18 +17,19 @@ q taken from ``Piece.q_const``.  Other cells take ``CPM_DENSITY`` (or
 ``cpm_density``) equal steps per unit length, at least 32, and converge as
 h^4.
 
-Everything broadcasts over arrays of lambda; the batch entry point
-:func:`propagate_endpoints_batch` is what the spectrum module builds its
-characteristic-function scans on.  Each cell builds its step matrices for
-a block of steps times all lambdas (about ``_BLOCK_ELEMS`` entries) in one
-numpy call and applies them by multiply-adds, with the expressions of a
-single step, so blocking changes no bit.  Dense solutions run this loop on
-one-element arrays, keep the state at every step node and reach any other
-point by one partial step from the nearest node.  The arithmetic follows
-the dtype of lambda: real lambda runs in float64 and gives the real parts
-of the complex evaluation bit for bit, complex lambda stays complex.
-Problems that share one cell layout can walk together on a leading
-problem axis of lambda, each row with the bits of its own walk.
+Everything broadcasts over arrays of lambda, and every walk across
+[0, pi] goes through one entry point, :func:`propagate_endpoints_batch`:
+the spectrum module's scans, index sweeps and stacked Jacobian walks, and
+the dense solutions.  Each cell builds its step matrices for a block of
+steps times all lambdas (about ``_BLOCK_ELEMS`` entries) in one numpy call
+and applies them by multiply-adds, with the expressions of a single step,
+so blocking changes no bit.  Dense solutions walk one-element arrays, keep
+the state at every step node and reach any other point by one partial
+step from the nearest node.  The arithmetic follows the dtype of lambda:
+real lambda runs in float64 and gives the real parts of the complex
+evaluation bit for bit, complex lambda stays complex.  Problems that
+share one cell layout can walk together on a leading problem axis of
+lambda, each row with the bits of its own walk.
 
 The lambda-derivative of a solution is propagated through the analytic
 derivative of the step (no finite differences).
@@ -221,55 +222,6 @@ def _jump_state(jump, state, inverse=False):
 
 
 # ----------------------------------------------------------------------
-# propagation over the whole interval
-# ----------------------------------------------------------------------
-
-def _stack_piece(pieces):
-    """The same cell of several problems as one Piece: q_const becomes a
-    column, or qfun returns the problems along a last axis."""
-    p = pieces[0]
-    if p.q_const is not None:
-        return replace(p, q_const=np.array([c.q_const for c in pieces])[:, None])
-    return replace(p, qfun=lambda x: np.stack([c.qfun(x) for c in pieces], axis=-1))
-
-
-def _stack_jump(jumps):
-    """The same jump of several problems, with (a, b, c) as columns."""
-    j = jumps[0]
-    return None if j is None else replace(
-        j, **{k: np.array([getattr(i, k) for i in jumps])[:, None] for k in "abc"})
-
-
-def _walk(problem, lam, state, backward, density, cells=None):
-    """Carry (y, y') or (y, y', u, u') across every cell and jump.
-
-    ``problem`` may be a tuple of problems with one cell layout (the same
-    cells, constant cells and jump points), one per row of a 2-D ``lam``
-    and of the state: each row then takes its own problem's potential and
-    jumps, through the same elementwise operations, so it gets the bits of
-    a walk of that problem alone.  With ``cells``, a list with one slot per
-    cell, each slot receives the cell's dense-output record.
-    """
-    if isinstance(problem, tuple):
-        pieces = [_stack_piece(c) for c in zip(*(p.pieces for p in problem))]
-        jumps = [_stack_jump(j) for j in zip(*(p.jump_after_piece for p in problem))]
-    else:
-        pieces, jumps = problem.pieces, problem.jump_after_piece
-    for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
-        piece = pieces[i]
-        if backward and jumps[i] is not None:
-            state = _jump_state(jumps[i], state, inverse=True)
-        x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
-        nodes = None if cells is None else [state]
-        h, xs, state = _cross_cell(piece, x0, x1, lam, state, density, nodes)
-        if cells is not None:
-            cells[i] = _PieceSol(piece, xs, h, nodes)
-        if not backward and jumps[i] is not None:
-            state = _jump_state(jumps[i], state)
-    return state
-
-
-# ----------------------------------------------------------------------
 # single-interval propagation (public contract)
 # ----------------------------------------------------------------------
 
@@ -407,8 +359,8 @@ def fundamental_solution(problem, kind, sp):
     piece_sols = [None] * len(problem.pieces)
     backward = kind == "psi"
     # one-element arrays take the batch path's arithmetic, bit for bit
-    end = _walk(problem, np.array([sp.lam]), tuple(np.array([v]) for v in start),
-                backward, CPM_DENSITY, piece_sols)
+    end = propagate_endpoints_batch(problem, np.array([sp.lam]), *start,
+                                    backward=backward, cells=piece_sols)
     end = (complex(end[0][0]), complex(end[1][0]))
     state0, state_pi = (end, start) if backward else (start, end)
     return PiecewiseSolution(problem, sp, piece_sols, state0, state_pi)
@@ -428,12 +380,28 @@ def modified_wronskian(problem, u, v, x, side="+"):
 
 
 # ----------------------------------------------------------------------
-# batch propagation over lambda arrays (no dense output)
+# propagation over the whole interval
 # ----------------------------------------------------------------------
+
+def _stack_piece(pieces):
+    """The same cell of several problems as one Piece: q_const becomes a
+    column, or qfun returns the problems along a last axis."""
+    p = pieces[0]
+    if p.q_const is not None:
+        return replace(p, q_const=np.array([c.q_const for c in pieces])[:, None])
+    return replace(p, qfun=lambda x: np.stack([c.qfun(x) for c in pieces], axis=-1))
+
+
+def _stack_jump(jumps):
+    """The same jump of several problems, with (a, b, c) as columns."""
+    j = jumps[0]
+    return None if j is None else replace(
+        j, **{k: np.array([getattr(i, k) for i in jumps])[:, None] for k in "abc"})
+
 
 def propagate_endpoints_batch(problem, lam, y0, yp0, derivative=False,
                               backward=False, du0=None, dup0=None,
-                              cpm_density=CPM_DENSITY):
+                              cpm_density=CPM_DENSITY, cells=None):
     """Propagate Cauchy data for a whole array of lambda at once.
 
     Uses the same Gauss-Magnus steps as the dense solutions: constant cells
@@ -442,7 +410,14 @@ def propagate_endpoints_batch(problem, lam, y0, yp0, derivative=False,
     function of lambda (what root polishing and the inverse iteration
     need).  Returns the (y, y') arrays at the far endpoint, plus the
     variational (u, u') arrays, started from (du0, dup0) or zero, when
-    ``derivative`` is set.
+    ``derivative`` is set.  Each start value broadcasts against ``lam``.
+
+    ``problem`` may be a tuple of problems with one cell layout (the same
+    cells, constant cells and jump points), one per row of a 2-D ``lam``:
+    each row then takes its own problem's potential and jumps, through the
+    same elementwise operations, so it gets the bits of a walk of that
+    problem alone.  With ``cells``, a list with one slot per cell, each
+    slot receives the cell's dense-output record.
     """
     lam = np.asarray(lam, dtype=complex if np.iscomplexobj(lam) else float)
 
@@ -452,4 +427,20 @@ def propagate_endpoints_batch(problem, lam, y0, yp0, derivative=False,
     state = (start(y0), start(yp0))
     if derivative:
         state += (start(du0), start(dup0))
-    return _walk(problem, lam, state, backward, cpm_density)
+    if isinstance(problem, tuple):
+        pieces = [_stack_piece(c) for c in zip(*(p.pieces for p in problem))]
+        jumps = [_stack_jump(j) for j in zip(*(p.jump_after_piece for p in problem))]
+    else:
+        pieces, jumps = problem.pieces, problem.jump_after_piece
+    for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
+        piece = pieces[i]
+        if backward and jumps[i] is not None:
+            state = _jump_state(jumps[i], state, inverse=True)
+        x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
+        nodes = None if cells is None else [state]
+        h, xs, state = _cross_cell(piece, x0, x1, lam, state, cpm_density, nodes)
+        if cells is not None:
+            cells[i] = _PieceSol(piece, xs, h, nodes)
+        if not backward and jumps[i] is not None:
+            state = _jump_state(jumps[i], state)
+    return state

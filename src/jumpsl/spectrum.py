@@ -52,7 +52,6 @@ from .propagation import (
     SpectralPoint,
     _magnus_q,
     _psi_at_zero,
-    _walk,
     fundamental_solution,
     initial_state,
     modified_wronskian,
@@ -188,12 +187,10 @@ def _stacked(problems, lam, left, cpm_density, norm=False):
         rows = [r for r, k in enumerate(keys) if k == key]
         stack, lr = tuple(problems[r] for r in rows), lam[rows]
         starts = [_phi_start(p, l, left)[0] for p, l in zip(stack, lr)]
-        # each row as propagate_endpoints_batch starts it
-        state = tuple(np.array([np.zeros_like(l) + s[k] for l, s in zip(lr, starts)])
-                      for k in (0, 1))
-        if norm:     # u from zero, as _norming_data starts it
-            state += (np.zeros_like(lr), np.zeros_like(lr))
-        end = _walk(stack, lr, state, False, cpm_density)
+        # one start per row: a scalar becomes a column, an array a row
+        y0, yp0 = (np.reshape([s[k] for s in starts], (len(rows), -1)) for k in (0, 1))
+        end = propagate_endpoints_batch(stack, lr, y0, yp0, derivative=norm,
+                                        cpm_density=cpm_density)
         for i, (r, p) in enumerate(zip(rows, stack)):
             end_r = tuple(v[i] for v in end)
             delta[r] = _delta_at(p, lam[r], end_r)
@@ -266,8 +263,8 @@ def _sweep(problem, lam, left, cpm_density):
     to (-1, h1) and start theta a pi lower (Binding et al. 1993): + 1."""
     y0, yp0 = _phi_start(problem, lam, left)[0]
     cells = [None] * len(problem.pieces)
-    y, yp = _walk(problem, lam, (np.zeros_like(lam) + y0, np.zeros_like(lam) + yp0),
-                  False, cpm_density, cells)
+    y, yp = propagate_endpoints_batch(problem, lam, y0, yp0, cpm_density=cpm_density,
+                                      cells=cells)
     zeros = 0
     for c in cells:
         ys, yps = (v.reshape(-1, lam.size) for v in (c.ys, c.yps))

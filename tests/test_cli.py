@@ -172,8 +172,8 @@ def test_eigs_malformed_config_value(tmp_path, one_jump_cfg, section, key,
 
 @pytest.mark.parametrize("extra", [
     {"max_iter": "many"}, {"tol": "small"}, {"cpm_density": "x"},
-    {"bounds": {"h": 3}}, {"unknowns": 5},
-], ids=["max_iter", "tol", "cpm_density", "bounds", "unknowns"])
+    {"bounds": {"h": 3}}, {"unknowns": 5}, {"unknowns": "c0"},
+], ids=["max_iter", "tol", "cpm_density", "bounds", "unknowns", "unknowns_string"])
 def test_fit_malformed_spec_value(tmp_path, one_jump, one_jump_cfg, extra,
                                   capsys):
     from jumpsl import eigenvalues, export_csv, spectral_data
@@ -187,6 +187,25 @@ def test_fit_malformed_spec_value(tmp_path, one_jump, one_jump_cfg, extra,
     assert main(["fit", one_jump_cfg, str(fitspec)]) == 1
     err = capsys.readouterr().err
     assert "ConfigParseError" in err and str(fitspec) in err
+
+
+@pytest.mark.parametrize("extra", [
+    {"bounds": {"c0": [1.0, 0.5]}}, {"tol": 0}, {"max_iter": 0},
+], ids=["bounds", "tol", "max_iter"])
+def test_fit_rejects_unusable_setting(tmp_path, one_jump, one_jump_cfg, extra,
+                                      capsys):
+    # each reached scipy as a bare ValueError, which escaped main
+    from jumpsl import eigenvalues, export_csv, spectral_data
+    targets = tmp_path / "targets.csv"
+    export_csv(spectral_data(one_jump, eigenvalues(one_jump, 4, verify=False)),
+               targets)
+    fitspec = tmp_path / "fit.json"
+    fitspec.write_text(json.dumps({
+        "mode": "full_spectral", "unknowns": ["c0"],
+        "targets_file": str(targets), **extra}))
+    assert main(["fit", one_jump_cfg, str(fitspec)]) == 1
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "Traceback" not in err
 
 
 def test_exit_codes(tmp_path, capsys):

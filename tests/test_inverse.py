@@ -111,6 +111,22 @@ def test_validation_rejections(free, one_jump, generic):
     with pytest.raises(ValidationError):   # jump index out of range
         FitSpec(mode="full_spectral", template=one_jump, unknowns=("c3",),
                 targets_lambda=lam, targets_gamma=gam)
+    # a bound on a token that is not an unknown, with lo >= hi, or a nan end
+    for bounds in ({"HH": (0.0, 1.0)}, {"h": (1.0, 0.5)}, {"h": (0.7, 0.7)},
+                   {"h": (math.nan, 1.0)}, {"H": (0.0, math.nan)}):
+        with pytest.raises(ValidationError):
+            FitSpec(mode="full_spectral", template=one_jump, unknowns=("h", "H"),
+                    targets_lambda=lam, targets_gamma=gam, bounds=bounds)
+    for setting in ({"max_iter": 0}, {"max_iter": 2.5}, {"tol": 0.0}, {"tol": 1e-20},
+                    {"tol": math.inf}, {"tol": math.nan},
+                    {"cpm_density": 0}, {"cpm_density": -5}):
+        with pytest.raises(ValidationError):
+            FitSpec(mode="full_spectral", template=one_jump, unknowns=("h",),
+                    targets_lambda=lam, targets_gamma=gam, **setting)
+    # infinite ends stay allowed
+    FitSpec(mode="full_spectral", template=one_jump, unknowns=("h", "H"),
+            targets_lambda=lam, targets_gamma=gam,
+            bounds={"h": (-math.inf, 0.5), "H": (-1.0, math.inf)})
 
 
 def test_pack_unpack_round_trip(generic):
@@ -119,7 +135,7 @@ def test_pack_unpack_round_trip(generic):
                  targets_lambda=(1.0,), targets_gamma=(0.5,))
     x = pack_parameters(fs)
     rebuilt = unpack_parameters(fs, x)
-    assert np.allclose(pack_parameters(fs, rebuilt), x)
+    assert np.array_equal(pack_parameters(fs, rebuilt), x)
     # a-token moves a but keeps the weight a*b fixed
     x2 = x.copy()
     ia = 2  # slot order: h, H, a0, c0, q0...
@@ -131,6 +147,30 @@ def test_pack_unpack_round_trip(generic):
     assert np.allclose(moved.weights, generic.weights)
     with pytest.raises(MismatchError):
         unpack_parameters(fs, x[:-1])
+    # a multi-coefficient q<i> beside a boundary token
+    half = validate(ProblemSpec(
+        PiecewisePolynomial(coefficients=((0.25, -0.1, 0.2, 0.0),
+                                          (0.1, 0.3, -0.2, 0.08)),
+                            breakpoints=(PI / 2,)),
+        RobinBC(0.2, -0.4)))
+    fs = FitSpec(mode="half_inverse", template=half, unknowns=("H", "q1"),
+                 targets_lambda=(1.0,))
+    x = pack_parameters(fs)
+    assert np.array_equal(x, [-0.4, 0.1, 0.3, -0.2, 0.08])
+    assert np.array_equal(pack_parameters(fs, unpack_parameters(fs, x)), x)
+    moved = unpack_parameters(fs, x + 0.01)
+    assert np.array_equal(pack_parameters(fs, moved), x + 0.01)
+    assert moved.potential.coefficients[0] == half.potential.coefficients[0]
+
+
+@pytest.mark.parametrize("start", [(0.3, 0.05), (0.8, 0.05)],
+                         ids=["inside", "outside"])
+def test_fit_ends_on_bound(one_jump, start):
+    # the true h = 0 lies below the bound (0.1, 0.5), so the fit stops on
+    # it; a start outside the bounds is clipped into them first
+    fs = _full_spec(one_jump, 8, unknowns=("h", "H"), bounds={"h": (0.1, 0.5)})
+    result = fit(fs, initial_guess=np.array(start))
+    assert 0.1 <= result.params[0] <= 0.1 + 1e-12
 
 
 def test_flag_residual_on_invalid_candidate(generic):
@@ -355,8 +395,8 @@ def test_stacked_rows_bit_identical_to_single_problems(monkeypatch, case):
     problems = shifted + [base] * 2
     lam = np.linspace(-3.0, 150.0, 25) + 0.1 * np.arange(len(problems))[:, None]
     walks = []
-    walk = inverse_spectrum._walk
-    monkeypatch.setattr(inverse_spectrum, "_walk",
+    walk = inverse_spectrum.propagate_endpoints_batch
+    monkeypatch.setattr(inverse_spectrum, "propagate_endpoints_batch",
                         lambda *a, **k: walks.append(a[0]) or walk(*a, **k))
     for left in lefts:
         walks.clear()
@@ -379,15 +419,13 @@ def test_jacobian_propagates_stacks_only(monkeypatch, name):
     fs, x = _jacobian_case(name)
     fwd = {}
     residuals(fs, x, _forward=fwd)
-    walks, batches = [], []
-    walk, batch = inverse_spectrum._walk, inverse_spectrum.propagate_endpoints_batch
-    monkeypatch.setattr(inverse_spectrum, "_walk",
-                        lambda *a, **k: walks.append(a[0]) or walk(*a, **k))
+    walks = []
+    walk = inverse_spectrum.propagate_endpoints_batch
     monkeypatch.setattr(inverse_spectrum, "propagate_endpoints_batch",
-                        lambda *a, **k: batches.append(1) or batch(*a, **k))
+                        lambda *a, **k: walks.append(a[0]) or walk(*a, **k))
     jac = inverse._jacobian(fs, x, fwd["lams"], fwd["mus"])
     assert np.all(np.isfinite(jac)) and np.any(jac != 0.0)
-    assert 1 <= len(walks) <= 2 and not batches
+    assert 1 <= len(walks) <= 2
     assert all(isinstance(w, tuple) and len(w) >= 2 * x.size for w in walks)
 
 
