@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re as _re
 from dataclasses import dataclass, field, replace
 
@@ -106,9 +107,9 @@ class FitSpec:
     potential piece i.  ``bounds`` maps unknowns to (lo, hi) with lo < hi
     (infinite ends allowed; a ``q<i>`` bound holds for each coefficient),
     ``max_iter``, an integer >= 1, caps the residual evaluations, ``tol``
-    (finite, at least machine epsilon) is the solver's xtol and ftol, and
-    ``cpm_density`` >= 1 sets the propagation steps per unit length.
-    ValidationError names a token or setting outside these rules.
+    (finite, at least machine epsilon) is the solver's xtol and ftol,
+    ``cpm_density`` >= 1 sets the steps per unit length, and the targets
+    are finite reals.  ValidationError names what breaks these rules.
     """
 
     mode: str
@@ -123,10 +124,8 @@ class FitSpec:
     cpm_density: int = 96
 
     def __post_init__(self):
-        object.__setattr__(self, "unknowns", tuple(self.unknowns))
-        object.__setattr__(self, "targets_lambda", tuple(self.targets_lambda))
-        object.__setattr__(self, "targets_gamma", tuple(self.targets_gamma))
-        object.__setattr__(self, "targets_mu", tuple(self.targets_mu))
+        for name in ("unknowns", "targets_lambda", "targets_gamma", "targets_mu"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         _validate_fitspec(self)
 
 
@@ -143,18 +142,23 @@ def _validate_fitspec(fs: FitSpec):
                                 "gamma target lists")
     if fs.mode == "two_spectra" and not fs.targets_mu:
         raise MismatchError("two_spectra needs a secondary target list")
-    # scipy counts evaluations up to max_nfev exactly: 2.5 would never stop
-    if not (float(fs.max_iter).is_integer() and fs.max_iter >= 1):
-        raise ValidationError(f"max_iter must be an integer >= 1, got "
-                              f"{fs.max_iter}")
+    for name in ("targets_lambda", "targets_gamma", "targets_mu"):
+        if not all(map(_finite, getattr(fs, name))):
+            raise ValidationError(f"{name} must hold finite real numbers")
     eps = np.finfo(float).eps
-    if not (math.isfinite(fs.tol) and fs.tol >= eps):
-        raise ValidationError(f"tol must be finite and at least machine "
-                              f"epsilon ({eps:.3g}), got {fs.tol}")
-    if fs.cpm_density < 1:
-        raise ValidationError(f"cpm_density must be at least 1, got "
-                              f"{fs.cpm_density}")
+    # scipy counts evaluations up to max_nfev exactly: 2.5 would never stop
+    for name, ok, rule in (
+            ("max_iter", lambda v: float(v).is_integer() and v >= 1, "an integer >= 1"),
+            ("tol", lambda v: v >= eps, f"at least machine epsilon ({eps:.3g})"),
+            ("cpm_density", lambda v: v >= 1, "at least 1")):
+        if not (_finite(v := getattr(fs, name)) and ok(v)):
+            raise ValidationError(f"{name} must be finite and {rule}, got {v!r}")
     _bounds_arrays(fs)      # checks the unknowns, then their bounds
+
+
+def _finite(v):
+    """True for a finite real number; False for a string, None or complex."""
+    return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
 def _token_slots(fs: FitSpec):
@@ -165,6 +169,8 @@ def _token_slots(fs: FitSpec):
     p, half = fs.template, fs.mode == "half_inverse"
     slots = []
     for tok in fs.unknowns:
+        if not isinstance(tok, str):
+            raise ValidationError(f"unknowns are token strings, got {tok!r}")
         if tok in (s[0] for s in slots):
             raise ValidationError(f"duplicate unknown token {tok!r}")
         if tok in ("w", "d") or _re.match(r"^[bdw]\d+$", tok):
@@ -387,7 +393,11 @@ def _bounds_arrays(fs: FitSpec):
     pos = 0
     for tok, _, _, width in slots:
         if tok in fs.bounds:
-            lo[pos:pos + width], hi[pos:pos + width] = fs.bounds[tok]
+            try:
+                lo[pos:pos + width], hi[pos:pos + width] = fs.bounds[tok]
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"bound on {tok!r} must be a pair (lo, hi), "
+                                      f"got {fs.bounds[tok]!r}") from exc
             if not np.all(lo[pos:pos + width] < hi[pos:pos + width]):
                 raise ValidationError(f"bound on {tok!r} needs lo < hi and no "
                                       f"nan end, got {tuple(fs.bounds[tok])}")

@@ -17,19 +17,17 @@ q taken from ``Piece.q_const``.  Other cells take ``CPM_DENSITY`` (or
 ``cpm_density``) equal steps per unit length, at least 32, and converge as
 h^4.
 
-Everything broadcasts over arrays of lambda, and every walk across
-[0, pi] goes through one entry point, :func:`propagate_endpoints_batch`:
-the spectrum module's scans, index sweeps and stacked Jacobian walks, and
-the dense solutions.  Each cell builds its step matrices for a block of
-steps times all lambdas (about ``_BLOCK_ELEMS`` entries) in one numpy call
-and applies them by multiply-adds, with the expressions of a single step,
-so blocking changes no bit.  Dense solutions walk one-element arrays, keep
-the state at every step node and reach any other point by one partial
-step from the nearest node.  The arithmetic follows the dtype of lambda:
-real lambda runs in float64 and gives the real parts of the complex
-evaluation bit for bit, complex lambda stays complex.  Problems that
-share one cell layout can walk together on a leading problem axis of
-lambda, each row with the bits of its own walk.
+Every walk across [0, pi] goes through :func:`propagate_endpoints_batch`:
+scans, index sweeps, stacked Jacobian walks and dense solutions.  Each cell
+builds its step matrices for a block of steps times all lambdas (about
+``_BLOCK_ELEMS`` entries) in one numpy call and applies them with the
+expressions of a single step, so blocking changes no bit; an index sweep
+counts the zeros of y in each block as the walk leaves it.  Dense
+solutions walk one-element arrays, keep every step node and reach other
+points by one partial step from the nearest node.  Real lambda runs in
+float64 with the real parts of the complex evaluation, bit for bit.
+Problems that share one cell layout walk together on a leading problem
+axis of lambda, each row with the bits of its own walk.
 
 The lambda-derivative of a solution is propagated through the analytic
 derivative of the step (no finite differences).
@@ -131,8 +129,8 @@ def _magnus_q(piece, x0, h):
 
 
 def _coefs(h, lam, qb, a, var=False):
-    """Entries t11, hS, t21, t22 of the Gauss-Magnus step matrix, and with
-    ``var`` also those of its lambda-derivative; broadcasts over all inputs."""
+    """w and the entries t11, hS, t21, t22 of the Gauss-Magnus step matrix
+    (with ``var`` also its lambda-derivative's); broadcasts over all inputs."""
     ql = qb - lam
     w = ql * (-h * h) - a * a
     C, S, D = _cs_d(w) if var else (*_cs(w), None)
@@ -144,23 +142,37 @@ def _coefs(h, lam, qb, a, var=False):
         aD, halfS = a * D, 0.5 * S
         T += [h2 * (aD - halfS), (h2 * h) * D, (h2 * h) * (ql * D) - hS,
               -h2 * (aD + halfS)]
-    return T
+    return w, T
 
 
-def _step(h, lam, qb, a, y, yp):
-    """Advance (y, y') by one Gauss-Magnus step of signed width h."""
-    t11, hS, t21, t22 = _coefs(h, lam, qb, a)
-    return t11 * y + hS * yp, t21 * y + t22 * yp
+def _zeros(h, w, a, trail):
+    """Zeros of y on the steps of one block with node states ``trail``."""
+    y, yp = (np.stack([state[k] for state in trail]) for k in (0, 1))
+    s = np.sqrt(np.maximum(w, 0.0))
+    count = (y[:-1] != 0.0) & (np.sign(y[:-1]) != np.sign(y[1:]))
+    if (wide := ~(s < math.pi)).any():
+        start, end = (np.arctan2(s * y[k], a * y[k] + h * yp[k])
+                      for k in (slice(None, -1), slice(1, None)))
+        # the end angle nearest the turn that agrees with the end state
+        end += 2.0 * math.pi * np.round((start + s - end) / (2.0 * math.pi))
+        count = np.where(wide, np.floor(end / math.pi) - np.floor(start / math.pi), count)
+    return count.sum(axis=0)
 
 
-def _cross_cell(piece, x0, x1, lam, state, density, nodes=None):
+def _cross_cell(piece, x0, x1, lam, state, density, nodes=None, zeros=None):
     """Carry (y, y') or (y, y', u, u') from x0 to x1 inside one cell, with
-    each step's state appended to ``nodes`` if given.  Returns the signed
-    step width, the step nodes and the end state."""
+    each step's state appended to ``nodes`` if given and ``zeros`` is not.
+    Returns the signed step width, the step nodes, the end state and
+    ``zeros`` plus the zeros of y on (x0, x1] at each real lambda.
+
+    A step turns (s y, a y + h y') rigidly through s = sqrt(w) (or w <= 0,
+    s = 0: one zero at most), so y has a zero on it where it changes sign
+    if s < pi, else where the angle passes a multiple of pi.  Each block of
+    steps is counted as the walk leaves it, keeping one block's states."""
     var = len(state) == 4
-    if piece.q_const is not None:
-        h, xs = x1 - x0, np.array([x0, x1])
-        blocks = [[_coefs(h, lam, piece.q_const, 0.0, var)]]
+    const = piece.q_const is not None
+    if const:
+        h, xs, blocks = x1 - x0, np.array([x0, x1]), [(piece.q_const, 0.0)]
     else:
         n = max(32, int(math.ceil(abs(x1 - x0) * density)))
         h = (x1 - x0) / n
@@ -169,11 +181,13 @@ def _cross_cell(piece, x0, x1, lam, state, density, nodes=None):
         qb, a = (v.reshape(v.shape + (1,) * (lam.ndim + 1 - v.ndim))
                  for v in _magnus_q(piece, xs[:-1], h))
         block = max(1, _BLOCK_ELEMS // max(1, lam.size))
-        blocks = (zip(*_coefs(h, lam, qb[k:k + block], a[k:k + block], var))
-                  for k in range(0, n, block))
-    # per-step matrices: one scalar step on a constant cell, else blocks
-    for rows in blocks:
-        for t11, hS, t21, t22, *dT in rows:
+        blocks = ((qb[k:k + block], a[k:k + block]) for k in range(0, n, block))
+    for qbk, ak in blocks:
+        w, T = _coefs(h, lam, qbk, ak, var)
+        # the states kept: every node for dense output, a block's to count
+        trail = nodes if zeros is None else [state]
+        # per-step matrices: one scalar step on a constant cell
+        for t11, hS, t21, t22, *dT in [T] if const else zip(*T):
             y, yp = state[0], state[1]
             nxt = (t11 * y + hS * yp, t21 * y + t22 * yp)
             if var:
@@ -182,9 +196,11 @@ def _cross_cell(piece, x0, x1, lam, state, density, nodes=None):
                 nxt += (t11 * u + hS * up + d11 * y + d12 * yp,
                         t21 * u + t22 * up + d21 * y + d22 * yp)
             state = nxt
-            if nodes is not None:
-                nodes.append(state)
-    return h, xs, state
+            if trail is not None:
+                trail.append(state)
+        if zeros is not None:
+            zeros = zeros + _zeros(h, w, ak, trail)
+    return h, xs, state, zeros
 
 
 # ----------------------------------------------------------------------
@@ -199,26 +215,19 @@ def apply_jump(jump, state, inverse=False):
     by validation).
     """
     if isinstance(state, StateVector):
-        y, yp, x = state.y, state.yp, state.x
-        yn, ypn = _jump_arrays(jump, y, yp, inverse)
-        return StateVector(yn, ypn, x)
-    y, yp = state
-    return _jump_arrays(jump, y, yp, inverse)
-
-
-def _jump_arrays(jump, y, yp, inverse=False):
-    if not inverse:
-        return jump.a * y, jump.b * yp + jump.c * y
-    y_left = y / jump.a
-    return y_left, (yp - jump.c * y_left) / jump.b
+        return StateVector(*_jump_state(jump, state[:2], inverse), state.x)
+    return _jump_state(jump, state, inverse)
 
 
 def _jump_state(jump, state, inverse=False):
-    """Jump (y, y') or (y, y', u, u'); the derivative pair maps the same way."""
-    out = _jump_arrays(jump, state[0], state[1], inverse)
-    if len(state) == 4:
-        out += _jump_arrays(jump, state[2], state[3], inverse)
-    return out
+    """Jump (y, y') or (y, y', u, u') as :func:`apply_jump` does; the
+    derivative pair maps the same way."""
+    if inverse:
+        y = state[0] / jump.a
+        out = (y, (state[1] - jump.c * y) / jump.b)
+    else:
+        out = (jump.a * state[0], jump.b * state[1] + jump.c * state[0])
+    return out + _jump_state(jump, state[2:], inverse) if len(state) == 4 else out
 
 
 # ----------------------------------------------------------------------
@@ -246,8 +255,8 @@ def propagate_interval(q, sp, state, x_from, x_to):
     y, yp = complex(state.y), complex(state.yp)
     if x_to == x_from:
         return StateVector(y, yp, x_to)
-    _, _, (y, yp) = _cross_cell(piece, x_from, x_to, np.asarray(sp.lam, dtype=complex),
-                                (y, yp), CPM_DENSITY)
+    _, _, (y, yp), _ = _cross_cell(piece, x_from, x_to, np.asarray(sp.lam, dtype=complex),
+                                   (y, yp), CPM_DENSITY)
     return StateVector(complex(y), complex(yp), x_to)
 
 
@@ -272,14 +281,15 @@ class _PieceSol:
         constant cell the step from its first node is already exact."""
         x = np.asarray(x, dtype=float)
         if self.piece.q_const is not None:
-            return _step(x - self.xs[0], lam, self.piece.q_const, 0.0,
-                         self.ys[0], self.yps[0])
-        # x lies in the cell, so (x - xs[0]) / h is in [0, n]
-        idx = ((x - self.xs[0]) / self.h + 0.5).astype(int)
-        xn = self.xs[idx]
-        h = x - xn
-        qb, a = _magnus_q(self.piece, xn, h)
-        return _step(h, lam, qb, a, self.ys[idx], self.yps[idx])
+            idx, h, qb, a = 0, x - self.xs[0], self.piece.q_const, 0.0
+        else:
+            # x lies in the cell, so (x - xs[0]) / h is in [0, n]
+            idx = ((x - self.xs[0]) / self.h + 0.5).astype(int)
+            h = x - self.xs[idx]
+            qb, a = _magnus_q(self.piece, self.xs[idx], h)
+        t11, hS, t21, t22 = _coefs(h, lam, qb, a)[1]
+        y, yp = self.ys[idx], self.yps[idx]
+        return t11 * y + hS * yp, t21 * y + t22 * yp
 
 
 class PiecewiseSolution:
@@ -310,9 +320,7 @@ class PiecewiseSolution:
         yp = np.empty(x.shape, dtype=complex)
         for i in np.unique(idx):
             sel = idx == i
-            yi, ypi = self._pieces[i].eval(x[sel], self.sp.lam)
-            y[sel] = yi
-            yp[sel] = ypi
+            y[sel], yp[sel] = self._pieces[i].eval(x[sel], self.sp.lam)
         if scalar:
             return complex(y[0]), complex(yp[0])
         return y, yp
@@ -401,7 +409,8 @@ def _stack_jump(jumps):
 
 def propagate_endpoints_batch(problem, lam, y0, yp0, derivative=False,
                               backward=False, du0=None, dup0=None,
-                              cpm_density=CPM_DENSITY, cells=None):
+                              cpm_density=CPM_DENSITY, cells=None,
+                              count_zeros=False):
     """Propagate Cauchy data for a whole array of lambda at once.
 
     Uses the same Gauss-Magnus steps as the dense solutions: constant cells
@@ -417,7 +426,8 @@ def propagate_endpoints_batch(problem, lam, y0, yp0, derivative=False,
     each row then takes its own problem's potential and jumps, through the
     same elementwise operations, so it gets the bits of a walk of that
     problem alone.  With ``cells``, a list with one slot per cell, each
-    slot receives the cell's dense-output record.
+    slot receives the cell's dense-output record; without it, ``count_zeros``
+    appends the zeros of y on (0, pi] of a forward walk of real lambda.
     """
     lam = np.asarray(lam, dtype=complex if np.iscomplexobj(lam) else float)
 
@@ -432,15 +442,16 @@ def propagate_endpoints_batch(problem, lam, y0, yp0, derivative=False,
         jumps = [_stack_jump(j) for j in zip(*(p.jump_after_piece for p in problem))]
     else:
         pieces, jumps = problem.pieces, problem.jump_after_piece
+    zeros = 0 if count_zeros and cells is None else None
     for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
         piece = pieces[i]
         if backward and jumps[i] is not None:
             state = _jump_state(jumps[i], state, inverse=True)
         x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
         nodes = None if cells is None else [state]
-        h, xs, state = _cross_cell(piece, x0, x1, lam, state, cpm_density, nodes)
+        h, xs, state, zeros = _cross_cell(piece, x0, x1, lam, state, cpm_density, nodes, zeros)
         if cells is not None:
             cells[i] = _PieceSol(piece, xs, h, nodes)
         if not backward and jumps[i] is not None:
             state = _jump_state(jumps[i], state)
-    return state
+    return state + (zeros,) if count_zeros else state

@@ -52,11 +52,9 @@ def integrate_solution(problem, sol, transform=None, rtol=1e-9):
         val = _integrate_cell(func, piece.xl, piece.xr, panels)
         for _ in range(MAX_DOUBLINGS):
             panels *= 2
-            val2 = _integrate_cell(func, piece.xl, piece.xr, panels)
-            if abs(val2 - val) <= rtol * max(1.0, abs(val2)):
-                val = val2
+            prev, val = val, _integrate_cell(func, piece.xl, piece.xr, panels)
+            if abs(val - prev) <= rtol * max(1.0, abs(val)):
                 break
-            val = val2
         else:
             raise QuadratureError(
                 f"quadrature on [{piece.xl}, {piece.xr}] did not converge to {rtol}"

@@ -50,7 +50,6 @@ from .problem import _atomic_write
 from .propagation import (
     CPM_DENSITY,
     SpectralPoint,
-    _magnus_q,
     _psi_at_zero,
     fundamental_solution,
     initial_state,
@@ -246,37 +245,18 @@ def lambda_floor(problem):
     return -(s * s)
 
 
-def _index(problem, lam, left, cpm_density):
-    """N(lambda), the number of eigenvalues below each real lambda."""
-    return _sweep(problem, lam, left, cpm_density)[0]
-
-
 def _sweep(problem, lam, left, cpm_density):
-    """N(lambda) at each real lambda, from the Pruefer angle theta =
-    atan2(phi, phi') at pi (Pryce 1993), and Delta there from the same
-    walk, with :func:`delta_batch`'s bits.  A step turns
-    (s phi, a phi + h phi') rigidly through s = sqrt(w), so it counts the
-    zeros of phi exactly (by a sign change if s < pi); theta passes k pi only
-    upwards, and jumps keep it in [k pi, (k + 1) pi).  theta(pi) - atan2(psi,
+    """N(lambda), the number of eigenvalues below each real lambda, and
+    Delta there, with :func:`delta_batch`'s bits, from one walk that counts
+    the zeros of phi exactly.  N comes from the Pruefer angle theta =
+    atan2(phi, phi') at pi (Pryce 1993): theta passes k pi only upwards,
+    and jumps keep it in [k pi, (k + 1) pi).  theta(pi) - atan2(psi,
     psi')(pi) grows with lambda and tends into (-pi, 0) as lambda -> -inf,
-    except that phi's eigenparameter data (lambda - h2, h3 - lambda h1) tend
-    to (-1, h1) and start theta a pi lower (Binding et al. 1993): + 1."""
+    except that phi's eigenparameter data (lambda - h2, h3 - lambda h1)
+    tend to (-1, h1) and start theta a pi lower (Binding et al. 1993): + 1."""
     y0, yp0 = _phi_start(problem, lam, left)[0]
-    cells = [None] * len(problem.pieces)
-    y, yp = propagate_endpoints_batch(problem, lam, y0, yp0, cpm_density=cpm_density,
-                                      cells=cells)
-    zeros = 0
-    for c in cells:
-        ys, yps = (v.reshape(-1, lam.size) for v in (c.ys, c.yps))
-        qb, a = (v[:, None] for v in _magnus_q(c.piece, c.xs[:-1], c.h))
-        s = np.sqrt(np.maximum((qb - lam) * (-c.h * c.h) - a * a, 0.0))
-        start, end = (np.arctan2(s * ys[k], a * ys[k] + c.h * yps[k])
-                      for k in (slice(None, -1), slice(1, None)))
-        # the end angle nearest the turn that agrees with the end state
-        end += 2.0 * math.pi * np.round((start + s - end) / (2.0 * math.pi))
-        flips = (ys[:-1] != 0.0) & (np.sign(ys[:-1]) != np.sign(ys[1:]))
-        zeros = zeros + np.where(s < math.pi, flips, np.floor(end / math.pi)
-                                 - np.floor(start / math.pi)).sum(axis=0)
+    y, yp, zeros = propagate_endpoints_batch(problem, lam, y0, yp0, cpm_density=cpm_density,
+                                             count_zeros=True)
     theta = math.pi * (np.floor(np.arctan2(y0, yp0) / math.pi) + zeros) \
         + np.mod(np.arctan2(y, yp), math.pi)
     psi, _ = initial_state(problem, "psi", lam)
@@ -404,7 +384,7 @@ def eigenvalues(problem, count, verify=True, left="spec",
         # the floor, between roots, and short of the next root or the top
         edges = np.append(roots, top)[:count + 1]
         pts = np.concatenate([[floor], 0.5 * (edges[1:] + edges[:-1])])
-        index = _index(problem, pts, left, cpm_density)
+        index = _sweep(problem, pts, left, cpm_density)[0]
         bad = np.flatnonzero(index != np.arange(count + 1))
         if bad.size:
             k = bad[0]

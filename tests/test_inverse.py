@@ -123,6 +123,21 @@ def test_validation_rejections(free, one_jump, generic):
         with pytest.raises(ValidationError):
             FitSpec(mode="full_spectral", template=one_jump, unknowns=("h",),
                     targets_lambda=lam, targets_gamma=gam, **setting)
+    # wrongly typed or non-finite fields
+    for field_ in ({"bounds": {"c0": 3}}, {"bounds": {"c0": (0, 1, 2)}},
+                   {"bounds": {"c0": ("lo", 1.0)}}, {"unknowns": [1]},
+                   {"tol": "1e-8"}, {"max_iter": "5"}, {"max_iter": math.inf},
+                   {"cpm_density": "96"}, {"cpm_density": math.nan},
+                   {"cpm_density": math.inf}, {"targets_lambda": (0.0, "x", 4.0)},
+                   {"targets_lambda": (0.0, math.nan, 4.0)},
+                   {"targets_gamma": (0.3, math.inf, 0.6)}):
+        with pytest.raises(ValidationError):
+            FitSpec(**{"mode": "full_spectral", "template": one_jump,
+                       "unknowns": ("c0",), "targets_lambda": lam,
+                       "targets_gamma": gam, **field_})
+    with pytest.raises(ValidationError):
+        FitSpec(mode="two_spectra", template=one_jump, unknowns=("c0",),
+                targets_lambda=lam, targets_mu=(1.0, None))
     # infinite ends stay allowed
     FitSpec(mode="full_spectral", template=one_jump, unknowns=("h", "H"),
             targets_lambda=lam, targets_gamma=gam,

@@ -261,12 +261,26 @@ def _ref_step_var(h, lam, qb, a, y, yp, u, up):
             t21 * u + t22 * up + d21 * y + d22 * yp)
 
 
+def _ref_zeros(h, lam, qb, a, before, after):
+    """Zeros of y on one step of real lambda: a sign change of y if the
+    step turns (s y, a y + h y') through s < pi, else the multiples of pi
+    that its angle passes.  The reference steps run in complex."""
+    s = np.sqrt(np.maximum((qb - lam) * (-h * h) - a * a, 0.0))
+    y0, yp0, y1, yp1 = (np.real(v) for v in before[:2] + after[:2])
+    flip = (y0 != 0.0) & (np.sign(y0) != np.sign(y1))
+    start = np.arctan2(s * y0, a * y0 + h * yp0)
+    end = np.arctan2(s * y1, a * y1 + h * yp1)
+    end = end + 2.0 * PI * np.round((start + s - end) / (2.0 * PI))
+    return np.where(s < PI, flip, np.floor(end / PI) - np.floor(start / PI))
+
+
 def _ref_walk(problem, lam, state, backward, density):
-    """One step at a time, as scalars per step; returns the end state and
-    the states at the step nodes of every cell, in propagation order."""
+    """One step at a time, as scalars per step; returns the end state, the
+    states at the step nodes of every cell, in propagation order, and for
+    real lambda the zeros of y counted step by step (else 0)."""
     step = _ref_step if len(state) == 2 else _ref_step_var
     pieces, jumps = problem.pieces, problem.jump_after_piece
-    cells = {}
+    cells, zeros = {}, 0
     for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
         piece = pieces[i]
         if backward and jumps[i] is not None:
@@ -286,11 +300,13 @@ def _ref_walk(problem, lam, state, backward, density):
         cells[i] = [state]
         for qb, a in zip(qbs, avals):
             state = step(h, lam, qb, a, *state)
+            if not np.iscomplexobj(lam):
+                zeros = zeros + _ref_zeros(h, lam, qb, a, cells[i][-1], state)
             cells[i].append(state)
         if not backward and jumps[i] is not None:
             state = sum((apply_jump(jumps[i], state[k:k + 2])
                          for k in range(0, len(state), 2)), ())
-    return state, cells
+    return state, cells, zeros
 
 
 @pytest.fixture(scope="module")
@@ -311,14 +327,33 @@ def test_blocked_batch_bit_identical_to_step_loop(name, n, request):
     for backward in (False, True):
         got = propagate_endpoints_batch(p, lam, y0, yp0, backward=backward,
                                         cpm_density=96)
-        ref, _ = _ref_walk(p, lam, (y0, yp0), backward, 96)
+        ref, _, _ = _ref_walk(p, lam, (y0, yp0), backward, 96)
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
         got = propagate_endpoints_batch(p, lam, y0, yp0, derivative=True,
                                         backward=backward, du0=du0, dup0=dup0,
                                         cpm_density=96)
-        ref, _ = _ref_walk(p, lam, (y0, yp0, du0, dup0), backward, 96)
+        ref, _, _ = _ref_walk(p, lam, (y0, yp0, du0, dup0), backward, 96)
         assert len(got) == 4
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump"])
+@pytest.mark.parametrize("n", [1, 40, 5000])
+def test_walk_zero_count_matches_step_loop(name, n, request):
+    # the walk counts each block of steps as it leaves it; n = 5000 puts
+    # one step in each block
+    p = request.getfixturevalue(name)
+    lam = np.linspace(-5.0, 900.0, n)
+    start = (1.0 + 0.0 * lam, -0.4 + 0.0 * lam, 0.3 + 0.0 * lam, -0.7 + 0.0 * lam)
+    for derivative in (False, True):
+        state = start if derivative else start[:2]
+        *got, zeros = propagate_endpoints_batch(
+            p, lam, *state[:2], derivative=derivative, du0=start[2], dup0=start[3],
+            cpm_density=96, count_zeros=True)
+        ref, _, ref_zeros = _ref_walk(p, lam, state, False, 96)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+        assert np.array_equal(zeros, ref_zeros)
+        assert n == 1 or ref_zeros[-1] >= 29      # rho = 30 at lambda = 900
 
 
 @pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump"])
@@ -329,7 +364,7 @@ def test_dense_nodes_bit_identical_to_step_loop(name, request):
     for kind in ("phi", "psi"):
         (y0, yp0), _ = initial_state(p, kind, sp.lam)
         start = (np.array([complex(y0)]), np.array([complex(yp0)]))
-        _, cells = _ref_walk(p, lam, start, kind == "psi", 160)
+        _, cells, _ = _ref_walk(p, lam, start, kind == "psi", 160)
         sol = fundamental_solution(p, kind, sp)
         for i, cell in cells.items():
             assert np.array_equal(sol._pieces[i].ys, np.concatenate([s[0] for s in cell]))

@@ -348,7 +348,7 @@ def test_index_names_missed_close_pair():
     assert sd.lambdas[0] == pytest.approx(10.7309, abs=1e-4)
     assert all(r.certification == "bracketed" for r in sd.records)
     mid = 0.5 * (sd.lambdas[0] + sd.lambdas[1])
-    assert spectrum._index(p, np.array([mid]), "spec", 160)[0] == 3
+    assert spectrum._sweep(p, np.array([mid]), "spec", 160)[0][0] == 3
     with pytest.raises(MissedEigenvalueError,
                        match=rf"counts 3 .* located 1: .* \(-6561, {mid:.10g}\)"):
         eigenvalues(p, 8)
@@ -390,7 +390,7 @@ def test_index_exact_between_roots(request, name, left):
     if name == "attractive" and left == "spec":
         assert lams[1] < 0.0
     pts = np.concatenate([[lambda_floor(p)], 0.5 * (lams[1:] + lams[:-1])])
-    assert np.array_equal(spectrum._index(p, pts, left, 160), np.arange(40))
+    assert np.array_equal(spectrum._sweep(p, pts, left, 160)[0], np.arange(40))
 
 
 @pytest.mark.parametrize("count", [1500, 3000])
@@ -640,6 +640,39 @@ def test_warm_brackets_close_pair_falls_back(warm_stood):
 def test_sweep_delta_matches_delta_batch(cubic):
     lam = np.linspace(-30.0, 400.0, 77)
     for left in ("spec", "dirichlet"):
-        index, delta = spectrum._sweep(cubic, lam, left, 96)
-        assert np.array_equal(index, spectrum._index(cubic, lam, left, 96))
+        _, delta = spectrum._sweep(cubic, lam, left, 96)
         assert np.array_equal(delta, delta_batch(cubic, lam, left=left, cpm_density=96))
+
+
+@pytest.mark.parametrize("left", ["spec", "dirichlet"])
+def test_index_angle_branch_on_stepped_cells(cubic, left):
+    # at density 1 each cell takes 32 steps; above lambda ~ 2300 a step of
+    # the wider cell turns through more than pi, so the index counts those
+    # steps' zeros from their angles, not from sign changes
+    sd = eigenvalues(cubic, 150, left=left, cpm_density=1)
+    assert len(sd) == 150 and sd[-1].certification == "index-verified"
+    lams = eigenvalues(cubic, 151, verify=False, left=left, cpm_density=1).lambdas
+    assert np.array_equal(lams[:150], sd.lambdas)
+    assert math.sqrt(lams[-1]) * (2.0 * PI / 3.0) / 32 > PI
+    pts = np.concatenate([[lambda_floor(cubic)], 0.5 * (lams[1:] + lams[:-1])])
+    assert np.array_equal(spectrum._sweep(cubic, pts, left, 1)[0], np.arange(151))
+
+
+def test_sweep_memory_bounded_by_a_block():
+    # the sweep counts each block of steps as the walk leaves it, so its
+    # memory stays near a scan's instead of growing with steps x points
+    import tracemalloc
+    pot = PiecewisePolynomial(
+        coefficients=((0.25, -0.1, 0.2, 0.0), (0.1, 0.3, -0.2, 0.08)),
+        breakpoints=(PI / 2,))
+    p = validate(ProblemSpec(pot, RobinBC(0.2, -0.4)))     # the half-inverse truth
+    lam = np.linspace(-20.0, 2000.0, 2131)
+    peaks = []
+    for run in (lambda: spectrum._sweep(p, lam, "spec", 96),
+                lambda: delta_batch(p, lam, cpm_density=96)):
+        run()
+        tracemalloc.start()
+        run()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] <= 2 * peaks[1], peaks
