@@ -81,8 +81,8 @@ def asymptotic_eval(problem, target, x, rho):
     terms by rho^2 (phi, phi') and the leading Delta by rho^4.
     """
     rho = np.asarray(rho, dtype=complex)
-    if np.any(rho == 0):
-        raise DomainError("asymptotic forms require rho != 0")
+    if not np.all(np.isfinite(rho) & (rho != 0)):
+        raise DomainError("asymptotic forms require finite rho != 0")
     eig = problem.variant == "eigenparameter"
     if target == "delta":
         val = problem.w_end * rho * _leading_sum(problem, "sin")(rho)

@@ -133,8 +133,8 @@ def _cmd_asym_check(args):
     lines = ["rho,exact_delta,asymptotic_delta,scaled_error"]
     scaled = []
     for r in rhos:
-        exact = char_delta(p, r * r).real
         asym = complex(asymptotics.asymptotic_eval(p, "delta", None, r)).real
+        exact = char_delta(p, r * r).real
         err = abs(exact - asym) / abs(r) ** power
         scaled.append(err)
         lines.append(",".join([_fmt(r), _fmt(exact), _fmt(asym), _fmt(err)]))

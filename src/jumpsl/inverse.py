@@ -109,7 +109,8 @@ class FitSpec:
     ``max_iter``, an integer >= 1, caps the residual evaluations, ``tol``
     (finite, at least machine epsilon) is the solver's xtol and ftol,
     ``cpm_density`` >= 1 sets the steps per unit length, and the targets
-    are finite reals.  ValidationError names what breaks these rules.
+    are finite reals, in sequences that are not strings; no number is a
+    bool.  ValidationError names what breaks these rules.
     """
 
     mode: str
@@ -125,8 +126,11 @@ class FitSpec:
 
     def __post_init__(self):
         for name in ("unknowns", "targets_lambda", "targets_gamma", "targets_mu"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            if isinstance(v := getattr(self, name), str) or not np.iterable(v):
+                raise ValidationError(f"{name} must be a sequence, got {v!r}")
+            object.__setattr__(self, name, tuple(v))
         _validate_fitspec(self)
+        object.__setattr__(self, "bounds", {k: tuple(v) for k, v in self.bounds.items()})
 
 
 def _validate_fitspec(fs: FitSpec):
@@ -157,8 +161,8 @@ def _validate_fitspec(fs: FitSpec):
 
 
 def _finite(v):
-    """True for a finite real number; False for a string, None or complex."""
-    return isinstance(v, numbers.Real) and math.isfinite(v)
+    """True for a finite real number; False for a bool, string, None or complex."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _token_slots(fs: FitSpec):
@@ -381,9 +385,12 @@ class FitResult:
 
 
 def _bounds_arrays(fs: FitSpec):
-    """(lo, hi) per parameter.  ValidationError for a bound on a token that
-    is not an unknown, or one without lo < hi (a nan end has none)."""
+    """(lo, hi) per parameter.  ValidationError for bounds that are not a
+    dict, a bound on a token that is not an unknown, or one without numbers
+    lo < hi (a nan or bool end has none)."""
     slots = _token_slots(fs)
+    if not isinstance(fs.bounds, dict):
+        raise ValidationError(f"bounds must map unknowns to (lo, hi), got {fs.bounds!r}")
     stray = set(fs.bounds) - {s[0] for s in slots}
     if stray:
         raise ValidationError(f"bounds name tokens that are not unknowns: "
@@ -398,8 +405,9 @@ def _bounds_arrays(fs: FitSpec):
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"bound on {tok!r} must be a pair (lo, hi), "
                                       f"got {fs.bounds[tok]!r}") from exc
-            if not np.all(lo[pos:pos + width] < hi[pos:pos + width]):
-                raise ValidationError(f"bound on {tok!r} needs lo < hi and no "
+            if any(isinstance(v, bool) for v in fs.bounds[tok]) \
+                    or not np.all(lo[pos:pos + width] < hi[pos:pos + width]):
+                raise ValidationError(f"bound on {tok!r} needs numbers lo < hi and no "
                                       f"nan end, got {tuple(fs.bounds[tok])}")
         pos += width
     return lo, hi
@@ -491,7 +499,9 @@ def load_fitspec(path, template: ValidatedProblem) -> FitSpec:
 
     Keys: mode, unknowns (a list of tokens), bounds, targets_file (one
     path, or a pair [primary, secondary] for two_spectra), max_iter, tol,
-    cpm_density.  Target files use the spectrum CSV format.
+    cpm_density.  Target files use the spectrum CSV format.  The values
+    reach :class:`FitSpec` as JSON gives them, so the file and the API
+    reject the same values; ConfigParseError names the file.
     """
     try:
         with open(path) as fh:
@@ -499,42 +509,29 @@ def load_fitspec(path, template: ValidatedProblem) -> FitSpec:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"cannot read fit spec {path}: {exc}")
     try:
-        mode = data["mode"]
-        unknowns = data["unknowns"]
-        if not (isinstance(unknowns, list) and all(isinstance(t, str) for t in unknowns)):
-            raise TypeError(f"unknowns must be a list of tokens, got {unknowns!r}")
-        targets_file = data["targets_file"]
-        kwargs = {
-            "bounds": {k: (float(lo), float(hi))
-                       for k, (lo, hi) in dict(data.get("bounds", {})).items()},
-            "max_iter": int(data.get("max_iter", 100)),
-            "tol": float(data.get("tol", 1e-10)),
-        }
-        if "cpm_density" in data:
-            kwargs["cpm_density"] = int(data["cpm_density"])
+        mode, targets_file = data["mode"], data["targets_file"]
+        kwargs = {k: data[k] for k in ("bounds", "max_iter", "tol", "cpm_density")
+                  if k in data}
+        kwargs["unknowns"] = data["unknowns"]
     except KeyError as exc:
         raise ConfigParseError(f"fit spec {path} missing key {exc}")
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigParseError(f"malformed fit spec {path}: {exc}") from exc
     if mode == "two_spectra":
         if not (isinstance(targets_file, (list, tuple))
                 and len(targets_file) == 2):
             raise ConfigParseError("two_spectra needs targets_file = "
                                    "[primary_csv, secondary_csv]")
-        prim = load_csv(targets_file[0])
-        sec = load_csv(targets_file[1])
-        return FitSpec(mode=mode, template=template, unknowns=unknowns,
-                       targets_lambda=tuple(prim.lambdas),
-                       targets_mu=tuple(sec.lambdas), **kwargs)
-    if isinstance(targets_file, (list, tuple)):
-        raise ConfigParseError(f"{mode} takes a single targets_file")
-    prim = load_csv(targets_file)
-    targets_gamma = ()
-    if mode == "full_spectral":
-        g = prim.gammas
-        if np.any(np.isnan(g)):
-            raise ConfigParseError("full_spectral targets need gamma values")
-        targets_gamma = tuple(g)
-    return FitSpec(mode=mode, template=template, unknowns=unknowns,
-                   targets_lambda=tuple(prim.lambdas),
-                   targets_gamma=targets_gamma, **kwargs)
+        kwargs.update(targets_lambda=load_csv(targets_file[0]).lambdas,
+                      targets_mu=load_csv(targets_file[1]).lambdas)
+    else:
+        if isinstance(targets_file, (list, tuple)):
+            raise ConfigParseError(f"{mode} takes a single targets_file")
+        prim = load_csv(targets_file)
+        kwargs["targets_lambda"] = prim.lambdas
+        if mode == "full_spectral":     # a missing gamma is a nan target
+            kwargs["targets_gamma"] = prim.gammas
+    try:
+        return FitSpec(mode=mode, template=template, **kwargs)
+    except ValidationError as exc:
+        raise ConfigParseError(f"fit spec {path}: {type(exc).__name__}: {exc}") from exc

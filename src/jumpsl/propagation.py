@@ -26,8 +26,9 @@ counts the zeros of y in each block as the walk leaves it.  Dense
 solutions walk one-element arrays, keep every step node and reach other
 points by one partial step from the nearest node.  Real lambda runs in
 float64 with the real parts of the complex evaluation, bit for bit.
-Problems that share one cell layout walk together on a leading problem
-axis of lambda, each row with the bits of its own walk.
+A walk starts from (y, y') or, with the variational pair, (y, y', u, u').
+Problems with one cell layout walk as one stack (:func:`_stack`), one row
+of lambda each, each row with the bits of its own walk.
 
 The lambda-derivative of a solution is propagated through the analytic
 derivative of the step (no finite differences).
@@ -36,7 +37,8 @@ derivative of the step (no finite differences).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -351,8 +353,8 @@ def initial_state(problem, kind, lam):
 def _psi_at_zero(problem, lam):
     """Backward solve: psi Cauchy data (y, y') at 0, for an array of lambda."""
     lam = np.asarray(lam, dtype=complex)
-    (y0, yp0), _ = initial_state(problem, "psi", lam)
-    return propagate_endpoints_batch(problem, lam, y0, yp0, backward=True)
+    return propagate_endpoints_batch(problem, lam, initial_state(problem, "psi", lam)[0],
+                                     backward=True)
 
 
 def fundamental_solution(problem, kind, sp):
@@ -362,12 +364,11 @@ def fundamental_solution(problem, kind, sp):
     propagates backward from pi solving the jump equations for the left
     data.  Their Cauchy data are those of :func:`initial_state`.
     """
-    init, _ = initial_state(problem, kind, sp.lam)
-    start = (complex(init[0]), complex(init[1]))
+    start = tuple(map(complex, initial_state(problem, kind, sp.lam)[0]))
     piece_sols = [None] * len(problem.pieces)
     backward = kind == "psi"
     # one-element arrays take the batch path's arithmetic, bit for bit
-    end = propagate_endpoints_batch(problem, np.array([sp.lam]), *start,
+    end = propagate_endpoints_batch(problem, np.array([sp.lam]), start,
                                     backward=backward, cells=piece_sols)
     end = (complex(end[0][0]), complex(end[1][0]))
     state0, state_pi = (end, start) if backward else (start, end)
@@ -391,24 +392,33 @@ def modified_wronskian(problem, u, v, x, side="+"):
 # propagation over the whole interval
 # ----------------------------------------------------------------------
 
-def _stack_piece(pieces):
-    """The same cell of several problems as one Piece: q_const becomes a
-    column, or qfun returns the problems along a last axis."""
-    p = pieces[0]
-    if p.q_const is not None:
-        return replace(p, q_const=np.array([c.q_const for c in pieces])[:, None])
-    return replace(p, qfun=lambda x: np.stack([c.qfun(x) for c in pieces], axis=-1))
+def _stack(problems):
+    """Problems with one cell layout (the same cells, constant cells and
+    jump points, as a fit's have: d and w are known data) as one problem
+    whose constant q, jump, boundary and weight numbers are (rows, 1)
+    columns and whose stepped q returns the rows on a last axis.  Against
+    (rows, lambda) arrays each row goes through its own problem's
+    elementwise operations, with the bits of that problem alone."""
+    def columns(objs, names):
+        return replace(objs[0], **{k: np.array([getattr(o, k) for o in objs])[:, None]
+                                   for k in names})
+
+    def piece(cells):
+        if cells[0].q_const is not None:
+            return columns(cells, ["q_const"])
+        return replace(cells[0], qfun=lambda x: np.stack([c.qfun(x) for c in cells], axis=-1))
+
+    weights = tuple(np.array(w)[:, None] for w in zip(*(p.weights for p in problems)))
+    return SimpleNamespace(
+        pieces=[piece(c) for c in zip(*(p.pieces for p in problems))],
+        jump_after_piece=[None if j[0] is None else columns(j, "abc")
+                          for j in zip(*(p.jump_after_piece for p in problems))],
+        variant=problems[0].variant, weights=weights, w_end=weights[-1],
+        boundary=columns([p.boundary for p in problems],
+                         [f.name for f in fields(problems[0].boundary)]))
 
 
-def _stack_jump(jumps):
-    """The same jump of several problems, with (a, b, c) as columns."""
-    j = jumps[0]
-    return None if j is None else replace(
-        j, **{k: np.array([getattr(i, k) for i in jumps])[:, None] for k in "abc"})
-
-
-def propagate_endpoints_batch(problem, lam, y0, yp0, derivative=False,
-                              backward=False, du0=None, dup0=None,
+def propagate_endpoints_batch(problem, lam, start, backward=False,
                               cpm_density=CPM_DENSITY, cells=None,
                               count_zeros=False):
     """Propagate Cauchy data for a whole array of lambda at once.
@@ -417,31 +427,19 @@ def propagate_endpoints_batch(problem, lam, y0, yp0, derivative=False,
     in one exact step, other cells on a lambda-independent grid of
     ``cpm_density`` steps per unit length, so the result is a smooth
     function of lambda (what root polishing and the inverse iteration
-    need).  Returns the (y, y') arrays at the far endpoint, plus the
-    variational (u, u') arrays, started from (du0, dup0) or zero, when
-    ``derivative`` is set.  Each start value broadcasts against ``lam``.
+    need).  ``start`` is (y, y') or, to carry the variational pair along,
+    (y, y', u, u'); each value broadcasts against ``lam``.  Returns the
+    state of the same length at the far endpoint.
 
-    ``problem`` may be a tuple of problems with one cell layout (the same
-    cells, constant cells and jump points), one per row of a 2-D ``lam``:
-    each row then takes its own problem's potential and jumps, through the
-    same elementwise operations, so it gets the bits of a walk of that
-    problem alone.  With ``cells``, a list with one slot per cell, each
-    slot receives the cell's dense-output record; without it, ``count_zeros``
-    appends the zeros of y on (0, pi] of a forward walk of real lambda.
+    ``problem`` may be a stack (:func:`_stack`) with one row of a 2-D
+    ``lam`` per problem.  With ``cells``, a list with one slot per cell,
+    each slot receives the cell's dense-output record; without it,
+    ``count_zeros`` appends the zeros of y on (0, pi] of a forward walk of
+    real lambda.
     """
     lam = np.asarray(lam, dtype=complex if np.iscomplexobj(lam) else float)
-
-    def start(v):
-        return np.zeros_like(lam) + (0.0 if v is None else v)
-
-    state = (start(y0), start(yp0))
-    if derivative:
-        state += (start(du0), start(dup0))
-    if isinstance(problem, tuple):
-        pieces = [_stack_piece(c) for c in zip(*(p.pieces for p in problem))]
-        jumps = [_stack_jump(j) for j in zip(*(p.jump_after_piece for p in problem))]
-    else:
-        pieces, jumps = problem.pieces, problem.jump_after_piece
+    state = tuple(np.zeros_like(lam) + v for v in start)
+    pieces, jumps = problem.pieces, problem.jump_after_piece
     zeros = 0 if count_zeros and cells is None else None
     for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
         piece = pieces[i]

@@ -4,7 +4,8 @@ Delta(lambda) = W(phi, psi) is taken at pi, where phi, propagated forward
 through the batch transfer kernels, meets psi's data from ``initial_state``,
 so scans over many lambda are vectorized and, for piecewise-constant
 potentials, exact.  Its lambda-derivative comes from the variational
-system, never from finite differences.
+system, never from finite differences.  A fit's perturbed problems walk
+as one stack per cell layout, and Delta and gamma come off it at once.
 
 Eigenvalues are located by a sign-change scan on the real axis (the scan
 floor extends below zero), polished by a safeguarded Newton iteration in
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -43,6 +45,7 @@ from .errors import (
     ConfigParseError,
     ContourTooCloseError,
     DomainError,
+    MismatchError,
     MissedEigenvalueError,
     ToleranceError,
 )
@@ -51,6 +54,7 @@ from .propagation import (
     CPM_DENSITY,
     SpectralPoint,
     _psi_at_zero,
+    _stack,
     fundamental_solution,
     initial_state,
     modified_wronskian,
@@ -165,10 +169,9 @@ def delta_batch(problem, lam, derivative=False, left="spec",
     :func:`initial_state`; ``left="dirichlet"`` starts phi from (0, 1).
     Real lambda gives float64 arrays, the complex result's real parts."""
     lam = np.asarray(lam)
-    (y0, yp0), (du0, dup0) = _phi_start(problem, lam, left)
-    end = propagate_endpoints_batch(
-        problem, lam, y0, yp0, derivative=derivative, du0=du0, dup0=dup0,
-        cpm_density=cpm_density)
+    start, dstart = _phi_start(problem, lam, left)
+    end = propagate_endpoints_batch(problem, lam, start + dstart if derivative else start,
+                                    cpm_density=cpm_density)
     return _delta_at(problem, lam, end, derivative)
 
 
@@ -176,25 +179,21 @@ def _stacked(problems, lam, left, cpm_density, norm=False):
     """Delta of ``problems[r]`` at the real ``lam[r]``, and with ``norm``
     also their gamma (from :func:`_norming_at`), as (rows, lambda) arrays.
     The problems share their cells and jump points, as a fit's do; those
-    whose constant cells agree share one propagation.  Every row has the
-    bits of :func:`delta_batch` and :func:`_norming_data` for its problem
-    alone."""
+    whose constant cells agree walk as one stack (:func:`_stack`).  Every
+    row has the bits of :func:`delta_batch` and :func:`_norming_data` for
+    its problem alone."""
     lam = np.asarray(lam, dtype=float)
     keys = [tuple(c.q_const is None for c in p.pieces) for p in problems]
     delta, gamma = np.empty_like(lam), np.empty_like(lam)
     for key in dict.fromkeys(keys):
         rows = [r for r, k in enumerate(keys) if k == key]
-        stack, lr = tuple(problems[r] for r in rows), lam[rows]
-        starts = [_phi_start(p, l, left)[0] for p, l in zip(stack, lr)]
-        # one start per row: a scalar becomes a column, an array a row
-        y0, yp0 = (np.reshape([s[k] for s in starts], (len(rows), -1)) for k in (0, 1))
-        end = propagate_endpoints_batch(stack, lr, y0, yp0, derivative=norm,
+        stack, lr = _stack([problems[r] for r in rows]), lam[rows]
+        start = _phi_start(stack, lr, left)[0]
+        end = propagate_endpoints_batch(stack, lr, start + (0.0, 0.0) if norm else start,
                                         cpm_density=cpm_density)
-        for i, (r, p) in enumerate(zip(rows, stack)):
-            end_r = tuple(v[i] for v in end)
-            delta[r] = _delta_at(p, lam[r], end_r)
-            if norm:
-                gamma[r] = _norming_at(p, lam[r], end_r)[0]
+        delta[rows] = _delta_at(stack, lr, end)
+        if norm:
+            gamma[rows] = _norming_at(stack, lr, end)[0]
     return (delta, gamma) if norm else delta
 
 
@@ -254,10 +253,10 @@ def _sweep(problem, lam, left, cpm_density):
     psi')(pi) grows with lambda and tends into (-pi, 0) as lambda -> -inf,
     except that phi's eigenparameter data (lambda - h2, h3 - lambda h1)
     tend to (-1, h1) and start theta a pi lower (Binding et al. 1993): + 1."""
-    y0, yp0 = _phi_start(problem, lam, left)[0]
-    y, yp, zeros = propagate_endpoints_batch(problem, lam, y0, yp0, cpm_density=cpm_density,
+    start = _phi_start(problem, lam, left)[0]
+    y, yp, zeros = propagate_endpoints_batch(problem, lam, start, cpm_density=cpm_density,
                                              count_zeros=True)
-    theta = math.pi * (np.floor(np.arctan2(y0, yp0) / math.pi) + zeros) \
+    theta = math.pi * (np.floor(np.arctan2(*start) / math.pi) + zeros) \
         + np.mod(np.arctan2(y, yp), math.pi)
     psi, _ = initial_state(problem, "psi", lam)
     shift = left == "spec" and problem.variant == "eigenparameter"
@@ -374,8 +373,8 @@ def eigenvalues(problem, count, verify=True, left="spec",
     With ``verify`` the oscillation index must count 0, 1, ..., count
     eigenvalues below the floor, between the located roots and past the
     last one, or MissedEigenvalueError names the interval that disagrees."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
+        raise DomainError(f"count must be an integer >= 1, got {count!r}")
     roots, _, (floor, top) = _locate(problem, count, left, cpm_density)
     lams = roots[:count]
 
@@ -407,8 +406,8 @@ def eigenvalues(problem, count, verify=True, left="spec",
 def count_zeros_contour(problem, rectangle):
     """Winding number of Delta around a rectangle in the lambda plane."""
     re_min, re_max, im_min, im_max = rectangle
-    if re_min >= re_max or im_min >= im_max:
-        raise DomainError("degenerate contour rectangle")
+    if not (all(map(math.isfinite, rectangle)) and re_min < re_max and im_min < im_max):
+        raise DomainError(f"degenerate or non-finite contour rectangle {tuple(rectangle)}")
     corners = [complex(re_min, im_min), complex(re_max, im_min),
                complex(re_max, im_max), complex(re_min, im_max),
                complex(re_min, im_min)]
@@ -460,11 +459,9 @@ def _norming_data(problem, lams, cpm_density):
     """(gamma, beta) arrays at real eigenvalues from one batched forward
     propagation (see :func:`spectral_data`)."""
     lam = np.asarray(lams, dtype=float)
-    (y0, yp0), _ = initial_state(problem, "phi", lam)
-    end = propagate_endpoints_batch(
-        problem, lam, y0, yp0, derivative=True, du0=0.0, dup0=0.0,
-        cpm_density=cpm_density)
-    return _norming_at(problem, lam, end)
+    start, _ = initial_state(problem, "phi", lam)
+    return _norming_at(problem, lam, propagate_endpoints_batch(
+        problem, lam, start + (0.0, 0.0), cpm_density=cpm_density))
 
 
 def _norming_at(problem, lam, end):
@@ -486,7 +483,7 @@ def _norming_at(problem, lam, end):
     bad = np.flatnonzero(~(norm2 > 0.0) | ~np.isfinite(norm2 + beta))
     if bad.size:
         raise ToleranceError("nonpositive squared norm or non-finite beta "
-                             f"at lambda={lam[bad[0]]}")
+                             f"at lambda={lam.flat[bad[0]]}")
     return 1.0 / norm2, beta
 
 
@@ -515,8 +512,14 @@ def spectral_data(problem, eigs) -> SpectralData:
     whose lambda-affine boundary data cancel at high n in the
     eigenparameter variant; the bracket starts from zero, and the boundary
     terms enter as positive squares.
+
+    MismatchError if ``eigs`` names another problem by its fingerprint;
+    an empty one, as :func:`load_csv` gives, names none.
     """
+    fingerprint = problem.fingerprint()
     if isinstance(eigs, SpectralData):
+        if eigs.fingerprint not in ("", fingerprint):
+            raise MismatchError(f"eigenvalues of {eigs.fingerprint}, not of {fingerprint}")
         records, density = eigs.records, eigs.cpm_density
     else:
         density = CPM_DENSITY
@@ -527,7 +530,7 @@ def spectral_data(problem, eigs) -> SpectralData:
     gammas, betas = _norming_data(problem, [r.lam for r in records], density)
     out = tuple(replace(rec, gamma=float(g), beta=float(b))
                 for rec, g, b in zip(records, gammas, betas))
-    return SpectralData(records=out, fingerprint=problem.fingerprint(),
+    return SpectralData(records=out, fingerprint=fingerprint,
                         variant=problem.variant, cpm_density=density)
 
 

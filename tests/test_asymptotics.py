@@ -70,6 +70,14 @@ def test_reflection_terms_three_jumps(three_jump):
     assert terms[(2,)].coefficient == pytest.approx(a[0] * ap[1] * a[2])
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf, complex(1.0, math.nan),
+                                 np.array([40.5, math.inf])])
+def test_asymptotic_rejects_non_finite_rho(one_jump, rho):
+    for target, x in (("delta", None), ("phi", 1.0), ("phi_prime", 1.0)):
+        with pytest.raises(DomainError):
+            asymptotic_eval(one_jump, target, x, rho)
+
+
 def test_asymptotic_free_is_exact(free):
     # no jumps, q = 0: the "asymptotic" phi is the exact solution
     rho = 4.7

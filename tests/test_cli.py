@@ -117,6 +117,16 @@ def test_contour_count_cmd(free_cfg, capsys):
     assert capsys.readouterr().out.strip() == "zeros_inside,3"
 
 
+@pytest.mark.parametrize("args", [
+    ["asym-check", "--rho", "nan"], ["asym-check", "--rho", "40.5,inf"],
+    ["contour-count", "--rect", "nan,1,-1,1"], ["contour-count", "--rect=-inf,1,-1,1"],
+], ids=["rho_nan", "rho_inf", "rect_nan", "rect_inf"])
+def test_non_finite_argument_is_domain_error(one_jump_cfg, args, capsys):
+    assert main([args[0], one_jump_cfg, *args[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "Traceback" not in err
+
+
 def test_fit_cmd(tmp_path, one_jump, one_jump_cfg):
     from jumpsl import eigenvalues, export_csv, spectral_data
     sd = spectral_data(one_jump, eigenvalues(one_jump, 6, verify=False))
@@ -173,7 +183,10 @@ def test_eigs_malformed_config_value(tmp_path, one_jump_cfg, section, key,
 @pytest.mark.parametrize("extra", [
     {"max_iter": "many"}, {"tol": "small"}, {"cpm_density": "x"},
     {"bounds": {"h": 3}}, {"unknowns": 5}, {"unknowns": "c0"},
-], ids=["max_iter", "tol", "cpm_density", "bounds", "unknowns", "unknowns_string"])
+    # FitSpec's own rejections, with no conversion on the way
+    {"max_iter": 2.5}, {"max_iter": True}, {"tol": True}, {"cpm_density": True},
+], ids=["max_iter", "tol", "cpm_density", "bounds", "unknowns", "unknowns_string",
+        "max_iter_fraction", "max_iter_bool", "tol_bool", "cpm_density_bool"])
 def test_fit_malformed_spec_value(tmp_path, one_jump, one_jump_cfg, extra,
                                   capsys):
     from jumpsl import eigenvalues, export_csv, spectral_data

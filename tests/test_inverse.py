@@ -18,6 +18,7 @@ from jumpsl import (
     PiecewisePolynomial,
     ProblemSpec,
     RobinBC,
+    ValidatedProblem,
     ValidationError,
     constant_potential,
     delta_batch,
@@ -130,7 +131,12 @@ def test_validation_rejections(free, one_jump, generic):
                    {"cpm_density": "96"}, {"cpm_density": math.nan},
                    {"cpm_density": math.inf}, {"targets_lambda": (0.0, "x", 4.0)},
                    {"targets_lambda": (0.0, math.nan, 4.0)},
-                   {"targets_gamma": (0.3, math.inf, 0.6)}):
+                   {"targets_gamma": (0.3, math.inf, 0.6)},
+                   # one string is not a list of tokens, a bool not a number
+                   {"unknowns": "hH"}, {"unknowns": 5}, {"bounds": 5},
+                   {"bounds": {"c0": (True, 2.0)}},
+                   {"max_iter": True}, {"tol": True}, {"cpm_density": True},
+                   {"targets_lambda": (0.0, True, 4.0)}):
         with pytest.raises(ValidationError):
             FitSpec(**{"mode": "full_spectral", "template": one_jump,
                        "unknowns": ("c0",), "targets_lambda": lam,
@@ -232,9 +238,11 @@ def test_load_fitspec_full(tmp_path, one_jump):
         "bounds": {"h": [-5, 5]},
         "max_iter": 40,
         "tol": 1e-9,
+        "cpm_density": 96.5,
         "targets_file": str(csv),
     }))
     fs = load_fitspec(cfg, one_jump)
+    assert fs.cpm_density == 96.5       # as FitSpec takes it, not truncated
     assert fs.mode == "full_spectral"
     assert fs.unknowns == ("h", "c0")
     assert fs.bounds["h"] == (-5, 5)
@@ -388,6 +396,11 @@ def _shifted(fs, x):
             unpack_parameters(fs, x))
 
 
+def _rows(walk):
+    """The problem rows of a walk's stack, 0 for a single problem."""
+    return 0 if isinstance(walk, ValidatedProblem) else len(walk.w_end)
+
+
 @pytest.mark.parametrize("case", ["jump_mixed_q", "eigenparameter"])
 def test_stacked_rows_bit_identical_to_single_problems(monkeypatch, case):
     if case == "jump_mixed_q":
@@ -416,7 +429,7 @@ def test_stacked_rows_bit_identical_to_single_problems(monkeypatch, case):
     for left in lefts:
         walks.clear()
         delta, gamma = inverse_spectrum._stacked(problems, lam, left, 96, norm=True)
-        assert len(walks) == layouts and all(isinstance(w, tuple) for w in walks)
+        assert len(walks) == layouts and sum(map(_rows, walks)) == len(problems)
         for p_r, l_r, d_r, g_r in zip(problems, lam, delta, gamma):
             assert np.array_equal(d_r, delta_batch(p_r, l_r, left=left, cpm_density=96))
             if left == "spec":
@@ -441,7 +454,7 @@ def test_jacobian_propagates_stacks_only(monkeypatch, name):
     jac = inverse._jacobian(fs, x, fwd["lams"], fwd["mus"])
     assert np.all(np.isfinite(jac)) and np.any(jac != 0.0)
     assert 1 <= len(walks) <= 2
-    assert all(isinstance(w, tuple) and len(w) >= 2 * x.size for w in walks)
+    assert all(_rows(w) >= 2 * x.size for w in walks)
 
 
 def test_fit_warm_start_changes_no_bit(monkeypatch):

@@ -158,7 +158,7 @@ def test_batch_matches_single(generic, cubic):
     lams = np.array([2.0, -3.0, 7.5 + 1.0j])
     for p in (generic, cubic):
         y0, yp0 = 1.0, -p.boundary.h
-        ys, yps = propagate_endpoints_batch(p, lams, y0, yp0)
+        ys, yps = propagate_endpoints_batch(p, lams, (y0, yp0))
         for i, lam in enumerate(lams):
             sp = SpectralPoint.from_lambda(lam)
             phi = fundamental_solution(p, "phi", sp)
@@ -172,7 +172,7 @@ def test_batch_backward_matches_forward_wronskian(two_jump):
     # comparing W(phi, psi) evaluated near 0 and near pi
     lam = np.array([5.5 + 0.25j])
     bc = two_jump.boundary
-    y, yp = propagate_endpoints_batch(two_jump, lam, 1.0, -bc.H, backward=True)
+    y, yp = propagate_endpoints_batch(two_jump, lam, (1.0, -bc.H), backward=True)
     sp = SpectralPoint.from_lambda(complex(lam[0]))
     psi = fundamental_solution(two_jump, "psi", sp)
     y2, yp2 = psi.state0
@@ -185,10 +185,9 @@ def test_variational_derivative_matches_fd(generic, cubic):
     eps = 1e-6
     for p in (generic, cubic):
         y0, yp0 = 1.0, -p.boundary.h
-        y, yp, u, up = propagate_endpoints_batch(p, lam, y0, yp0,
-                                                 derivative=True)
-        yp1, ypp1 = propagate_endpoints_batch(p, lam + eps, y0, yp0)
-        ym1, ypm1 = propagate_endpoints_batch(p, lam - eps, y0, yp0)
+        y, yp, u, up = propagate_endpoints_batch(p, lam, (y0, yp0, 0.0, 0.0))
+        yp1, ypp1 = propagate_endpoints_batch(p, lam + eps, (y0, yp0))
+        ym1, ypm1 = propagate_endpoints_batch(p, lam - eps, (y0, yp0))
         assert complex(u[0]) == pytest.approx(
             complex((yp1[0] - ym1[0]) / (2 * eps)), rel=1e-6)
         assert complex(up[0]) == pytest.approx(
@@ -325,13 +324,12 @@ def test_blocked_batch_bit_identical_to_step_loop(name, n, request):
     y0, yp0 = 1.0 + 0.0 * lam, -0.4 + 0.0 * lam
     du0, dup0 = 0.3 + 0.0 * lam, -0.7 + 0.0 * lam
     for backward in (False, True):
-        got = propagate_endpoints_batch(p, lam, y0, yp0, backward=backward,
+        got = propagate_endpoints_batch(p, lam, (y0, yp0), backward=backward,
                                         cpm_density=96)
         ref, _, _ = _ref_walk(p, lam, (y0, yp0), backward, 96)
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
-        got = propagate_endpoints_batch(p, lam, y0, yp0, derivative=True,
-                                        backward=backward, du0=du0, dup0=dup0,
-                                        cpm_density=96)
+        got = propagate_endpoints_batch(p, lam, (y0, yp0, du0, dup0),
+                                        backward=backward, cpm_density=96)
         ref, _, _ = _ref_walk(p, lam, (y0, yp0, du0, dup0), backward, 96)
         assert len(got) == 4
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
@@ -347,9 +345,8 @@ def test_walk_zero_count_matches_step_loop(name, n, request):
     start = (1.0 + 0.0 * lam, -0.4 + 0.0 * lam, 0.3 + 0.0 * lam, -0.7 + 0.0 * lam)
     for derivative in (False, True):
         state = start if derivative else start[:2]
-        *got, zeros = propagate_endpoints_batch(
-            p, lam, *state[:2], derivative=derivative, du0=start[2], dup0=start[3],
-            cpm_density=96, count_zeros=True)
+        *got, zeros = propagate_endpoints_batch(p, lam, state, cpm_density=96,
+                                                count_zeros=True)
         ref, _, ref_zeros = _ref_walk(p, lam, state, False, 96)
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
         assert np.array_equal(zeros, ref_zeros)
@@ -391,8 +388,8 @@ def test_real_lambda_bit_identical_to_complex(name, request):
     lams = eigenvalues(p, 60, verify=False).lambdas
     gamma, _ = _norming_data(p, lams, CPM_DENSITY)
     zl = lams.astype(complex)
-    (y0, yp0), _ = initial_state(p, "phi", zl)
-    y, yp, u, up = propagate_endpoints_batch(p, zl, y0, yp0, derivative=True)
+    start, _ = initial_state(p, "phi", zl)
+    y, yp, u, up = propagate_endpoints_batch(p, zl, start + (0.0, 0.0))
     norm2 = p.w_end * (u * yp - y * up).real
     if p.variant == "eigenparameter":
         bc = p.boundary

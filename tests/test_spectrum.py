@@ -6,8 +6,10 @@ import pytest
 
 from jumpsl import (
     ContourTooCloseError,
+    DomainError,
     EigenparameterBC,
     JumpCondition,
+    MismatchError,
     MissedEigenvalueError,
     PiecewisePolynomial,
     ProblemSpec,
@@ -119,6 +121,13 @@ def test_contour_count_free(free):
     assert count_zeros_contour(free, (-0.5, 10.0, -1.0, 1.0)) == 4
     assert count_zeros_contour(free, (10.0, 30.0, -1.0, 1.0)) == 2
     assert count_zeros_contour(free, (40.0, 60.0, -1.0, 1.0)) == 1
+
+
+@pytest.mark.parametrize("rect", [(math.nan, 10.0, -1.0, 1.0), (-0.5, math.inf, -1.0, 1.0),
+                                  (-0.5, 10.0, -math.inf, 1.0), (-0.5, 10.0, -1.0, math.nan)])
+def test_contour_rejects_non_finite_rectangle(free, rect):
+    with pytest.raises(DomainError):
+        count_zeros_contour(free, rect)
 
 
 def test_contour_too_close(free):
@@ -483,6 +492,22 @@ def test_spectral_data_reuses_eigenvalue_density(cubic, tmp_path):
     assert load_csv(tmp_path / "s.csv").cpm_density == propagation.CPM_DENSITY
 
 
+def test_spectral_data_checks_the_problem(free, one_jump, tmp_path):
+    # gammas at another problem's eigenvalues would carry this one's fingerprint
+    with pytest.raises(MismatchError):
+        spectral_data(one_jump, eigenvalues(free, 5))
+    # a loaded table names no problem, so it still passes
+    spectrum.export_csv(spectral_data(one_jump, eigenvalues(one_jump, 5)), tmp_path / "s.csv")
+    loaded = spectral_data(one_jump, load_csv(tmp_path / "s.csv"))
+    assert loaded.fingerprint == one_jump.fingerprint()
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, 2.0, True, "3", None])
+def test_eigenvalues_count_must_be_a_positive_integer(free, count):
+    with pytest.raises(DomainError):
+        eigenvalues(free, count)
+
+
 # ----------------------------------------------------------------------
 # Delta, Delta' and m as Wronskians against initial_state
 # ----------------------------------------------------------------------
@@ -491,10 +516,9 @@ def _functional_delta(p, lam, left):
     """Delta and Delta' from each variant's boundary functional at pi, with
     the per-variant sign that makes it W(phi, psi): the reference form."""
     bc = p.boundary
-    (y0, yp0), (du0, dup0) = (propagation.initial_state(p, "phi", lam)
-                              if left == "spec" else ((0.0, 1.0), (0.0, 0.0)))
-    y, yp, u, up = propagation.propagate_endpoints_batch(
-        p, lam, y0, yp0, derivative=True, du0=du0, dup0=dup0)
+    start, dstart = (propagation.initial_state(p, "phi", lam)
+                     if left == "spec" else ((0.0, 1.0), (0.0, 0.0)))
+    y, yp, u, up = propagation.propagate_endpoints_batch(p, lam, start + dstart)
     if p.variant == "robin":
         return p.w_end * -(yp + bc.H * y), p.w_end * -(up + bc.H * u)
     r2 = yp + bc.H1 * y
