@@ -16,6 +16,7 @@ zeros seed the eigenvalue brackets.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ def reflection_terms(problem, n_jumps):
 
 
 def _segment_jump_count(problem, x):
+    if not 0.0 <= x <= PI:
+        raise DomainError(f"x = {x} outside [0, pi]")
     ds = [j.d for j in problem.jumps]
     for d in ds:
         if abs(x - d) < 1e-12:
@@ -129,10 +132,17 @@ def sine_sum(problem, rho, trig="sin"):
     return float(val) if np.ndim(val) == 0 else val
 
 
+def _check_count(count):
+    """DomainError unless ``count`` is an integer >= 1 (a bool is not)."""
+    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
+        raise DomainError(f"count must be an integer >= 1, got {count!r}")
+
+
 def eigenvalue_guesses(problem, count, trig="sin", step=0.05):
     """Ascending real zeros of the leading sine sum, used as bracket seeds:
     exact zeros on a grid of width ``step`` plus its sign changes, bisected
     together to b - a <= 4 eps b (rho = 0 counts only where the sum vanishes)."""
+    _check_count(count)
     g = _leading_sum(problem, trig)
     zeros = [0.0] if g(0.0) == 0.0 else []
     lo, chunk = 0.0, max(10.0, float(count))

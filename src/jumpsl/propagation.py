@@ -22,7 +22,10 @@ scans, index sweeps, stacked Jacobian walks and dense solutions.  Each cell
 builds its step matrices for a block of steps times all lambdas (about
 ``_BLOCK_ELEMS`` entries) in one numpy call and applies them with the
 expressions of a single step, so blocking changes no bit; an index sweep
-counts the zeros of y in each block as the walk leaves it.  Dense
+counts the zeros of y in each block as the walk leaves it.  The constant
+cells take their exact steps the same way, from one call per block of
+cells times lambdas on widths and q values that validation lays out once
+per problem, so a walk of few lambda builds all of them at once.  Dense
 solutions walk one-element arrays, keep every step node and reach other
 points by one partial step from the nearest node.  Real lambda runs in
 float64 with the real parts of the complex evaluation, bit for bit.
@@ -37,14 +40,16 @@ derivative of the step (no finite differences).
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, MismatchError
-from .problem import PI, Piece
+from .problem import PI, Piece, _const_cells
 
 __all__ = [
     "SpectralPoint",
@@ -103,12 +108,16 @@ def _cs(w):
     gives the complex formula's bits: numpy divides a by a real-valued complex
     c as a * (1/c), and entries with w < 0 take the complex formula."""
     w = np.asarray(w)
-    real = not np.iscomplexobj(w)
+    real = w.dtype.kind != "c"
     z = np.sqrt(np.maximum(w, 0.0) if real else w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S = np.where(z == 0.0, 1.0, np.sin(z) * (1.0 / z) if real else np.sin(z) / z)
+    # S is 1 at w = 0; elsewhere the division warns only where sin or cos does
+    zero = np.count_nonzero(z) < z.size
+    with np.errstate(divide="ignore", invalid="ignore") if zero else nullcontext():
+        S = np.asarray(np.sin(z) * (1.0 / z) if real else np.sin(z) / z)
+    if zero:
+        S[z == 0.0] = 1.0
     C = np.asarray(np.cos(z))
-    if real and (neg := w < 0.0).any():
+    if real and np.count_nonzero(neg := w < 0.0):
         C[neg], S[neg] = (v.real for v in _cs(w[neg].astype(complex)))
     return C, S
 
@@ -161,35 +170,22 @@ def _zeros(h, w, a, trail):
     return count.sum(axis=0)
 
 
-def _cross_cell(piece, x0, x1, lam, state, density, nodes=None, zeros=None):
-    """Carry (y, y') or (y, y', u, u') from x0 to x1 inside one cell, with
-    each step's state appended to ``nodes`` if given and ``zeros`` is not.
-    Returns the signed step width, the step nodes, the end state and
-    ``zeros`` plus the zeros of y on (x0, x1] at each real lambda.
+def _cross_cell(h, blocks, state, nodes=None, zeros=None):
+    """Carry (y, y') or (y, y', u, u') through the steps of signed width h
+    of one cell, given as blocks (w, step matrices, a), with each step's
+    state appended to ``nodes`` if given and ``zeros`` is not.  Returns the
+    end state and ``zeros`` plus the zeros of y on the cell at each real
+    lambda.
 
     A step turns (s y, a y + h y') rigidly through s = sqrt(w) (or w <= 0,
     s = 0: one zero at most), so y has a zero on it where it changes sign
     if s < pi, else where the angle passes a multiple of pi.  Each block of
     steps is counted as the walk leaves it, keeping one block's states."""
     var = len(state) == 4
-    const = piece.q_const is not None
-    if const:
-        h, xs, blocks = x1 - x0, np.array([x0, x1]), [(piece.q_const, 0.0)]
-    else:
-        n = max(32, int(math.ceil(abs(x1 - x0) * density)))
-        h = (x1 - x0) / n
-        xs = x0 + h * np.arange(n + 1)
-        # (steps,) or, for a stack of problems, (steps, problems), against lam
-        qb, a = (v.reshape(v.shape + (1,) * (lam.ndim + 1 - v.ndim))
-                 for v in _magnus_q(piece, xs[:-1], h))
-        block = max(1, _BLOCK_ELEMS // max(1, lam.size))
-        blocks = ((qb[k:k + block], a[k:k + block]) for k in range(0, n, block))
-    for qbk, ak in blocks:
-        w, T = _coefs(h, lam, qbk, ak, var)
+    for w, steps, a in blocks:
         # the states kept: every node for dense output, a block's to count
         trail = nodes if zeros is None else [state]
-        # per-step matrices: one scalar step on a constant cell
-        for t11, hS, t21, t22, *dT in [T] if const else zip(*T):
+        for t11, hS, t21, t22, *dT in steps:
             y, yp = state[0], state[1]
             nxt = (t11 * y + hS * yp, t21 * y + t22 * yp)
             if var:
@@ -201,8 +197,48 @@ def _cross_cell(piece, x0, x1, lam, state, density, nodes=None, zeros=None):
             if trail is not None:
                 trail.append(state)
         if zeros is not None:
-            zeros = zeros + _zeros(h, w, ak, trail)
-    return h, xs, state, zeros
+            zeros = zeros + _zeros(h, w, a, trail)
+    return state, zeros
+
+
+def _steps(piece, x0, x1, lam, density, var):
+    """Step width, nodes and blocks of steps (see :func:`_cross_cell`) from
+    x0 to x1 on a cell where q is not constant: ``density`` steps per unit
+    length, at least 32, built about ``_BLOCK_ELEMS`` (steps x lambda) at a time."""
+    n = max(32, int(math.ceil(abs(x1 - x0) * density)))
+    h = (x1 - x0) / n
+    xs = x0 + h * np.arange(n + 1)
+    # (steps,) or, for a stack of problems, (steps, problems), against lam
+    qb, a = (v.reshape(v.shape + (1,) * (lam.ndim + 1 - v.ndim))
+             for v in _magnus_q(piece, xs[:-1], h))
+    block = max(1, _BLOCK_ELEMS // max(1, lam.size))
+    return h, xs, ((w, zip(*T), a[k:k + block]) for k in range(0, n, block)
+                   for w, T in [_coefs(h, lam, qb[k:k + block], a[k:k + block], var)])
+
+
+def _exact_steps(cells, lam, var):
+    """Each constant cell's one exact step, as a block for :func:`_cross_cell`,
+    in walk order.  A group of cells of at most ``_BLOCK_ELEMS`` (cells x
+    lambda) entries takes its steps from one :func:`_coefs` call on the width
+    and q columns of ``cells`` (see ``problem._const_cells``), made when the
+    walk reaches it.  A group of one cell passes its scalars instead, which
+    spares a one-cell call the columns' float-to-complex casts and keeps
+    numpy's reuse of its temporaries."""
+    pairs, h, q = cells
+    size = max(1, _BLOCK_ELEMS // max(1, lam.size))
+    for k in range(0, len(pairs), size):
+        if len(pairs[k:k + size]) == 1:
+            w, T = _coefs(pairs[k][0], lam, pairs[k][1], 0.0, var)
+            rows = [(w, [T], 0.0)]
+        else:
+            qk = q[k:k + size]
+            w, T = _coefs(h[k:k + size].reshape((-1,) + (1,) * lam.ndim), lam,
+                          qk.reshape(qk.shape + (1,) * (lam.ndim + 1 - qk.ndim)), 0.0, var)
+            rows = [(wj, [step], 0.0) for wj, *step in zip(w, *T)][::-1]
+        # handed out one at a time, so that each goes once its cell is crossed
+        del w, T
+        while rows:
+            yield rows.pop()
 
 
 # ----------------------------------------------------------------------
@@ -243,22 +279,25 @@ def propagate_interval(q, sp, state, x_from, x_to):
     :class:`Piece`; with a Piece the interval is checked against the cell
     bounds and a DomainError is raised if it straddles an interior node.
     """
+    lo, hi = min(x_from, x_to), max(x_from, x_to)
     if isinstance(q, Piece):
-        if not (q.xl <= min(x_from, x_to) and max(x_from, x_to) <= q.xr):
+        if not (q.xl <= lo and hi <= q.xr):
             raise DomainError(
                 f"[{x_from}, {x_to}] is not inside the cell [{q.xl}, {q.xr}]"
             )
-        piece = q
+        piece = replace(q, xl=lo, xr=hi)
     elif callable(q):
-        piece = Piece(min(x_from, x_to), max(x_from, x_to), 0, None, q)
+        piece = Piece(lo, hi, 0, None, q)
     else:
-        piece = Piece(min(x_from, x_to), max(x_from, x_to), 0, float(q), None)
+        piece = Piece(lo, hi, 0, float(q), None)
 
     y, yp = complex(state.y), complex(state.yp)
     if x_to == x_from:
         return StateVector(y, yp, x_to)
-    _, _, (y, yp), _ = _cross_cell(piece, x_from, x_to, np.asarray(sp.lam, dtype=complex),
-                                   (y, yp), CPM_DENSITY)
+    cell = SimpleNamespace(pieces=[piece], jump_after_piece=[None],
+                           const_cells=_const_cells([piece]))
+    y, yp = propagate_endpoints_batch(cell, np.asarray(sp.lam, dtype=complex), (y, yp),
+                                      backward=x_to < x_from)
     return StateVector(complex(y), complex(yp), x_to)
 
 
@@ -409,8 +448,9 @@ def _stack(problems):
         return replace(cells[0], qfun=lambda x: np.stack([c.qfun(x) for c in cells], axis=-1))
 
     weights = tuple(np.array(w)[:, None] for w in zip(*(p.weights for p in problems)))
+    pieces = [piece(c) for c in zip(*(p.pieces for p in problems))]
     return SimpleNamespace(
-        pieces=[piece(c) for c in zip(*(p.pieces for p in problems))],
+        pieces=pieces, const_cells=_const_cells(pieces),
         jump_after_piece=[None if j[0] is None else columns(j, "abc")
                           for j in zip(*(p.jump_after_piece for p in problems))],
         variant=problems[0].variant, weights=weights, w_end=weights[-1],
@@ -424,7 +464,8 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
     """Propagate Cauchy data for a whole array of lambda at once.
 
     Uses the same Gauss-Magnus steps as the dense solutions: constant cells
-    in one exact step, other cells on a lambda-independent grid of
+    in one exact step each (built together, see :func:`_exact_steps`),
+    other cells on a lambda-independent grid of
     ``cpm_density`` steps per unit length, so the result is a smooth
     function of lambda (what root polishing and the inverse iteration
     need).  ``start`` is (y, y') or, to carry the variational pair along,
@@ -438,16 +479,22 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
     real lambda.
     """
     lam = np.asarray(lam, dtype=complex if np.iscomplexobj(lam) else float)
-    state = tuple(np.zeros_like(lam) + v for v in start)
+    state = tuple(np.zeros(lam.shape, lam.dtype) + v for v in start)
+    var = len(state) == 4
     pieces, jumps = problem.pieces, problem.jump_after_piece
+    exact = _exact_steps(problem.const_cells[backward], lam, var)
     zeros = 0 if count_zeros and cells is None else None
     for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
         piece = pieces[i]
         if backward and jumps[i] is not None:
             state = _jump_state(jumps[i], state, inverse=True)
         x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
+        if piece.q_const is None:
+            h, xs, blocks = _steps(piece, x0, x1, lam, cpm_density, var)
+        else:   # one row, which the walk then holds no reference to
+            h, xs, blocks = x1 - x0, (x0, x1), islice(exact, 1)
         nodes = None if cells is None else [state]
-        h, xs, state, zeros = _cross_cell(piece, x0, x1, lam, state, cpm_density, nodes, zeros)
+        state, zeros = _cross_cell(h, blocks, state, nodes, zeros)
         if cells is not None:
             cells[i] = _PieceSol(piece, xs, h, nodes)
         if not backward and jumps[i] is not None:

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .asymptotics import eigenvalue_guesses
+from .asymptotics import _check_count, eigenvalue_guesses
 from .errors import (
     ConfigParseError,
     ContourTooCloseError,
@@ -373,8 +372,7 @@ def eigenvalues(problem, count, verify=True, left="spec",
     With ``verify`` the oscillation index must count 0, 1, ..., count
     eigenvalues below the floor, between the located roots and past the
     last one, or MissedEigenvalueError names the interval that disagrees."""
-    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
-        raise DomainError(f"count must be an integer >= 1, got {count!r}")
+    _check_count(count)
     roots, _, (floor, top) = _locate(problem, count, left, cpm_density)
     lams = roots[:count]
 

@@ -62,11 +62,15 @@ def _reject_poles(flat, lams):
 
 
 def _reject_overflow(flat, m):
-    """DomainError at the first point of ``flat`` where ``m`` overflowed, as
-    the solutions do below about lambda = -5e4 (exp(|Im rho| pi) > 1e308)."""
-    bad = flat[~np.isfinite(m)]
-    if bad.size:
-        raise DomainError(f"m is not finite at lambda={bad[0]} (overflow)")
+    """DomainError at the first point of ``flat`` where ``m`` is not finite:
+    that lambda is not finite itself, or the solutions overflowed there, as
+    they do below about lambda = -5e4 (exp(|Im rho| pi) > 1e308)."""
+    finite = np.isfinite(m)
+    if np.count_nonzero(finite) < finite.size:
+        at = flat[~finite][0]
+        if not np.isfinite(at):
+            raise DomainError(f"lambda={at} is not finite")
+        raise DomainError(f"m is not finite at lambda={at} (overflow)")
 
 
 def weyl_m(problem, lam, sd: SpectralData | None = None):
@@ -85,7 +89,7 @@ def weyl_m(problem, lam, sd: SpectralData | None = None):
     with np.errstate(over="ignore", invalid="ignore"):
         psi0 = _psi_at_zero(problem, flat)
         delta = _wronskian(initial_state(problem, "phi", flat)[0], psi0)
-        if not delta.all():
+        if np.count_nonzero(delta) < delta.size:
             raise PoleError(f"Delta vanishes at lambda={flat[delta == 0.0][0]}")
         m = _wronskian(initial_state(problem, "chi", flat)[0], psi0) / delta
     _reject_overflow(flat, m)

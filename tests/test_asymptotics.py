@@ -78,6 +78,19 @@ def test_asymptotic_rejects_non_finite_rho(one_jump, rho):
             asymptotic_eval(one_jump, target, x, rho)
 
 
+@pytest.mark.parametrize("x", [5.0, -1.0, math.inf, math.nan])
+def test_asymptotic_rejects_x_outside_the_interval(one_jump, x):
+    for target in ("phi", "phi_prime"):
+        with pytest.raises(DomainError, match=r"outside \[0, pi\]"):
+            asymptotic_eval(one_jump, target, x, 3.0)
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, 2.0, True, "3", None])
+def test_eigenvalue_guesses_count_must_be_a_positive_integer(one_jump, count):
+    with pytest.raises(DomainError, match="count must be an integer >= 1"):
+        eigenvalue_guesses(one_jump, count)
+
+
 def test_asymptotic_free_is_exact(free):
     # no jumps, q = 0: the "asymptotic" phi is the exact solution
     rho = 4.7

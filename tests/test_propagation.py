@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from jumpsl import (
     RobinBC,
     SampledGrid,
     SpectralPoint,
+    constant_potential,
     fundamental_solution,
     initial_state,
     modified_wronskian,
@@ -20,6 +22,7 @@ from jumpsl import (
 from jumpsl.propagation import (
     CPM_DENSITY,
     StateVector,
+    _stack,
     apply_jump,
     propagate_endpoints_batch,
     propagate_interval,
@@ -315,7 +318,7 @@ def mathieu():
                                 RobinBC(0.0, 0.0)))
 
 
-@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump"])
+@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump", "one_jump", "eig_desk"])
 @pytest.mark.parametrize("n", [1, 40, 5000])
 def test_blocked_batch_bit_identical_to_step_loop(name, n, request):
     # n = 5000 exceeds the block bound, so each block holds a single step
@@ -335,7 +338,7 @@ def test_blocked_batch_bit_identical_to_step_loop(name, n, request):
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
-@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump"])
+@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump", "one_jump", "eig_desk"])
 @pytest.mark.parametrize("n", [1, 40, 5000])
 def test_walk_zero_count_matches_step_loop(name, n, request):
     # the walk counts each block of steps as it leaves it; n = 5000 puts
@@ -353,7 +356,7 @@ def test_walk_zero_count_matches_step_loop(name, n, request):
         assert n == 1 or ref_zeros[-1] >= 29      # rho = 30 at lambda = 900
 
 
-@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump"])
+@pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump", "one_jump", "eig_desk"])
 def test_dense_nodes_bit_identical_to_step_loop(name, request):
     p = request.getfixturevalue(name)
     sp = SpectralPoint.from_lambda(37.3 + 0.4j)
@@ -395,3 +398,44 @@ def test_real_lambda_bit_identical_to_complex(name, request):
         bc = p.boundary
         norm2 += p.weights[0] * bc.r1 + (p.w_end / bc.r2) * (yp + bc.H1 * y).real ** 2
     assert gamma.dtype == np.float64 and np.array_equal(gamma, 1.0 / norm2)
+
+
+@pytest.mark.parametrize("n", [25, 3000])
+def test_stack_of_constant_cells_bit_identical_to_single_walks(n):
+    # the full-spectral fit's constant-q problem (two constant cells) and a
+    # copy with h moved walk as one stack: grouped cells at 25 lambda per
+    # row, one cell per coefficient call at 3000
+    problems = [validate(ProblemSpec(constant_potential(0.0), RobinBC(h, -0.4),
+                                     (JumpCondition(PI / 2, 2.0, 0.5, 0.35),)))
+                for h in (0.7, 0.7 + 1e-3)]
+    stack = _stack(problems)
+    base = np.linspace(-5.0, 400.0, n) + 0.37 * np.arange(2)[:, None]
+    for lam in (base, base + 0.5j):
+        for backward in (False, True):
+            for du in ((), (0.3, -0.7)):
+                start = initial_state(stack, "phi", lam)[0] + du
+                got = propagate_endpoints_batch(stack, lam, start, backward=backward)
+                for r, p in enumerate(problems):
+                    ref = propagate_endpoints_batch(p, lam[r], initial_state(p, "phi", lam[r])[0]
+                                                    + du, backward=backward)
+                    assert all(np.array_equal(g[r], f) for g, f in zip(got, ref))
+    *_, zeros = propagate_endpoints_batch(stack, base, initial_state(stack, "phi", base)[0],
+                                          count_zeros=True)
+    for r, p in enumerate(problems):
+        *_, ref = propagate_endpoints_batch(p, base[r], initial_state(p, "phi", base[r])[0],
+                                            count_zeros=True)
+        assert np.array_equal(zeros[r], ref)
+
+
+def test_constant_cell_groups_keep_memory_bounded(free, four_jump):
+    # four_jump's five constant cells go through one coefficient call per
+    # group of at most _BLOCK_ELEMS entries, so a walk of 20,000 lambda
+    # (one cell per group) needs no more memory than the one-cell problem
+    lam = np.linspace(-5.0, 900.0, 20_000)
+    peaks = []
+    for p in (free, four_jump):
+        tracemalloc.start()
+        delta_batch(p, lam, derivative=True)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]

@@ -211,6 +211,18 @@ def test_deep_negative_axis_raises_domain_error():
     assert weyl_m(p, -4e4).m == pytest.approx(0.005007479923, rel=1e-10)
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 1.0), complex(math.inf, 1.0),
+                                 complex(2.0, -math.inf)])
+def test_non_finite_lambda_is_named(generic, bad):
+    # a lambda that is not finite is named as such, not as an overflow
+    ts = TwoSpectra(eigenvalues(generic, 10, verify=False),
+                    secondary_spectrum(generic, 10, verify=False), generic)
+    for fn in (lambda lam: weyl_m(generic, lam), lambda lam: m_from_two_spectra(ts, lam)):
+        for lam in (bad, np.array([3.0 + 1.0j, bad])):
+            with pytest.raises(DomainError, match=r"lambda=.* is not finite$"):
+                fn(lam)
+
+
 @pytest.mark.parametrize("name", ["jump_q", "cubic", "robin_q"])
 def test_two_spectra_matches_weyl_m(name, cubic):
     jump = JumpCondition(PI / 3, 2.0, 1.0, 0.5)
