@@ -260,15 +260,6 @@ class Piece:
         return self.xr - self.xl
 
 
-def _const_cells(pieces):
-    """The constant cells among ``pieces`` in forward walk order and, widths
-    negated, in backward order: each as (signed width, q) pairs and as
-    width and q columns, the lambda-independent data of their exact steps."""
-    fwd = [(p.length, p.q_const) for p in pieces if p.q_const is not None]
-    return tuple((cells, np.array([h for h, _ in cells]), np.array([q for _, q in cells]))
-                 for cells in (fwd, [(-h, q) for h, q in fwd[::-1]]))
-
-
 class ValidatedProblem:
     """A ProblemSpec plus all derived data; immutable after construction.
 
@@ -285,6 +276,7 @@ class ValidatedProblem:
         self.alpha_primes = alpha_primes
         self.pieces = pieces
         self.jump_after_piece = jump_after_piece  # JumpCondition or None per interior node
+        from .propagation import _const_cells   # propagation imports this module
         self.const_cells = _const_cells(pieces)
         self._jump_ds = tuple(j.d for j in spec.jumps)
 

@@ -40,7 +40,6 @@ derivative of the step (no finite differences).
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 from types import SimpleNamespace
@@ -49,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, MismatchError
-from .problem import PI, Piece, _const_cells
+from .problem import PI, Piece
 
 __all__ = [
     "SpectralPoint",
@@ -110,11 +109,9 @@ def _cs(w):
     w = np.asarray(w)
     real = w.dtype.kind != "c"
     z = np.sqrt(np.maximum(w, 0.0) if real else w)
-    # S is 1 at w = 0; elsewhere the division warns only where sin or cos does
-    zero = np.count_nonzero(z) < z.size
-    with np.errstate(divide="ignore", invalid="ignore") if zero else nullcontext():
+    with np.errstate(divide="ignore", invalid="ignore"):
         S = np.asarray(np.sin(z) * (1.0 / z) if real else np.sin(z) / z)
-    if zero:
+    if np.count_nonzero(z) < z.size:
         S[z == 0.0] = 1.0
     C = np.asarray(np.cos(z))
     if real and np.count_nonzero(neg := w < 0.0):
@@ -216,29 +213,37 @@ def _steps(piece, x0, x1, lam, density, var):
                    for w, T in [_coefs(h, lam, qb[k:k + block], a[k:k + block], var)])
 
 
+def _const_cells(pieces):
+    """Width and q columns of the constant cells among ``pieces`` in forward
+    walk order and, widths negated, in backward order: the lambda-independent
+    data of their exact steps, laid out once per problem."""
+    const = [p for p in pieces if p.q_const is not None]
+    h, q = np.array([p.length for p in const]), np.array([p.q_const for p in const])
+    return (h, q), (-h[::-1], q[::-1])
+
+
 def _exact_steps(cells, lam, var):
     """Each constant cell's one exact step, as a block for :func:`_cross_cell`,
     in walk order.  A group of cells of at most ``_BLOCK_ELEMS`` (cells x
-    lambda) entries takes its steps from one :func:`_coefs` call on the width
-    and q columns of ``cells`` (see ``problem._const_cells``), made when the
-    walk reaches it.  A group of one cell passes its scalars instead, which
-    spares a one-cell call the columns' float-to-complex casts and keeps
-    numpy's reuse of its temporaries."""
-    pairs, h, q = cells
-    size = max(1, _BLOCK_ELEMS // max(1, lam.size))
-    for k in range(0, len(pairs), size):
-        if len(pairs[k:k + size]) == 1:
-            w, T = _coefs(pairs[k][0], lam, pairs[k][1], 0.0, var)
-            rows = [(w, [T], 0.0)]
+    lambda) entries, or one cell at a 0-d lambda, takes its steps from one
+    :func:`_coefs` call on the columns of ``cells`` (see :func:`_const_cells`),
+    made when the walk reaches it and dropped before the next.  A cell alone
+    in its group passes scalars: on a one-row column the float-to-complex
+    casts made a call on 3,000 lambda with the variational pair about 1.4x
+    as slow, and numpy rounds 0-d complex arithmetic apart from its array
+    loops."""
+    h, q = cells
+    size = max(1, _BLOCK_ELEMS // max(1, lam.size)) if lam.ndim else 1
+    for k in range(0, len(h), size):
+        hk, qk = h[k:k + size], q[k:k + size]
+        if len(hk) == 1:
+            w, T = _coefs(hk[0], lam, qk[0], 0.0, var)
+            yield w, [T], 0.0
         else:
-            qk = q[k:k + size]
-            w, T = _coefs(h[k:k + size].reshape((-1,) + (1,) * lam.ndim), lam,
+            w, T = _coefs(hk.reshape((-1,) + (1,) * lam.ndim), lam,
                           qk.reshape(qk.shape + (1,) * (lam.ndim + 1 - qk.ndim)), 0.0, var)
-            rows = [(wj, [step], 0.0) for wj, *step in zip(w, *T)][::-1]
-        # handed out one at a time, so that each goes once its cell is crossed
+            yield from ((wj, [step], 0.0) for wj, *step in zip(w, *T))
         del w, T
-        while rows:
-            yield rows.pop()
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +496,7 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
         x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
         if piece.q_const is None:
             h, xs, blocks = _steps(piece, x0, x1, lam, cpm_density, var)
-        else:   # one row, which the walk then holds no reference to
+        else:   # pulled inside _cross_cell, so the walk holds no row while the next is built
             h, xs, blocks = x1 - x0, (x0, x1), islice(exact, 1)
         nodes = None if cells is None else [state]
         state, zeros = _cross_cell(h, blocks, state, nodes, zeros)

@@ -338,6 +338,22 @@ def test_blocked_batch_bit_identical_to_step_loop(name, n, request):
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
+@pytest.mark.parametrize("name", ["four_jump", "one_jump", "eig_desk"])
+def test_0d_lambda_bit_identical_to_step_loop(name, request):
+    # a 0-d lambda steps each constant cell on numpy scalars, which round
+    # complex arithmetic apart from the array loops of a grouped call
+    # (stepped cells build their blocks as arrays at any lambda)
+    p = request.getfixturevalue(name)
+    for lam in np.array([3.7 + 0.9j, -12.3 + 2.1j, 410.2 - 0.3j, 57.1]):
+        start = (1.0 + 0.0 * lam, -0.4 + 0.0 * lam, 0.3 + 0.0 * lam, -0.7 + 0.0 * lam)
+        for backward in (False, True):
+            for state in (start[:2], start):
+                got = propagate_endpoints_batch(p, lam, state, backward=backward,
+                                                cpm_density=96)
+                ref, _, _ = _ref_walk(p, lam, state, backward, 96)
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
 @pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump", "one_jump", "eig_desk"])
 @pytest.mark.parametrize("n", [1, 40, 5000])
 def test_walk_zero_count_matches_step_loop(name, n, request):

@@ -11,10 +11,11 @@ that is not ``array_equal`` (NaN equal to NaN, dtypes and shapes equal)
 and every case recorded in only one file, and exits with status 1 if there
 is any.  A dump takes about ten seconds.
 
-The cases: Delta and Delta' (real and complex lambda, both left data, two
-densities); the oscillation index N; located roots, counts 1500 and 3000
-included; gamma and beta; dense solutions and their step nodes; Weyl
-samples from scalar and array calls; contour counts; and the params,
+The cases: Delta and Delta' (real and complex lambda, as arrays and one 0-d
+lambda at a time, both left data, two densities); ``propagate_interval``;
+the oscillation index N; located roots, counts 1500 and 3000 included;
+gamma and beta; dense solutions and their step nodes; Weyl samples from
+scalar and array calls; contour counts; and the params,
 residuals, nfev and Jacobians of the benchmark's two fits (seeds 1-3) and
 of the three inverse round trips of acceptance criterion 11.
 """
@@ -87,6 +88,12 @@ def _forward_cases(api, out):
                     d, dd = api.delta_batch(p, lam, derivative=True, left=left,
                                             cpm_density=dens)
                     out[f"delta_d/{key}"], out[f"ddelta/{key}"] = d, dd
+                # 0-d lambda, one call per point
+                for kind, lam in (("real", real[::40]), ("complex", cplx[::6])):
+                    key = f"{name}/d{dens}/{left}/{kind}"
+                    out[f"delta_0d/{key}"] = np.array(
+                        [api.delta_batch(p, z, derivative=True, left=left, cpm_density=dens)
+                         for z in lam])
                 index, delta = spectrum._sweep(p, real, left, dens)
                 out[f"N/{name}/d{dens}/{left}"] = index
                 out[f"N_delta/{name}/d{dens}/{left}"] = delta
@@ -107,6 +114,13 @@ def _forward_cases(api, out):
             out[f"weyl_array/{name}/{field}"] = getattr(ws, field)
         for i, rect in enumerate(((-70.0, 50.5, -1.0, 1.0), (2.5, 310.3, -2.0, 3.0))):
             _record(api, out, f"contour/{name}/{i}", lambda: api.count_zeros_contour(p, rect))
+    for kind, q in (("const", 0.7), ("callable", np.cos)):
+        for lam in (23.1 + 0.7j, 5.3):
+            start = propagation.StateVector(1.0, -0.4, 0.2)
+            for x0, x1 in ((0.2, 2.9), (2.9, 0.2)):
+                end = propagation.propagate_interval(
+                    q, propagation.SpectralPoint.from_lambda(lam), start, x0, x1)
+                out[f"interval/{kind}/{lam}/{x0}"] = np.array([end.y, end.yp])
     for name in ("one_jump", "four_jump", "eig_desk"):
         p = _problems(api)[name]
         for count in (1500, 3000):
