@@ -153,6 +153,12 @@ def _coefs(h, lam, qb, a, var=False):
     return w, T
 
 
+def _turns(angle, y):
+    """floor(angle / pi) of an atan2 angle in [-pi, pi] whose sine has the
+    sign of y, taken from that sign: atan2 rounds pi - delta up to pi."""
+    return np.where(y > 0.0, 0.0, np.where(y < 0.0, -1.0, np.floor(angle / math.pi)))
+
+
 def _zeros(h, w, a, trail):
     """Zeros of y on the steps of one block with node states ``trail``."""
     y, yp = (np.stack([state[k] for state in trail]) for k in (0, 1))
@@ -161,9 +167,11 @@ def _zeros(h, w, a, trail):
     if (wide := ~(s < math.pi)).any():
         start, end = (np.arctan2(s * y[k], a * y[k] + h * yp[k])
                       for k in (slice(None, -1), slice(1, None)))
-        # the end angle nearest the turn that agrees with the end state
-        end += 2.0 * math.pi * np.round((start + s - end) / (2.0 * math.pi))
-        count = np.where(wide, np.floor(end / math.pi) - np.floor(start / math.pi), count)
+        # lift the end angle by the whole turns that bring it nearest
+        # start + s, as an integer: adding 2 pi k first can round an end
+        # angle just under a multiple of pi up onto it
+        lift = 2.0 * np.round((start + s - end) / (2.0 * math.pi))
+        count = np.where(wide, _turns(end, y[1:]) + lift - _turns(start, y[:-1]), count)
     return count.sum(axis=0)
 
 

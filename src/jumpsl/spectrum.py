@@ -54,6 +54,7 @@ from .propagation import (
     SpectralPoint,
     _psi_at_zero,
     _stack,
+    _turns,
     fundamental_solution,
     initial_state,
     modified_wronskian,
@@ -255,8 +256,9 @@ def _sweep(problem, lam, left, cpm_density):
     start = _phi_start(problem, lam, left)[0]
     y, yp, zeros = propagate_endpoints_batch(problem, lam, start, cpm_density=cpm_density,
                                              count_zeros=True)
-    theta = math.pi * (np.floor(np.arctan2(*start) / math.pi) + zeros) \
-        + np.mod(np.arctan2(y, yp), math.pi)
+    end = np.arctan2(y, yp)
+    theta = math.pi * (_turns(np.arctan2(*start), start[0]) + zeros) \
+        + (end - math.pi * _turns(end, y))
     psi, _ = initial_state(problem, "psi", lam)
     shift = left == "spec" and problem.variant == "eigenparameter"
     index = np.ceil((theta - np.arctan2(*psi)) / math.pi).astype(int) + shift

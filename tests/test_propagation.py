@@ -272,8 +272,12 @@ def _ref_zeros(h, lam, qb, a, before, after):
     flip = (y0 != 0.0) & (np.sign(y0) != np.sign(y1))
     start = np.arctan2(s * y0, a * y0 + h * yp0)
     end = np.arctan2(s * y1, a * y1 + h * yp1)
-    end = end + 2.0 * PI * np.round((start + s - end) / (2.0 * PI))
-    return np.where(s < PI, flip, np.floor(end / PI) - np.floor(start / PI))
+    # each angle's multiple of pi from the sign of y, the end's lifted by
+    # the whole turns that bring it nearest start + s
+    turns = [np.where(y > 0.0, 0.0, np.where(y < 0.0, -1.0, np.floor(t / PI)))
+             for t, y in ((start, y0), (end, y1))]
+    lift = 2.0 * np.round((start + s - end) / (2.0 * PI))
+    return np.where(s < PI, flip, turns[1] + lift - turns[0])
 
 
 def _ref_walk(problem, lam, state, backward, density):

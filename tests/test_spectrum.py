@@ -661,6 +661,37 @@ def test_warm_brackets_close_pair_falls_back(warm_stood):
         spectrum._locate(_barrier(120.0), 8, "spec", 160, np.arange(8.0) ** 2)
 
 
+def _phi_before(p, lam, i):
+    """phi at the right end of cell i, before its jump, from the walk."""
+    cells = [None] * len(p.pieces)
+    propagation.propagate_endpoints_batch(
+        p, lam, propagation.initial_state(p, "phi", lam)[0], cells=cells)
+    return cells[i].ys[-lam.size:]
+
+
+@pytest.mark.parametrize("name", ["generic", "four_jump", "one_jump"])
+def test_index_monotone_where_phi_vanishes_at_a_jump(request, name):
+    # within ulps of a zero of phi at a jump point the step that ends there
+    # has an end angle just under a multiple of pi, which must be counted
+    # once; on one_jump these zeros are the eigenvalues (2k + 1)^2
+    p = request.getfixturevalue(name)
+    grid = np.linspace(-5.0, 1000.0, 2000)
+    windows = []
+    for i in np.flatnonzero([j is not None for j in p.jump_after_piece]):
+        v = _phi_before(p, grid, i)
+        k = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)
+        lo, hi, sign = grid[k], grid[k + 1], np.sign(v[k])
+        for _ in range(64):     # to neighbouring floats
+            mid = 0.5 * (lo + hi)
+            below = np.sign(_phi_before(p, mid, i)) == sign
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        windows.append(hi[:, None] + np.arange(-16, 17) * np.spacing(hi)[:, None])
+    windows = np.concatenate(windows)
+    assert len(windows) >= 9
+    index = spectrum._sweep(p, windows.ravel(), "spec", 160)[0].reshape(windows.shape)
+    assert np.all(np.diff(index, axis=1) >= 0)
+
+
 def test_sweep_delta_matches_delta_batch(cubic):
     lam = np.linspace(-30.0, 400.0, 77)
     for left in ("spec", "dirichlet"):
