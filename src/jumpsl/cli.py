@@ -27,7 +27,7 @@ _HINTS = {
     "JumpOrderError": "jump points must be strictly increasing inside (0, pi)",
     "JumpSignError": "each jump needs a*b > 0",
     "BoundaryConstraintError": "eigenparameter data must satisfy r1 > 0 and r2 > 0",
-    "MissedEigenvalueError": "two eigenvalues closer than the scan step were missed",
+    "MissedEigenvalueError": "the oscillation index and Delta disagree; try a higher cpm_density",
     "ContourTooCloseError": "shift the contour away from eigenvalues",
     "InterlacingError": "primary and secondary spectra must interlace",
     "NonconvergenceError": "try a closer initial guess or wider bounds",
@@ -63,11 +63,12 @@ def _build_parser():
     p = add("eigs", "lowest eigenvalues as CSV")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--no-verify", action="store_true",
-                   help="skip the oscillation-index certification")
+                   help="accepted and ignored: the oscillation index that "
+                        "locates the eigenvalues certifies them")
 
     p = add("spectral-data", "eigenvalues with gamma_n and beta_n as CSV")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--no-verify", action="store_true")
+    p.add_argument("--no-verify", action="store_true", help="accepted and ignored")
     p.add_argument("--json", action="store_true", dest="as_json")
 
     p = add("weyl", "sample the Weyl m-function along a lambda line")
@@ -104,14 +105,12 @@ def _build_parser():
 
 def _cmd_eigs(args):
     p = load_problem(args.config)
-    sd = eigenvalues(p, args.count, verify=not args.no_verify)
-    _emit(_spectral_text(sd), args.output)
+    _emit(_spectral_text(eigenvalues(p, args.count)), args.output)
 
 
 def _cmd_spectral_data(args):
     p = load_problem(args.config)
-    sd = eigenvalues(p, args.count, verify=not args.no_verify)
-    sd = spectral_data(p, sd)
+    sd = spectral_data(p, eigenvalues(p, args.count))
     _emit(_spectral_text(sd, args.as_json), args.output)
 
 

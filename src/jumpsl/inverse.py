@@ -38,11 +38,11 @@ propagate as stacks: one walk for the Delta (and gamma) rows, one for
 the mu rows, and one more of each where moving a ``q<i>`` slope turns a
 constant cell into a stepped one.
 
-The first residual of a fit scans for the roots.  Later residuals start
-from the first-order prediction lambda_n(x_J) + (dlambda_n/dp)(x - x_J)
-of the last Jacobian at x_J: an oscillation-index sweep near the
-predictions recovers the scan's own brackets, or the locator falls back
-to the scan, so a prediction never changes a root's bits.
+The first residual of a fit locates the roots from a coarse start.
+Later residuals seed the same oscillation-index bisection with the
+first-order prediction lambda_n(x_J) + (dlambda_n/dp)(x - x_J) of the
+last Jacobian at x_J, which usually settles in one sweep; the brackets,
+and so the roots' bits, do not depend on the seed.
 """
 
 from __future__ import annotations
@@ -272,15 +272,12 @@ def _forward_targets(fs: FitSpec, problem, *predicted):
     ``predicted`` holds predicted lambda_n (and mu_n) to warm-start the
     root locator."""
     guess = list(predicted) or [None, None]
-    n = len(fs.targets_lambda)
-    roots, droots, _ = _locate(problem, n, "spec", fs.cpm_density, guess[0])
-    lams, gams, mus = (roots[:n], droots[:n]), None, None
+    lams = _locate(problem, len(fs.targets_lambda), "spec", fs.cpm_density, guess[0])
+    gams, mus = None, None
     if fs.mode == "full_spectral":
         gams, _ = _norming_data(problem, lams[0], fs.cpm_density)
     elif fs.mode == "two_spectra":
-        n = len(fs.targets_mu)
-        roots, droots, _ = _locate(problem, n, "dirichlet", fs.cpm_density, guess[1])
-        mus = roots[:n], droots[:n]
+        mus = _locate(problem, len(fs.targets_mu), "dirichlet", fs.cpm_density, guess[1])
     return lams, gams, mus
 
 

@@ -7,11 +7,12 @@ potentials, exact.  Its lambda-derivative comes from the variational
 system, never from finite differences.  A fit's perturbed problems walk
 as one stack per cell layout, and Delta and gamma come off it at once.
 
-Eigenvalues are located by a sign-change scan on the real axis (the scan
-floor extends below zero), polished by a safeguarded Newton iteration in
-lambda, and optionally certified by the exact oscillation index.  Given
-predicted roots (a fit's residuals have them), the same brackets come
-from one index sweep near the predictions instead of the scan.
+Eigenvalues are located by bisecting the exact oscillation index over a
+grid on the real axis (its floor extends below zero), which also
+certifies them, and polished by a safeguarded Newton iteration in
+lambda from the grid cells where Delta changes sign.  Predicted roots (a
+fit's residuals have them) seed the bisection near themselves; the
+brackets, and so the roots' bits, do not depend on the seeds.
 
 Norming constants and coupling coefficients of a whole spectrum come from
 two batched propagations: the squared norm of phi is the Lagrange bracket
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -265,33 +266,6 @@ def _sweep(problem, lam, left, cpm_density):
     return index, _delta_at(problem, lam, (y, yp))
 
 
-def _warm_brackets(problem, lam, predicted, left, cpm_density):
-    """The scan's first ``len(predicted)`` brackets on the grid ``lam`` from
-    one index sweep near the predicted roots, or None.
-
-    N and Delta are taken at lam[0] and at the grid points k - 1 .. k + 2
-    around each prediction's cell [k, k + 1].  The brackets stand if
-    N(lam[0]) = 0, if for each n exactly one evaluated cell has N = n and
-    n + 1 at its ends, and if Delta there passes the scan's rule (an exact
-    zero at the left end, or opposite signs).  N is exact, so no other cell
-    below these holds an eigenvalue or a sign change: they are the scan's
-    own brackets, with its (lo, hi, Delta(lo))."""
-    count = len(predicted)
-    k = np.searchsorted(lam, predicted) - 1
-    idx = np.unique(np.clip(np.append(0, k[:, None] + np.arange(-1, 3)),
-                            0, lam.size - 1))
-    index, vals = _sweep(problem, lam[idx], left, cpm_density)
-    cell = np.flatnonzero((np.diff(idx) == 1) & (np.diff(index) == 1)
-                          & (index[:-1] < count))
-    if index[0] != 0 or not np.array_equal(index[cell], np.arange(count)):
-        return None
-    v0, v1 = vals[cell], vals[cell + 1]
-    if not np.all((v0 == 0.0) | (np.sign(v0) * np.sign(v1) < 0.0)):
-        return None
-    lo = idx[cell]
-    return lam[lo], lam[np.where(v0 == 0.0, lo, lo + 1)], v0
-
-
 def _polish_roots(fdf, lo, hi, flo):
     """Vectorized bracket-safeguarded Newton iteration (the ``rtsafe`` rule).
 
@@ -328,79 +302,101 @@ def _polish_roots(fdf, lo, hi, flo):
 
 
 def _locate(problem, count, left, cpm_density, predicted=None):
-    """Zeros of Delta on the real axis, polished, with Delta' at them, and
-    the scan grid's range (floor, top).
+    """The lowest ``count`` zeros of Delta on the real axis, polished, with
+    Delta' at them.
 
-    The grid runs from below :func:`lambda_floor` past the asymptotic
-    guess of root count + 1.  The brackets come from its sign changes, all
-    of them, or, given ``count`` predicted roots, from
-    :func:`_warm_brackets`, which finds the first ``count`` of the same
-    brackets with no scan and falls back to it; the same brackets give
-    the same bits.  MissedEigenvalueError if fewer than ``count`` roots
-    are found."""
+    The oscillation index N is bisected over the scan grid (steps of 0.05
+    in -sqrt(-lambda) below zero and 0.02 in sqrt(lambda) above, from below
+    :func:`lambda_floor` past the guess of root count + 1), one
+    :func:`_sweep` per level, from both ends and every 25th point or the
+    points k - 1 .. k + 2 around each predicted root's cell [k, k + 1].  An
+    interval that holds one of the first ``count`` rises of N gets its grid
+    midpoint or, once at most 3 cells wide, all its points and one more on
+    each side; a cell where N rises by 2 or more gets its lambda midpoint,
+    to 60 levels.  The brackets are then the scan's own: the evaluated
+    cells whose Delta is zero at the left end or changes sign (np.sign:
+    |Delta| passes 1e154 at deep floors), in order.  N is exact, so no
+    other cell holds a root: it must never fall and read n or n + 1 at the
+    ends of root n's bracket (a cell apart where a root sits on a grid
+    point), or MissedEigenvalueError names the interval."""
     guesses = eigenvalue_guesses(
         problem, count + 2,
         trig="cos" if left == "dirichlet" else "sin")
     rho_max = guesses[-1] + 0.75
-    floor = lambda_floor(problem)
-    s = np.concatenate([np.arange(-math.sqrt(-floor) - 0.05, 0.0, 0.05),
+    s = np.concatenate([np.arange(-math.sqrt(-lambda_floor(problem)) - 0.05, 0.0, 0.05),
                         np.arange(0.0, rho_max + 0.02, 0.02)])
     lam = s * np.abs(s)          # s = sign(lambda) sqrt|lambda|
-    brackets = None if predicted is None else \
-        _warm_brackets(problem, lam, predicted, left, cpm_density)
-    if brackets is None:
-        vals = delta_batch(problem, lam, left=left, cpm_density=cpm_density)
-        # signs, not products: |Delta| passes 1e154 at deep floors; an exact
-        # zero of Delta on the grid is its own bracket, not a sign change
-        lo = np.flatnonzero((vals[:-1] == 0.0)
-                            | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0))
-        brackets = lam[lo], lam[np.where(vals[lo] == 0.0, lo, lo + 1)], vals[lo]
-    roots, droots = _polish_roots(
-        lambda x: delta_batch(problem, x, derivative=True, left=left,
-                              cpm_density=cpm_density), *brackets)
-    if len(roots) < count:
+    grid = np.arange(0, lam.size, 25) if predicted is None else \
+        np.searchsorted(lam, predicted)[:, None] + np.arange(-2, 2)
+    grid, seen = np.append(grid, [0, lam.size - 1]), np.zeros(lam.size, bool)
+    # t: positions on the grid, fractional inside a cell
+    t = x = vals = np.empty(0)
+    index = split = t.astype(int)
+    while True:
+        new = np.zeros_like(seen)
+        new[np.clip(grid, 0, lam.size - 1)] = True
+        new &= ~seen
+        seen |= new
+        tn = np.concatenate([np.flatnonzero(new), 0.5 * (t[split] + t[split + 1])])
+        if not tn.size:
+            break
+        xn = np.concatenate([lam[new], 0.5 * (x[split] + x[split + 1])])
+        order = np.argsort(np.concatenate([t, tn]), kind="stable")
+        t, x, index, vals = (np.concatenate(v)[order] for v in zip(
+            (t, x, index, vals), (tn, xn, *_sweep(problem, xn, left, cpm_density))))
+        rise = np.flatnonzero((index[1:] > index[:-1]) & (index[:-1] < count))
+        lo, hi = t[rise], t[rise + 1]
+        wide = hi - lo > 3
+        near = np.floor(lo[~wide])[:, None] + np.arange(-1, 5)
+        grid = np.concatenate([(lo + hi)[wide] // 2,
+                               near[near <= np.ceil(hi[~wide])[:, None] + 1]]).astype(int)
+        split = rise[(hi - lo <= 1) & (index[rise + 1] - index[rise] > 1) & (hi - lo > 2.0 ** -60)]
+    if index[-1] < count:
+        raise MissedEigenvalueError(f"found only {index[-1]} of {count} requested eigenvalues")
+    # an exact zero of Delta on the grid is its own bracket, not a sign change
+    lo = np.flatnonzero((np.diff(t) <= 1) & (
+        (vals[:-1] == 0.0) | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)))[:count]
+    n = np.arange(lo.size)
+    index0, x0 = np.append(0, index), np.append(-np.inf, x)   # names roots below the floor too
+    fall = np.flatnonzero(np.diff(index0) < 0)
+    off = np.flatnonzero((index[lo] < n) | (index[lo + 1] > n + 1))
+    if fall.size or off.size or lo.size < count:
+        k = fall[0] if fall.size else np.searchsorted(
+            index0, off[0] if off.size else lo.size, side="right") - 1
         raise MissedEigenvalueError(
-            f"found only {len(roots)} of {count} requested eigenvalues")
+            f"the oscillation index reads {index0[k]} at lambda = {x0[k]:.10g} and "
+            f"{index0[k + 1]} at {x0[k + 1]:.10g}, out of step with Delta's sign changes")
+    roots, droots = _polish_roots(
+        lambda z: delta_batch(problem, z, derivative=True, left=left,
+                              cpm_density=cpm_density),
+        x[lo], x[np.where(vals[lo] == 0.0, lo, lo + 1)], vals[lo])
     # simplicity check: nonzero derivative at every root
-    if np.any(droots[:count] == 0.0):
+    if np.any(droots == 0.0):
         raise ToleranceError("vanishing Delta derivative at a located root")
-    return roots, droots, (floor, lam[-1])
+    return roots, droots
 
 
 def eigenvalues(problem, count, verify=True, left="spec",
                 cpm_density=CPM_DENSITY) -> SpectralData:
-    """The lowest ``count`` eigenvalues, bracketed and Newton-polished.
-
-    With ``verify`` the oscillation index must count 0, 1, ..., count
-    eigenvalues below the floor, between the located roots and past the
-    last one, or MissedEigenvalueError names the interval that disagrees."""
+    """The lowest ``count`` eigenvalues, located by bisecting the
+    oscillation index and Newton-polished (see :func:`_locate`).  The index
+    certifies each root's bracket, so every record is "index-verified";
+    ``verify`` is accepted and does nothing."""
     _check_count(count)
-    roots, _, (floor, top) = _locate(problem, count, left, cpm_density)
-    lams = roots[:count]
-
-    certification = "bracketed"
-    if verify:
-        # the floor, between roots, and short of the next root or the top
-        edges = np.append(roots, top)[:count + 1]
-        pts = np.concatenate([[floor], 0.5 * (edges[1:] + edges[:-1])])
-        index = _sweep(problem, pts, left, cpm_density)[0]
-        bad = np.flatnonzero(index != np.arange(count + 1))
-        if bad.size:
-            k = bad[0]
-            raise MissedEigenvalueError(
-                f"the oscillation index counts {index[k]} eigenvalues below "
-                f"lambda = {pts[k]:.10g}, the scan located {k}: the mismatch "
-                f"lies in ({pts[k - 1] if k else -math.inf:.10g}, {pts[k]:.10g})")
-        certification = "index-verified"
-
-    records = tuple(
-        EigenRecord(n=i, lam=float(lam),
-                    rho=complex(np.sqrt(complex(lam))),
-                    gamma=None, beta=None, certification=certification)
-        for i, lam in enumerate(lams)
-    )
-    return SpectralData(records=records, fingerprint=problem.fingerprint(),
+    roots, _ = _locate(problem, count, left, cpm_density)
+    return SpectralData(records=_records(roots, ["index-verified"] * count),
+                        fingerprint=problem.fingerprint(),
                         variant=problem.variant, cpm_density=cpm_density)
+
+
+def _records(lams, certifications, gammas=None, betas=None):
+    """EigenRecords n = 0, 1, ... at ``lams`` with rho = sqrt(lambda), one
+    certification each and, if given, gamma_n and beta_n."""
+    lams = np.asarray(lams, dtype=float)
+    none = [None] * lams.size
+    return tuple(map(EigenRecord, range(lams.size), lams.tolist(),
+                     np.sqrt(lams.astype(complex)).tolist(), none if gammas is None else gammas,
+                     none if betas is None else betas, certifications))
 
 
 def count_zeros_contour(problem, rectangle):
@@ -520,18 +516,14 @@ def spectral_data(problem, eigs) -> SpectralData:
     if isinstance(eigs, SpectralData):
         if eigs.fingerprint not in ("", fingerprint):
             raise MismatchError(f"eigenvalues of {eigs.fingerprint}, not of {fingerprint}")
-        records, density = eigs.records, eigs.cpm_density
+        lams, density = eigs.lambdas, eigs.cpm_density
+        certifications = [r.certification for r in eigs.records]
     else:
-        density = CPM_DENSITY
-        records = tuple(
-            EigenRecord(n=i, lam=float(l), rho=complex(np.sqrt(complex(l))),
-                        gamma=None, beta=None, certification="bracketed")
-            for i, l in enumerate(eigs))
-    gammas, betas = _norming_data(problem, [r.lam for r in records], density)
-    out = tuple(replace(rec, gamma=float(g), beta=float(b))
-                for rec, g, b in zip(records, gammas, betas))
-    return SpectralData(records=out, fingerprint=fingerprint,
-                        variant=problem.variant, cpm_density=density)
+        lams, density = np.asarray(eigs, dtype=float), CPM_DENSITY
+        certifications = ["bracketed"] * lams.size
+    gammas, betas = _norming_data(problem, lams, density)
+    return SpectralData(records=_records(lams, certifications, gammas.tolist(), betas.tolist()),
+                        fingerprint=fingerprint, variant=problem.variant, cpm_density=density)
 
 
 # ----------------------------------------------------------------------

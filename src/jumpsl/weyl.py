@@ -169,8 +169,9 @@ class TwoSpectra:
 
 
 def secondary_spectrum(problem, count, verify=True) -> SpectralData:
-    """Spectrum with y(0) = 0 in place of the original condition at 0."""
-    return eigenvalues(problem, count, verify=verify, left="dirichlet")
+    """Spectrum with y(0) = 0 in place of the original condition at 0;
+    ``verify`` is accepted and does nothing, as in :func:`eigenvalues`."""
+    return eigenvalues(problem, count, left="dirichlet")
 
 
 def m_from_two_spectra(ts: TwoSpectra, lam, n_terms=None):

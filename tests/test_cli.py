@@ -39,6 +39,10 @@ def test_eigs_stdout_and_determinism(free_cfg, capsys):
     assert main(["eigs", free_cfg, "--count", "4", "--no-verify"]) == 0
     assert capsys.readouterr().out == first
     assert first.count("\n") == 5
+    # --no-verify is accepted and ignored: every spectrum is index-verified
+    assert main(["eigs", free_cfg, "--count", "4"]) == 0
+    assert capsys.readouterr().out == first
+    assert first.count("index-verified") == 4
 
 
 def test_eigs_stdout_matches_output_file(one_jump_cfg, tmp_path, capsys):

@@ -458,7 +458,9 @@ def test_jacobian_propagates_stacks_only(monkeypatch, name):
 
 
 def test_fit_warm_start_changes_no_bit(monkeypatch):
-    # the benchmark's half-inverse fit, with and without warm brackets
+    # the benchmark's half-inverse fit, its residuals' roots located from
+    # the last Jacobian's predictions and from a cold start: the seeds save
+    # sweeps and change no bit
     p = validate(ProblemSpec(
         PiecewisePolynomial(coefficients=((0.25, -0.1, 0.2, 0.0),
                                           (0.1, 0.3, -0.2, 0.08)),
@@ -469,19 +471,18 @@ def test_fit_warm_start_changes_no_bit(monkeypatch):
                                                   cpm_density=96).lambdas),
                  tol=1e-12, cpm_density=96)
     start = pack_parameters(fs) + np.random.default_rng(3).uniform(-0.05, 0.05, 5)
-    stood = []
-    warm = inverse_spectrum._warm_brackets
-
-    def spy(*args):
-        out = warm(*args)
-        stood.append(out is not None)
-        return out
-
-    monkeypatch.setattr(inverse_spectrum, "_warm_brackets", spy)
+    seeded, sweeps = [], []
+    locate, sweep = inverse._locate, inverse_spectrum._sweep
+    monkeypatch.setattr(inverse_spectrum, "_sweep", lambda *a: sweeps.append(1) or sweep(*a))
+    monkeypatch.setattr(inverse, "_locate", lambda *a: seeded.append(a[4] is not None)
+                        or locate(*a))
     on = fit(fs, initial_guess=start)
-    assert on.converged and stood and all(stood)
-    monkeypatch.setattr(inverse_spectrum, "_warm_brackets", lambda *a: None)
+    assert on.converged and seeded[0] is False and all(seeded[1:]) and len(seeded) > 2
+    warm = len(sweeps)
+    sweeps.clear()
+    monkeypatch.setattr(inverse, "_locate", lambda *a: locate(*a[:4]))
     off = fit(fs, initial_guess=start)
+    assert len(sweeps) > warm
     assert np.array_equal(on.params, off.params)
     assert np.array_equal(on.residual, off.residual)
     assert on.nfev == off.nfev

@@ -18,6 +18,7 @@ from jumpsl import (
     RobinBC,
     SampledGrid,
     constant_potential,
+    eigenvalues,
     gauge_transform,
     load_problem,
     problem_from_dict,
@@ -114,6 +115,34 @@ def test_sampled_grid_interpolation():
     x = np.linspace(0, PI, 200)
     g = SampledGrid(x, np.sin(x), order=3)
     assert g(1.0) == pytest.approx(math.sin(1.0), abs=1e-6)
+
+
+def test_sampled_grid_orders_0_and_1():
+    x, v = [0.0, 1.0, 2.0, PI], [1.0, 3.0, -1.0, 2.0]
+    step, line = SampledGrid(x, v, order=0), SampledGrid(x, v, order=1)
+    # order 0 holds each sample up to the next abscissa, the last to pi
+    assert [step(t) for t in (0.5, 1.0, 1.99, PI)] == [1.0, 3.0, 3.0, 2.0]
+    assert np.array_equal(step(np.array([0.0, 2.5])), [1.0, -1.0])
+    assert line(0.5) == 2.0 and line(1.5) == 1.0
+    assert isinstance(step(0.5), float) and isinstance(line(0.5), float)
+    # equal samples give q = 2 exactly at every Gauss node: n^2 + 2
+    for order in (0, 1):
+        p = validate(ProblemSpec(SampledGrid(x, [2.0] * 4, order=order), RobinBC(0.0, 0.0)))
+        lams = eigenvalues(p, 6, cpm_density=32).lambdas
+        assert np.max(np.abs(lams - (2.0 + np.arange(6) ** 2))) <= 1e-11
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_problem_from_dict_sampled_grid(order):
+    x = np.linspace(0.0, PI, 9)
+    p = validate(ProblemSpec(SampledGrid(x, np.cos(x), order=order), RobinBC(0.2, -0.1),
+                             (JumpCondition(1.0, 1.2, 0.9, 0.1),)))
+    back = problem_from_dict(json.loads(json.dumps(problem_to_dict(p))))
+    assert isinstance(back.spec.potential, SampledGrid)
+    assert back.spec.potential.order == order
+    assert back.fingerprint() == p.fingerprint()
+    t = np.linspace(0.0, PI, 31)
+    assert np.array_equal(back.spec.potential(t), p.spec.potential(t))
 
 
 def test_segment_and_weight_sides(one_jump):

@@ -220,6 +220,29 @@ def test_propagate_interval_rejects_straddle(generic):
     assert piece.xr <= d + 1e-15
 
 
+def test_propagate_interval_piece_and_empty_interval(generic, cubic):
+    sp = SpectralPoint.from_lambda(7.3 + 0.2j)
+    start = StateVector(1.0, -0.4, 0.3)
+    for piece in (generic.pieces[0], cubic.pieces[0], cubic.pieces[1]):
+        # a cell, or part of it, steps as the float or callable q on it does
+        q = piece.qfun if piece.q_const is None else piece.q_const
+        for x0, x1 in ((piece.xl, piece.xr), (piece.xr, piece.xl),
+                       (piece.xl + 0.1, piece.xr - 0.2)):
+            got = propagate_interval(piece, sp, start, x0, x1)
+            ref = propagate_interval(q, sp, start, x0, x1)
+            assert got == ref and got.x == x1
+    # phi from 0 to the jump point on a cell is the dense solution there
+    d = generic.jumps[0].d
+    phi = fundamental_solution(generic, "phi", sp)
+    end = propagate_interval(generic.pieces[0], sp, StateVector(*phi.state0, 0.0), 0.0, d)
+    assert (end.y, end.yp) == pytest.approx(phi.eval(d, side="-"), rel=1e-13)
+    # an empty interval returns the start state as complex data at x_to
+    for q in (0.7, np.cos, generic.pieces[0]):
+        out = propagate_interval(q, sp, start, 0.8, 0.8)
+        assert out == StateVector(1.0 + 0.0j, -0.4 + 0.0j, 0.8)
+        assert isinstance(out.y, complex)
+
+
 # ----------------------------------------------------------------------
 # bit-identity of the blocked step loop against a per-step reference
 # ----------------------------------------------------------------------

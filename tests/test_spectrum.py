@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,8 @@ def test_one_jump_spectrum(one_jump):
     sd = eigenvalues(one_jump, 10)
     assert np.allclose(sd.lambdas, np.arange(10) ** 2, atol=1e-8)
     assert all(r.certification == "index-verified" for r in sd.records)
+    # the index that locates the roots certifies them: verify changes nothing
+    assert eigenvalues(one_jump, 10, verify=False) == sd
 
 
 def test_delta_forms_agree(generic, eig_desk):
@@ -349,25 +352,36 @@ def _barrier(q):
         ((0.0,), (q,), (0.0,)), (PI / 2 - 0.25, PI / 2 + 0.25)), RobinBC(0.0, 0.0)))
 
 
-def test_index_names_missed_close_pair():
-    # the scan misses the ground pair near 0; its first root, 10.7309, is
-    # really the third eigenvalue
+def _assert_index_certified(p, lams, left="spec", density=160):
+    """N reads 0 at the floor and k between roots k - 1 and k."""
+    pts = np.concatenate([[lambda_floor(p)], 0.5 * (lams[1:] + lams[:-1])])
+    assert np.array_equal(spectrum._sweep(p, pts, left, density)[0], np.arange(len(lams)))
+
+
+def test_index_locates_close_pair():
+    # the ground pair (about 1.197 and 1.206) shares one cell of the scan
+    # grid, where N rises by 2 and Delta keeps its sign; the cell is split
+    # off the grid, so 10.7309 is the third eigenvalue
     p = _barrier(80.0)
-    sd = eigenvalues(p, 8, verify=False)
-    assert sd.lambdas[0] == pytest.approx(10.7309, abs=1e-4)
-    assert all(r.certification == "bracketed" for r in sd.records)
-    mid = 0.5 * (sd.lambdas[0] + sd.lambdas[1])
-    assert spectrum._sweep(p, np.array([mid]), "spec", 160)[0][0] == 3
-    with pytest.raises(MissedEigenvalueError,
-                       match=rf"counts 3 .* located 1: .* \(-6561, {mid:.10g}\)"):
-        eigenvalues(p, 8)
+    sd = eigenvalues(p, 8)
+    assert len(sd) == 8 and all(r.certification == "index-verified" for r in sd.records)
+    assert sd.lambdas[0] == pytest.approx(1.197, abs=1e-3)
+    assert sd.lambdas[1] - sd.lambdas[0] < 0.02
+    assert sd.lambdas[2] == pytest.approx(10.7309, abs=1e-4)
+    _assert_index_certified(p, sd.lambdas)
+    assert np.max(np.abs(delta_batch(p, sd.lambdas))) <= 1e-9 * np.max(
+        np.abs(delta_batch(p, sd.lambdas + 0.001)))
 
 
 def test_scan_survives_huge_delta_at_floor():
     # |Delta| passes 1e154 at this floor, so a product of neighbouring
-    # values overflows; the sign test must not (RuntimeWarning is an error)
-    with pytest.raises(MissedEigenvalueError, match="found only 4 of 8"):
-        eigenvalues(_barrier(120.0), 8, verify=False)
+    # values overflows; the sign test must not (RuntimeWarning is an error).
+    # Its two lowest pairs each share a grid cell
+    p = _barrier(120.0)
+    assert np.max(np.abs(delta_batch(p, np.array([lambda_floor(p)])))) > 1e154
+    sd = eigenvalues(p, 8, verify=False)
+    assert len(sd) == 8 and sd[7].certification == "index-verified"
+    _assert_index_certified(p, sd.lambdas)
 
 
 def _mathieu(q):
@@ -594,71 +608,136 @@ def _shift_cells(lams, cells):
 
 
 @pytest.fixture
-def warm_stood(monkeypatch):
-    """Per warm-bracket attempt: True if its brackets stood, False if the
-    locator fell back to the scan."""
-    stood = []
-    warm = spectrum._warm_brackets
+def sweeps(monkeypatch):
+    """The number of lambda of each index sweep."""
+    sizes = []
+    sweep = spectrum._sweep
 
-    def spy(*args):
-        out = warm(*args)
-        stood.append(out is not None)
-        return out
+    def spy(problem, lam, *args):
+        sizes.append(len(lam))
+        return sweep(problem, lam, *args)
 
-    monkeypatch.setattr(spectrum, "_warm_brackets", spy)
-    return stood
+    monkeypatch.setattr(spectrum, "_sweep", spy)
+    return sizes
 
 
-def _assert_same_roots(got, scan, count):
-    assert np.array_equal(got[0][:count], scan[0][:count])
-    assert np.array_equal(got[1][:count], scan[1][:count])
-    assert got[2] == scan[2]
+def _assert_same_roots(got, cold):
+    assert np.array_equal(got[0], cold[0]) and np.array_equal(got[1], cold[1])
 
 
 @pytest.mark.parametrize("left", ["spec", "dirichlet"])
 @pytest.mark.parametrize("name", ["free", "one_jump", "generic", "two_jump",
                                   "three_jump", "four_jump", "eig_desk", "cubic"])
-def test_warm_brackets_give_the_scan_roots(request, warm_stood, name, left):
-    # exact predictions and predictions one cell off; roots that sit on grid
-    # points (free, one_jump) may fall back, with the same result
+def test_warm_brackets_give_the_scan_roots(request, sweeps, name, left):
+    # exact predictions and predictions one cell off seed the bisection near
+    # the roots: the same brackets, so the cold roots bit for bit.  Exact
+    # ones settle in one sweep, save where roots sit on grid points (free,
+    # one_jump), so that a seed may miss the cell where N rises
     p = request.getfixturevalue(name)
-    scan = spectrum._locate(p, 30, left, 96)
+    cold = spectrum._locate(p, 30, left, 96)
+    assert len(sweeps) > 1
     for cells in (0, -1, 1):
-        got = spectrum._locate(p, 30, left, 96, _shift_cells(scan[0][:30], cells))
-        _assert_same_roots(got, scan, 30)
-    if name not in ("free", "one_jump"):
-        assert warm_stood == [True] * 3
+        sweeps.clear()
+        _assert_same_roots(spectrum._locate(p, 30, left, 96, _shift_cells(cold[0], cells)),
+                           cold)
+        if cells == 0 and name not in ("free", "one_jump"):
+            assert len(sweeps) == 1
 
 
-def test_warm_brackets_one_jump_grid_roots(one_jump, warm_stood):
+def test_warm_brackets_one_jump_grid_roots(one_jump):
     # lambda_n = n^2 lies on the scan grid (sqrt(lambda) = n on a 0.02 step)
-    scan = spectrum._locate(one_jump, 40, "spec", 160)
-    assert np.allclose(scan[0][:40], np.arange(40) ** 2, rtol=0, atol=1e-9)
-    got = spectrum._locate(one_jump, 40, "spec", 160, scan[0][:40])
-    _assert_same_roots(got, scan, 40)
+    cold = spectrum._locate(one_jump, 40, "spec", 160)
+    assert np.allclose(cold[0], np.arange(40) ** 2, rtol=0, atol=1e-9)
+    _assert_same_roots(spectrum._locate(one_jump, 40, "spec", 160, cold[0]), cold)
 
 
 @pytest.mark.parametrize("name", ["four_jump", "cubic"])
-def test_warm_brackets_far_prediction_falls_back(request, warm_stood, name):
+def test_warm_brackets_far_prediction_falls_back(request, sweeps, name):
+    # seeds 10 cells off: the bisection falls back on more levels, from the
+    # seeds and both ends of the grid, to the same brackets
     p = request.getfixturevalue(name)
-    scan = spectrum._locate(p, 30, "spec", 96)
-    got = spectrum._locate(p, 30, "spec", 96, _shift_cells(scan[0][:30], 10))
-    assert warm_stood == [False]
-    _assert_same_roots(got, scan, 30)
+    cold = spectrum._locate(p, 30, "spec", 96)
+    sweeps.clear()
+    _assert_same_roots(spectrum._locate(p, 30, "spec", 96, _shift_cells(cold[0], 10)), cold)
+    assert len(sweeps) > 1
 
 
-def test_warm_brackets_close_pair_falls_back(warm_stood):
-    # the ground pair (about 1.196 and 1.202) shares one grid cell, so the
-    # index jumps by 2 there: the scan's answer, which misses the pair,
-    # comes back unchanged, from the scan's own roots or from the true pair
-    p = _barrier(80.0)
-    scan = spectrum._locate(p, 8, "spec", 160)
-    assert scan[0][0] == pytest.approx(10.7309, abs=1e-4)
-    for predicted in (scan[0][:8], np.concatenate([[1.197, 1.201], scan[0][:6]])):
-        _assert_same_roots(spectrum._locate(p, 8, "spec", 160, predicted), scan, 8)
-    assert warm_stood == [False, False]
-    with pytest.raises(MissedEigenvalueError, match="found only 4 of 8"):
-        spectrum._locate(_barrier(120.0), 8, "spec", 160, np.arange(8.0) ** 2)
+def test_warm_brackets_close_pair_falls_back():
+    # the ground pair of each barrier shares one grid cell, which is split
+    # off the grid from any seeds: the cold roots again
+    for q, guesses in ((80.0, [1.197, 1.201]), (120.0, np.arange(8.0) ** 2)):
+        p = _barrier(q)
+        cold = spectrum._locate(p, 8, "spec", 160)
+        for predicted in (cold[0], np.concatenate([guesses, cold[0]])[:8]):
+            _assert_same_roots(spectrum._locate(p, 8, "spec", 160, predicted), cold)
+
+
+def test_locate_names_where_the_index_disagrees(monkeypatch, generic):
+    lams = eigenvalues(generic, 30).lambdas
+    sweep = spectrum._sweep
+
+    def faked(change):
+        def fake(p, lam, *args):
+            index, vals = sweep(p, lam, *args)
+            return change(lam, index), vals
+        return fake
+
+    # a grid whose top lies below the eigenvalues asked for
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "eigenvalue_guesses", lambda p, n, trig: 0.5 * np.arange(n))
+        with pytest.raises(MissedEigenvalueError, match="found only 17 of 30"):
+            eigenvalues(generic, 30)
+    # an index that falls, and one that counts a second eigenvalue at
+    # lambda_3, where Delta changes sign once: the split stops at 60 levels
+    for change, lo, hi in ((lambda lam, n: n - 2 * ((lam > 50.0) & (lam < 60.0)), 50.0, 60.0),
+                           (lambda lam, n: n + (lam > lams[3]), lams[3], lams[3])):
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_sweep", faked(change))
+            with pytest.raises(MissedEigenvalueError, match="out of step") as err:
+                eigenvalues(generic, 30)
+        # the interval named, to its 10 printed digits
+        a, b = map(float, re.findall(r"lambda = (\S+) and \d+ at (\S+),", str(err.value))[0])
+        assert a <= hi * (1 + 1e-9) and lo <= b * (1 + 1e-9)
+
+
+def _scan_locate(p, count, left, density):
+    """The scan that located roots before the index bisection: Delta on the
+    whole grid, a bracket at each sign change (np.sign) or exact zero at a
+    cell's left end, then the same polish."""
+    guesses = spectrum.eigenvalue_guesses(p, count + 2,
+                                          trig="cos" if left == "dirichlet" else "sin")
+    rho_max = guesses[-1] + 0.75
+    s = np.concatenate([np.arange(-math.sqrt(-lambda_floor(p)) - 0.05, 0.0, 0.05),
+                        np.arange(0.0, rho_max + 0.02, 0.02)])
+    lam = s * np.abs(s)
+    vals = delta_batch(p, lam, left=left, cpm_density=density)
+    lo = np.flatnonzero((vals[:-1] == 0.0) | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0))
+    roots, droots = _polish_roots(
+        lambda x: delta_batch(p, x, derivative=True, left=left, cpm_density=density),
+        lam[lo], lam[np.where(vals[lo] == 0.0, lo, lo + 1)], vals[lo])
+    return roots[:count], droots[:count]
+
+
+_LOCATE_PROBLEMS = {
+    "eig_jump": lambda: validate(ProblemSpec(
+        constant_potential(0.7), EigenparameterBC(0.5, 0.3, 1.2, 1.0, 2.0, 0.5),
+        (JumpCondition(1.1, 0.8, 1.3, -0.4),))),
+    "half": lambda: validate(ProblemSpec(PiecewisePolynomial(
+        coefficients=((0.25, -0.1, 0.2, 0.0), (0.1, 0.3, -0.2, 0.08)),
+        breakpoints=(PI / 2,)), RobinBC(0.2, -0.4))),
+    "mathieu": lambda: _mathieu(2.0),
+}
+
+
+@pytest.mark.parametrize("density", [160, 96])
+@pytest.mark.parametrize("left", ["spec", "dirichlet"])
+@pytest.mark.parametrize("name", ["free", "one_jump", "generic", "four_jump", "eig_desk",
+                                  "eig_jump", "cubic", "half", "mathieu"])
+def test_locate_matches_reference_scan(request, name, left, density):
+    p = (_LOCATE_PROBLEMS[name]() if name in _LOCATE_PROBLEMS
+         else request.getfixturevalue(name))
+    _assert_same_roots(spectrum._locate(p, 40, left, density),
+                       _scan_locate(p, 40, left, density))
 
 
 def _phi_before(p, lam, i):

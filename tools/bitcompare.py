@@ -9,11 +9,13 @@ once in each of two checkouts (say a parent commit and its change), each
 with its own ``src`` on ``PYTHONPATH``; ``compare`` then prints every case
 that is not ``array_equal`` (NaN equal to NaN, dtypes and shapes equal)
 and every case recorded in only one file, and exits with status 1 if there
-is any.  A dump takes about ten seconds.
+is any.  A dump takes about fifteen seconds.
 
 The cases: Delta and Delta' (real and complex lambda, as arrays and one 0-d
 lambda at a time, both left data, two densities); ``propagate_interval``;
-the oscillation index N; located roots, counts 1500 and 3000 included;
+the oscillation index N; located roots, counts 1500 and 3000 included,
+and ``spectrum._locate``'s roots and Delta' from cold and from shifted
+predictions, with the barrier problems whose lowest pairs share a cell;
 gamma and beta; dense solutions and their step nodes; Weyl samples from
 scalar and array calls; contour counts; and the params,
 residuals, nfev and Jacobians of the benchmark's two fits (seeds 1-3) and
@@ -125,6 +127,48 @@ def _forward_cases(api, out):
         p = _problems(api)[name]
         for count in (1500, 3000):
             out[f"roots_large/{name}/{count}"] = api.eigenvalues(p, count).lambdas
+            _locate_case(api, out, f"{name}/{count}", p, count, "spec", propagation.CPM_DENSITY)
+
+
+def _locate_case(api, out, key, p, count, left, dens, predicted=None):
+    """The first ``count`` roots and Delta' there from ``spectrum._locate``,
+    or the library error it raised."""
+    from jumpsl import spectrum
+
+    try:
+        roots, droots = spectrum._locate(p, count, left, dens, predicted)[:2]
+        out[f"locate/{key}/roots"], out[f"locate/{key}/droots"] = roots[:count], droots[:count]
+    except api.JumpSLError as exc:
+        out[f"locate/{key}/roots"] = np.array(f"{type(exc).__name__}: {exc}")
+
+
+def _shift_cells(lams, cells):
+    """``lams`` moved by ``cells`` cells of the scan grid: steps of 0.05 in
+    -sqrt(-lambda) below zero and of 0.02 in sqrt(lambda) above."""
+    s = np.sign(lams) * np.sqrt(np.abs(lams))
+    s = s + cells * np.where(s < 0.0, 0.05, 0.02)
+    return s * np.abs(s)
+
+
+def _locate_cases(api, out):
+    """Located roots and Delta' from a cold start and, at density 96, from
+    predictions 0, 1 or 10 cells off; and the barrier problems, whose
+    lowest pairs share a grid cell."""
+    from jumpsl import propagation
+
+    for name, p in _problems(api).items():
+        for left in ("spec", "dirichlet"):
+            for dens in (propagation.CPM_DENSITY, 96):
+                _locate_case(api, out, f"{name}/d{dens}/{left}", p, 40, left, dens)
+            cold = out.get(f"locate/{name}/d96/{left}/roots")
+            for cells in (0, -1, 1, 10):
+                _locate_case(api, out, f"{name}/d96/{left}/warm{cells:+d}", p, 40, left, 96,
+                             _shift_cells(cold, cells))
+    for q in (80.0, 120.0):
+        p = api.validate(api.ProblemSpec(api.PiecewisePolynomial(
+            ((0.0,), (q,), (0.0,)), (PI / 2 - 0.25, PI / 2 + 0.25)), api.RobinBC(0.0, 0.0)))
+        _locate_case(api, out, f"barrier{q:g}", p, 8, "spec", propagation.CPM_DENSITY)
+        _record(api, out, f"barrier_eigs/{q:g}", lambda: api.eigenvalues(p, 8).lambdas)
 
 
 def _fit(api, out, key, fs, start):
@@ -203,6 +247,7 @@ def dump(path):
 
     out = {}
     _forward_cases(api, out)
+    _locate_cases(api, out)
     _fit_cases(api, out)
     np.savez(path, **out)
     print(f"{len(out)} cases from {Path(api.__file__).parent} written to {path}")
