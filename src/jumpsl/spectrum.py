@@ -306,55 +306,48 @@ def _locate(problem, count, left, cpm_density, predicted=None):
     Delta' at them.
 
     The oscillation index N is bisected over the scan grid (steps of 0.05
-    in -sqrt(-lambda) below zero and 0.02 in sqrt(lambda) above, from below
+    in -sqrt(-lambda) below zero, 0.02 in sqrt(lambda) above, from below
     :func:`lambda_floor` past the guess of root count + 1), one
     :func:`_sweep` per level, from both ends and every 25th point or the
-    points k - 1 .. k + 2 around each predicted root's cell [k, k + 1].  An
-    interval that holds one of the first ``count`` rises of N gets its grid
-    midpoint or, once at most 3 cells wide, all its points and one more on
-    each side; a cell where N rises by 2 or more gets its lambda midpoint,
-    to 60 levels.  The brackets are then the scan's own: the evaluated
-    cells whose Delta is zero at the left end or changes sign (np.sign:
-    |Delta| passes 1e154 at deep floors), in order.  N is exact, so no
-    other cell holds a root: it must never fall and read n or n + 1 at the
-    ends of root n's bracket (a cell apart where a root sits on a grid
-    point), or MissedEigenvalueError names the interval."""
-    guesses = eigenvalue_guesses(
-        problem, count + 2,
-        trig="cos" if left == "dirichlet" else "sin")
-    rho_max = guesses[-1] + 0.75
+    points k - 1 .. k + 2 around each predicted root's cell.  An interval
+    holding one of the first ``count`` rises of N gets its midpoint or, once
+    at most 3 cells wide, all its points and one more on each side; then
+    :func:`_split` splits cells where N rises by 2 or more.  Brackets are
+    cells where Delta is zero at the left end or changes sign (np.sign:
+    |Delta| passes 1e154 at deep floors), and N must read n or n + 1 at the
+    ends of root n's (a cell apart where a root sits on a grid point) and
+    never fall, or MissedEigenvalueError names the interval."""
+    rho_max = eigenvalue_guesses(
+        problem, count + 2, trig="cos" if left == "dirichlet" else "sin")[-1] + 0.75
     s = np.concatenate([np.arange(-math.sqrt(-lambda_floor(problem)) - 0.05, 0.0, 0.05),
                         np.arange(0.0, rho_max + 0.02, 0.02)])
     lam = s * np.abs(s)          # s = sign(lambda) sqrt|lambda|
-    grid = np.arange(0, lam.size, 25) if predicted is None else \
-        np.searchsorted(lam, predicted)[:, None] + np.arange(-2, 2)
-    grid, seen = np.append(grid, [0, lam.size - 1]), np.zeros(lam.size, bool)
-    # t: positions on the grid, fractional inside a cell
-    t = x = vals = np.empty(0)
-    index = split = t.astype(int)
-    while True:
-        new = np.zeros_like(seen)
-        new[np.clip(grid, 0, lam.size - 1)] = True
-        new &= ~seen
+    seen, want = np.zeros(lam.size, bool), np.zeros(lam.size, bool)
+    index, vals = np.zeros(lam.size, int), np.zeros(lam.size)
+    want[[0, -1]] = True
+    want[np.arange(0, lam.size, 25) if predicted is None else np.clip(
+        np.searchsorted(lam, predicted)[:, None] + np.arange(-2, 2), 0, lam.size - 1)] = True
+    while (new := want & ~seen).any():
+        index[new], vals[new] = _sweep(problem, lam[new], left, cpm_density)
         seen |= new
-        tn = np.concatenate([np.flatnonzero(new), 0.5 * (t[split] + t[split + 1])])
-        if not tn.size:
-            break
-        xn = np.concatenate([lam[new], 0.5 * (x[split] + x[split + 1])])
-        order = np.argsort(np.concatenate([t, tn]), kind="stable")
-        t, x, index, vals = (np.concatenate(v)[order] for v in zip(
-            (t, x, index, vals), (tn, xn, *_sweep(problem, xn, left, cpm_density))))
-        rise = np.flatnonzero((index[1:] > index[:-1]) & (index[:-1] < count))
-        lo, hi = t[rise], t[rise + 1]
+        pts = np.flatnonzero(seen)
+        rise = np.flatnonzero((np.diff(index[pts]) > 0) & (index[pts[:-1]] < count))
+        lo, hi = pts[rise], pts[rise + 1]
         wide = hi - lo > 3
-        near = np.floor(lo[~wide])[:, None] + np.arange(-1, 5)
-        grid = np.concatenate([(lo + hi)[wide] // 2,
-                               near[near <= np.ceil(hi[~wide])[:, None] + 1]]).astype(int)
-        split = rise[(hi - lo <= 1) & (index[rise + 1] - index[rise] > 1) & (hi - lo > 2.0 ** -60)]
+        near = lo[~wide, None] + np.arange(-1, 5)
+        want[(lo + hi)[wide] // 2] = True
+        want[np.clip(near[near <= hi[~wide, None] + 1], 0, lam.size - 1)] = True
+    x, index, vals = lam[pts], index[pts], vals[pts]
     if index[-1] < count:
         raise MissedEigenvalueError(f"found only {index[-1]} of {count} requested eigenvalues")
-    # an exact zero of Delta on the grid is its own bracket, not a sign change
-    lo = np.flatnonzero((np.diff(t) <= 1) & (
+    pair = np.flatnonzero((np.diff(pts) == 1) & (np.diff(index) > 1) & (index[:-1] < count))
+    extra = _split(problem, x[pair], x[pair + 1], index[pair], index[pair + 1],
+                   count, left, cpm_density)
+    order = np.argsort(np.concatenate([x, extra[0]]))
+    x, index, vals = (np.concatenate(v)[order] for v in zip((x, index, vals), extra))
+    # an exact zero of Delta on the grid is its own bracket, not a sign change;
+    # a cell is two evaluated points with no grid point between them
+    lo = np.flatnonzero((np.diff(np.searchsorted(lam, x, side="right")) <= 1) & (
         (vals[:-1] == 0.0) | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)))[:count]
     n = np.arange(lo.size)
     index0, x0 = np.append(0, index), np.append(-np.inf, x)   # names roots below the floor too
@@ -376,6 +369,26 @@ def _locate(problem, count, left, cpm_density, predicted=None):
     return roots, droots
 
 
+def _split(problem, lo, hi, n_lo, n_hi, count, left, cpm_density):
+    """Points inside the cells [lo, hi] across which N rises from ``n_lo``
+    to ``n_hi``, with N and Delta there.  Each cell, then each half, where
+    N rises by 2 or more from below ``count`` gets its lambda midpoint, one
+    :func:`_sweep` per level, for at most 60 levels and while the midpoint
+    is not an end; :func:`_locate` names a cell left over."""
+    found = [(np.empty(0), np.empty(0, int), np.empty(0))]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = (lo < mid) & (mid < hi) & (n_hi - n_lo > 1) & (n_lo < count)
+        if not ok.any():
+            break
+        lo, hi, n_lo, n_hi, mid = lo[ok], hi[ok], n_lo[ok], n_hi[ok], mid[ok]
+        n_mid, v_mid = _sweep(problem, mid, left, cpm_density)
+        found.append((mid, n_mid, v_mid))
+        lo, hi = np.append(lo, mid), np.append(mid, hi)
+        n_lo, n_hi = np.append(n_lo, n_mid), np.append(n_mid, n_hi)
+    return tuple(map(np.concatenate, zip(*found)))
+
+
 def eigenvalues(problem, count, verify=True, left="spec",
                 cpm_density=CPM_DENSITY) -> SpectralData:
     """The lowest ``count`` eigenvalues, located by bisecting the
@@ -384,9 +397,8 @@ def eigenvalues(problem, count, verify=True, left="spec",
     ``verify`` is accepted and does nothing."""
     _check_count(count)
     roots, _ = _locate(problem, count, left, cpm_density)
-    return SpectralData(records=_records(roots, ["index-verified"] * count),
-                        fingerprint=problem.fingerprint(),
-                        variant=problem.variant, cpm_density=cpm_density)
+    return SpectralData(_records(roots, ["index-verified"] * count), problem.fingerprint(),
+                        problem.variant, cpm_density)
 
 
 def _records(lams, certifications, gammas=None, betas=None):
@@ -509,8 +521,9 @@ def spectral_data(problem, eigs) -> SpectralData:
     eigenparameter variant; the bracket starts from zero, and the boundary
     terms enter as positive squares.
 
-    MismatchError if ``eigs`` names another problem by its fingerprint;
-    an empty one, as :func:`load_csv` gives, names none.
+    Each record's rho is sqrt(lambda_n), also where ``eigs`` carries its
+    own.  MismatchError if ``eigs`` names another problem by its
+    fingerprint; an empty one, as :func:`load_csv` gives, names none.
     """
     fingerprint = problem.fingerprint()
     if isinstance(eigs, SpectralData):

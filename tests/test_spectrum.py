@@ -688,7 +688,8 @@ def test_locate_names_where_the_index_disagrees(monkeypatch, generic):
         with pytest.raises(MissedEigenvalueError, match="found only 17 of 30"):
             eigenvalues(generic, 30)
     # an index that falls, and one that counts a second eigenvalue at
-    # lambda_3, where Delta changes sign once: the split stops at 60 levels
+    # lambda_3, where Delta changes sign once: the split stops between two
+    # neighbouring floats
     for change, lo, hi in ((lambda lam, n: n - 2 * ((lam > 50.0) & (lam < 60.0)), 50.0, 60.0),
                            (lambda lam, n: n + (lam > lams[3]), lams[3], lams[3])):
         with monkeypatch.context() as m:
@@ -699,6 +700,32 @@ def test_locate_names_where_the_index_disagrees(monkeypatch, generic):
         a, b = map(float, re.findall(r"lambda = (\S+) and \d+ at (\S+),", str(err.value))[0])
         assert a <= hi * (1 + 1e-9) and lo <= b * (1 + 1e-9)
 
+
+
+@pytest.mark.parametrize("ulps", [0, 1])
+def test_split_gives_up_between_neighbouring_floats(monkeypatch, generic, ulps):
+    # N faked to rise by 2 from a float c, halfway between lambda_30 and
+    # lambda_31, to the next float up, with no sign change of Delta: the
+    # split halves the cell down to those two floats, whose midpoint rounds
+    # to one of them (c and c + 1 ulp round opposite ways), and must stop
+    # there and name the cell, not add the same point again and again
+    lams = eigenvalues(generic, 40).lambdas
+    c = 0.5 * (lams[30] + lams[31])
+    for _ in range(ulps):
+        c = np.nextafter(c, np.inf)
+    sweep, calls = spectrum._sweep, []
+
+    def fake(p, lam, *args):
+        calls.append(len(lam))
+        index, vals = sweep(p, lam, *args)
+        return index + 2 * (lam > c), vals
+
+    monkeypatch.setattr(spectrum, "_sweep", fake)
+    with pytest.raises(MissedEigenvalueError, match="reads 31 at .* and 33 at") as err:
+        eigenvalues(generic, 40)
+    assert len(calls) < 80
+    a, b = map(float, re.findall(r"lambda = (\S+) and \d+ at (\S+),", str(err.value))[0])
+    assert a == pytest.approx(c, rel=1e-9) and b == pytest.approx(c, rel=1e-9)
 
 def _scan_locate(p, count, left, density):
     """The scan that located roots before the index bisection: Delta on the
