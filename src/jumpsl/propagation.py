@@ -18,20 +18,20 @@ q taken from ``Piece.q_const``.  Other cells take ``CPM_DENSITY`` (or
 h^4.
 
 Every walk across [0, pi] goes through :func:`propagate_endpoints_batch`:
-scans, index sweeps, stacked Jacobian walks and dense solutions.  Each cell
-builds its step matrices for a block of steps times all lambdas (about
-``_BLOCK_ELEMS`` entries) in one numpy call and applies them with the
-expressions of a single step, so blocking changes no bit; an index sweep
-counts the zeros of y in each block as the walk leaves it.  The constant
-cells take their exact steps the same way, from one call per block of
-cells times lambdas on widths and q values that validation lays out once
-per problem, so a walk of few lambda builds all of them at once.  Dense
-solutions walk one-element arrays, keep every step node and reach other
-points by one partial step from the nearest node.  Real lambda runs in
-float64 with the real parts of the complex evaluation, bit for bit.
-A walk starts from (y, y') or, with the variational pair, (y, y', u, u').
-Problems with one cell layout walk as one stack (:func:`_stack`), one row
-of lambda each, each row with the bits of its own walk.
+scans, index sweeps, stacked Jacobian walks and dense solutions.  A walk
+holds one array of rows over lambda, (y, y') or (y, y', u, u') with the
+variational pair.  Each cell builds its step rows for a block of steps
+times all lambdas (about ``_BLOCK_ELEMS`` entries) in one numpy array and
+takes a step as one gather, one multiply and one add, the products and
+sums of a single step; an index sweep counts the zeros of y on each
+block's trail of states as the walk leaves it.  Constant cells take their
+exact steps the same way, from one call per block of cells times lambdas
+on widths and q values laid out once per problem.  A 0-d lambda walks as
+one element: numpy rounds complex products of scalars apart from its
+array loops.  Dense solutions walk one-element arrays, keep every node
+and reach other points by one partial step from the nearest node.  Real
+lambda runs in float64 with the complex evaluation's real parts, bit for
+bit.  Problems with one cell layout walk as one stack (:func:`_stack`).
 
 The lambda-derivative of a solution is propagated through the analytic
 derivative of the step (no finite differences).
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import islice
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -69,6 +68,8 @@ _GAUSS = math.sqrt(3.0) / 6.0     # Gauss nodes sit at the step midpoint -+ this
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 #: bound on (steps x lambda) entries per block of precomputed step matrices
 _BLOCK_ELEMS = 4096
+#: for 2 or 4 state rows, the state row that each step row multiplies (see _coefs)
+_GATHER = {2: np.array([0, 0, 1, 1]), 4: np.array([0, 0, 2, 2, 1, 1, 3, 3, 0, 0, 1, 1])}
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,13 @@ def _cs(w):
     """C(w) = cos(sqrt w) and S(w) = sin(sqrt w)/sqrt w, entire in w.  Real w
     gives the complex formula's bits: numpy divides a by a real-valued complex
     c as a * (1/c), and entries with w < 0 take the complex formula."""
-    w = np.asarray(w)
     real = w.dtype.kind != "c"
     z = np.sqrt(np.maximum(w, 0.0) if real else w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        S = np.asarray(np.sin(z) * (1.0 / z) if real else np.sin(z) / z)
+        S = np.sin(z) * (1.0 / z) if real else np.sin(z) / z
     if np.count_nonzero(z) < z.size:
         S[z == 0.0] = 1.0
-    C = np.asarray(np.cos(z))
+    C = np.cos(z)
     if real and np.count_nonzero(neg := w < 0.0):
         C[neg], S[neg] = (v.real for v in _cs(w[neg].astype(complex)))
     return C, S
@@ -137,19 +137,28 @@ def _magnus_q(piece, x0, h):
 
 
 def _coefs(h, lam, qb, a, var=False):
-    """w and the entries t11, hS, t21, t22 of the Gauss-Magnus step matrix
-    (with ``var`` also its lambda-derivative's); broadcasts over all inputs."""
+    """w and the Gauss-Magnus step rows in the order the packed state meets
+    them (see :func:`_cross_cell`), written into one (steps, rows, ...) array
+    over the first axis of the inputs: t11, t21, hS, t22 or, with ``var``,
+    t11, t21, t11, t21, hS, t22, hS, t22 and dT/dlambda's d11, d21, d12, d22."""
     ql = qb - lam
     w = ql * (-h * h) - a * a
     C, S, D = _cs_d(w) if var else (*_cs(w), None)
+    T = np.empty((len(w), 12 if var else 4) + w.shape[1:], w.dtype)
+    j = 4 if var else 2             # the rows that multiply y'
+    # no out= reads T: numpy rounds complex products apart where out overlaps an input
     hS, aS = h * S, a * S
-    T = [C + aS, hS, ql * hS, C - aS]
+    T[:, j] = hS
+    np.add(C, aS, out=T[:, 0])
+    np.multiply(ql, hS, out=T[:, 1])
+    np.subtract(C, aS, out=T[:, j + 1])
     if var:
         # dT/dlambda, from dC/dw = -S/2, dS/dw = D and dw/dlambda = h^2
         h2 = h * h
         aD, halfS = a * D, 0.5 * S
-        T += [h2 * (aD - halfS), (h2 * h) * D, (h2 * h) * (ql * D) - hS,
-              -h2 * (aD + halfS)]
+        T[:, 2:4], T[:, 6:8] = T[:, :2], T[:, 4:6]
+        T[:, 8], T[:, 9] = h2 * (aD - halfS), (h2 * h) * (ql * D) - hS
+        T[:, 10], T[:, 11] = (h2 * h) * D, -h2 * (aD + halfS)
     return w, T
 
 
@@ -161,7 +170,7 @@ def _turns(angle, y):
 
 def _zeros(h, w, a, trail):
     """Zeros of y on the steps of one block with node states ``trail``."""
-    y, yp = (np.stack([state[k] for state in trail]) for k in (0, 1))
+    y, yp = trail[:, 0], trail[:, 1]
     s = np.sqrt(np.maximum(w, 0.0))
     count = (y[:-1] != 0.0) & (np.sign(y[:-1]) != np.sign(y[1:]))
     if (wide := ~(s < math.pi)).any():
@@ -175,35 +184,40 @@ def _zeros(h, w, a, trail):
     return count.sum(axis=0)
 
 
-def _cross_cell(h, blocks, state, nodes=None, zeros=None):
-    """Carry (y, y') or (y, y', u, u') through the steps of signed width h
-    of one cell, given as blocks (w, step matrices, a), with each step's
-    state appended to ``nodes`` if given and ``zeros`` is not.  Returns the
-    end state and ``zeros`` plus the zeros of y on the cell at each real
-    lambda.
+def _cross_cell(h, blocks, S, nodes=None, zeros=None):
+    """Carry the packed rows S, (y, y') or (y, y', u, u') over lambda,
+    through the steps of signed width h of one cell, given as blocks (w,
+    step rows, a), keeping a block's states in one (steps + 1, rows, ...)
+    trail to count zeros or, appended to ``nodes``, for dense output.
+    Returns the end rows and ``zeros`` plus the zeros of y at each lambda.
+
+    A step multiplies the rows of S that the step rows meet, step row first
+    as in t11 * y (numpy's complex products are not symmetric in their
+    bits), adds the halves, then d11 y and d21 y, then d12 y' and d22 y'.
 
     A step turns (s y, a y + h y') rigidly through s = sqrt(w) (or w <= 0,
     s = 0: one zero at most), so y has a zero on it where it changes sign
     if s < pi, else where the angle passes a multiple of pi.  Each block of
     steps is counted as the walk leaves it, keeping one block's states."""
-    var = len(state) == 4
-    for w, steps, a in blocks:
-        # the states kept: every node for dense output, a block's to count
-        trail = nodes if zeros is None else [state]
-        for t11, hS, t21, t22, *dT in steps:
-            y, yp = state[0], state[1]
-            nxt = (t11 * y + hS * yp, t21 * y + t22 * yp)
-            if var:
-                d11, d12, d21, d22 = dT
-                u, up = state[2], state[3]
-                nxt += (t11 * u + hS * up + d11 * y + d12 * yp,
-                        t21 * u + t22 * up + d21 * y + d22 * yp)
-            state = nxt
-            if trail is not None:
-                trail.append(state)
+    n, gather = len(S), _GATHER[len(S)]
+    for w, T, a in blocks:
+        trail = None
+        if nodes is not None or zeros is not None:  # a block's states to count, all to keep
+            trail = np.empty((len(T) + 1,) + S.shape, S.dtype)
+            trail[0] = S
+        for k, Tk in enumerate(T):
+            P = S.take(gather, axis=0)
+            np.multiply(Tk, P, out=P)
+            S = np.add(P[:n], P[n:2 * n], out=S if trail is None else trail[k + 1])
+            if n == 4:
+                S[2:] += P[8:10]
+                S[2:] += P[10:]
         if zeros is not None:
             zeros = zeros + _zeros(h, w, a, trail)
-    return state, zeros
+        if nodes is not None:
+            nodes.append(trail[1:] if nodes else trail)
+        del w, T, Tk            # before the next block is built
+    return S, zeros
 
 
 def _steps(piece, x0, x1, lam, density, var):
@@ -217,8 +231,8 @@ def _steps(piece, x0, x1, lam, density, var):
     qb, a = (v.reshape(v.shape + (1,) * (lam.ndim + 1 - v.ndim))
              for v in _magnus_q(piece, xs[:-1], h))
     block = max(1, _BLOCK_ELEMS // max(1, lam.size))
-    return h, xs, ((w, zip(*T), a[k:k + block]) for k in range(0, n, block)
-                   for w, T in [_coefs(h, lam, qb[k:k + block], a[k:k + block], var)])
+    return h, xs, ((*_coefs(h, lam, qb[k:k + block], a[k:k + block], var), a[k:k + block])
+                   for k in range(0, n, block))
 
 
 def _const_cells(pieces):
@@ -233,24 +247,22 @@ def _const_cells(pieces):
 def _exact_steps(cells, lam, var):
     """Each constant cell's one exact step, as a block for :func:`_cross_cell`,
     in walk order.  A group of cells of at most ``_BLOCK_ELEMS`` (cells x
-    lambda) entries, or one cell at a 0-d lambda, takes its steps from one
-    :func:`_coefs` call on the columns of ``cells`` (see :func:`_const_cells`),
-    made when the walk reaches it and dropped before the next.  A cell alone
-    in its group passes scalars: on a one-row column the float-to-complex
-    casts made a call on 3,000 lambda with the variational pair about 1.4x
-    as slow, and numpy rounds 0-d complex arithmetic apart from its array
-    loops."""
+    lambda) entries takes its steps from one :func:`_coefs` call on the
+    columns of ``cells`` (see :func:`_const_cells`), made when the walk
+    reaches it and dropped before the next.  A cell alone in its group
+    passes scalars: on a one-row column the float-to-complex casts made a
+    call on 3,000 lambda with the variational pair about 1.4x as slow."""
     h, q = cells
-    size = max(1, _BLOCK_ELEMS // max(1, lam.size)) if lam.ndim else 1
+    size = max(1, _BLOCK_ELEMS // max(1, lam.size))
     for k in range(0, len(h), size):
         hk, qk = h[k:k + size], q[k:k + size]
         if len(hk) == 1:
-            w, T = _coefs(hk[0], lam, qk[0], 0.0, var)
-            yield w, [T], 0.0
+            w, T = _coefs(hk[0], lam[None], qk[0], 0.0, var)
         else:
             w, T = _coefs(hk.reshape((-1,) + (1,) * lam.ndim), lam,
                           qk.reshape(qk.shape + (1,) * (lam.ndim + 1 - qk.ndim)), 0.0, var)
-            yield from ((wj, [step], 0.0) for wj, *step in zip(w, *T))
+        for j in range(len(hk)):
+            yield w[j:j + 1], (T[j],), 0.0
         del w, T
 
 
@@ -263,22 +275,24 @@ def apply_jump(jump, state, inverse=False):
 
     Forward: (y, y') at d- to (a y, b y' + c y) at d+.  Inverse mode solves
     the same two linear equations for the left data (a != 0 is guaranteed
-    by validation).
+    by validation).  A tuple (y, y', u, u') maps its derivative pair alike.
     """
-    if isinstance(state, StateVector):
-        return StateVector(*_jump_state(jump, state[:2], inverse), state.x)
-    return _jump_state(jump, state, inverse)
+    values = state[:2] if isinstance(state, StateVector) else state
+    S = np.array(np.broadcast_arrays(*values), np.result_type(1.0, *values))
+    S = tuple(_jump_state(jump, S, inverse))
+    return StateVector(*S, state.x) if isinstance(state, StateVector) else S
 
 
-def _jump_state(jump, state, inverse=False):
-    """Jump (y, y') or (y, y', u, u') as :func:`apply_jump` does; the
-    derivative pair maps the same way."""
+def _jump_state(jump, S, inverse=False):
+    """The packed rows S, (y, y') or (y, y', u, u'), jumped as :func:`apply_jump` does."""
+    y, yp, out = S[0::2], S[1::2], np.empty_like(S)
     if inverse:
-        y = state[0] / jump.a
-        out = (y, (state[1] - jump.c * y) / jump.b)
+        y = np.divide(y, jump.a, out=out[0::2])
+        np.divide(yp - jump.c * y, jump.b, out=out[1::2])
     else:
-        out = (jump.a * state[0], jump.b * state[1] + jump.c * state[0])
-    return out + _jump_state(jump, state[2:], inverse) if len(state) == 4 else out
+        np.multiply(jump.a, y, out=out[0::2])
+        np.add(jump.b * yp, jump.c * y, out=out[1::2])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +341,8 @@ class _PieceSol:
         self.piece = piece
         self.xs = xs                # step nodes, in propagation order
         self.h = h                  # signed step width
-        self.ys = np.concatenate([s[0] for s in nodes])
-        self.yps = np.concatenate([s[1] for s in nodes])
+        # nodes: the (steps + 1, rows, lambda) states; y and y' flattened
+        self.ys, self.yps = nodes[:, 0].reshape(-1), nodes[:, 1].reshape(-1)
 
     def eval(self, x, lam):
         """(y, y') at x by one partial step from the nearest node; on a
@@ -341,9 +355,9 @@ class _PieceSol:
             idx = ((x - self.xs[0]) / self.h + 0.5).astype(int)
             h = x - self.xs[idx]
             qb, a = _magnus_q(self.piece, self.xs[idx], h)
-        t11, hS, t21, t22 = _coefs(h, lam, qb, a)[1]
+        T = _coefs(h, lam, qb, a)[1]
         y, yp = self.ys[idx], self.yps[idx]
-        return t11 * y + hS * yp, t21 * y + t22 * yp
+        return T[:, 0] * y + T[:, 2] * yp, T[:, 1] * y + T[:, 3] * yp
 
 
 class PiecewiseSolution:
@@ -372,7 +386,7 @@ class PiecewiseSolution:
         idx = np.clip(idx, 0, len(self._pieces) - 1)
         y = np.empty(x.shape, dtype=complex)
         yp = np.empty(x.shape, dtype=complex)
-        for i in np.unique(idx):
+        for i in np.flatnonzero(np.bincount(idx)):
             sel = idx == i
             y[sel], yp[sel] = self._pieces[i].eval(x[sel], self.sp.lam)
         if scalar:
@@ -403,8 +417,8 @@ def initial_state(problem, kind, lam):
 
 
 def _psi_at_zero(problem, lam):
-    """Backward solve: psi Cauchy data (y, y') at 0, for an array of lambda."""
-    lam = np.asarray(lam, dtype=complex)
+    """Backward solve: psi Cauchy data (y, y') at 0, for an array of complex
+    lambda."""
     return propagate_endpoints_batch(problem, lam, initial_state(problem, "psi", lam)[0],
                                      backward=True)
 
@@ -483,33 +497,36 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
     function of lambda (what root polishing and the inverse iteration
     need).  ``start`` is (y, y') or, to carry the variational pair along,
     (y, y', u, u'); each value broadcasts against ``lam``.  Returns the
-    state of the same length at the far endpoint.
+    state of the same length at the far endpoint (0-d rows for a 0-d ``lam``).
 
     ``problem`` may be a stack (:func:`_stack`) with one row of a 2-D
     ``lam`` per problem.  With ``cells``, a list with one slot per cell,
-    each slot receives the cell's dense-output record; without it,
-    ``count_zeros`` appends the zeros of y on (0, pi] of a forward walk of
-    real lambda.
+    each slot receives the cell's dense-output record.  ``count_zeros``
+    appends the zeros of y on (0, pi] of a forward walk of real lambda.
     """
     lam = np.asarray(lam, dtype=complex if np.iscomplexobj(lam) else float)
-    state = tuple(np.zeros(lam.shape, lam.dtype) + v for v in start)
-    var = len(state) == 4
+    shape, lam = lam.shape, lam if lam.ndim else lam.reshape(1)    # 0-d: one element
+    S = np.empty((len(start),) + lam.shape,
+                 complex if lam.dtype == complex else np.result_type(lam, *start))
+    for k, v in enumerate(start):
+        S[k] = v + 0.0          # as zeros + v: a start of -0.0 is +0.0
     pieces, jumps = problem.pieces, problem.jump_after_piece
-    exact = _exact_steps(problem.const_cells[backward], lam, var)
-    zeros = 0 if count_zeros and cells is None else None
+    exact = _exact_steps(problem.const_cells[backward], lam, len(S) == 4)
+    zeros = 0 if count_zeros else None
     for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
         piece = pieces[i]
         if backward and jumps[i] is not None:
-            state = _jump_state(jumps[i], state, inverse=True)
+            S = _jump_state(jumps[i], S, inverse=True)
         x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
         if piece.q_const is None:
-            h, xs, blocks = _steps(piece, x0, x1, lam, cpm_density, var)
-        else:   # pulled inside _cross_cell, so the walk holds no row while the next is built
-            h, xs, blocks = x1 - x0, (x0, x1), islice(exact, 1)
-        nodes = None if cells is None else [state]
-        state, zeros = _cross_cell(h, blocks, state, nodes, zeros)
+            h, xs, blocks = _steps(piece, x0, x1, lam, cpm_density, len(S) == 4)
+        else:   # pulled in the call, so the walk holds no row while the next is built
+            h, xs, blocks = x1 - x0, (x0, x1), None
+        nodes = None if cells is None else []
+        S, zeros = _cross_cell(h, blocks or (next(exact),), S, nodes, zeros)
         if cells is not None:
-            cells[i] = _PieceSol(piece, xs, h, nodes)
+            cells[i] = _PieceSol(piece, xs, h, np.concatenate(nodes))
         if not backward and jumps[i] is not None:
-            state = _jump_state(jumps[i], state)
-    return state + (zeros,) if count_zeros else state
+            S = _jump_state(jumps[i], S)
+    end = tuple(S) if shape else tuple(row.reshape(shape) for row in S)
+    return end + (zeros.reshape(shape),) if count_zeros else end

@@ -246,20 +246,22 @@ def lambda_floor(problem):
 
 
 def _sweep(problem, lam, left, cpm_density):
-    """N(lambda), the number of eigenvalues below each real lambda, and
-    Delta there, with :func:`delta_batch`'s bits, from one walk that counts
-    the zeros of phi exactly.  N comes from the Pruefer angle theta =
-    atan2(phi, phi') at pi (Pryce 1993): theta passes k pi only upwards,
-    and jumps keep it in [k pi, (k + 1) pi).  theta(pi) - atan2(psi,
+    """N(lambda), the number of eigenvalues below each real lambda, and Delta
+    there, with :func:`delta_batch`'s bits, from one walk that counts the zeros
+    of phi exactly (DomainError where phi overflows).  N comes from the Pruefer
+    angle theta = atan2(phi, phi') at pi (Pryce 1993): theta passes k pi only
+    upwards, and jumps keep it in [k pi, (k + 1) pi).  theta(pi) - atan2(psi,
     psi')(pi) grows with lambda and tends into (-pi, 0) as lambda -> -inf,
-    except that phi's eigenparameter data (lambda - h2, h3 - lambda h1)
-    tend to (-1, h1) and start theta a pi lower (Binding et al. 1993): + 1."""
+    except that phi's eigenparameter data (lambda - h2, h3 - lambda h1) tend to
+    (-1, h1) and start theta a pi lower (Binding et al. 1993): + 1."""
     start = _phi_start(problem, lam, left)[0]
     y, yp, zeros = propagate_endpoints_batch(problem, lam, start, cpm_density=cpm_density,
                                              count_zeros=True)
     end = np.arctan2(y, yp)
     theta = math.pi * (_turns(np.arctan2(*start), start[0]) + zeros) \
         + (end - math.pi * _turns(end, y))
+    if (bad := lam[np.isnan(theta)]).size:
+        raise DomainError(f"phi overflowed at lambda = {bad[0]:.10g}: its Pruefer angle is NaN")
     psi, _ = initial_state(problem, "psi", lam)
     shift = left == "spec" and problem.variant == "eigenparameter"
     index = np.ceil((theta - np.arctan2(*psi)) / math.pi).astype(int) + shift

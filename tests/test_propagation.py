@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jumpsl
 from jumpsl import (
     DomainError,
     JumpCondition,
@@ -367,18 +372,35 @@ def test_blocked_batch_bit_identical_to_step_loop(name, n, request):
 
 @pytest.mark.parametrize("name", ["four_jump", "one_jump", "eig_desk"])
 def test_0d_lambda_bit_identical_to_step_loop(name, request):
-    # a 0-d lambda steps each constant cell on numpy scalars, which round
-    # complex arithmetic apart from the array loops of a grouped call
-    # (stepped cells build their blocks as arrays at any lambda)
+    # a 0-d lambda walks as a one-element array and returns 0-d rows; the
+    # one-element walk is the step loop's
     p = request.getfixturevalue(name)
     for lam in np.array([3.7 + 0.9j, -12.3 + 2.1j, 410.2 - 0.3j, 57.1]):
-        start = (1.0 + 0.0 * lam, -0.4 + 0.0 * lam, 0.3 + 0.0 * lam, -0.7 + 0.0 * lam)
+        one = np.array([lam])
+        start = (1.0, -0.4, 0.3, -0.7)
         for backward in (False, True):
             for state in (start[:2], start):
                 got = propagate_endpoints_batch(p, lam, state, backward=backward,
                                                 cpm_density=96)
-                ref, _, _ = _ref_walk(p, lam, state, backward, 96)
-                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+                walk = propagate_endpoints_batch(p, one, state, backward=backward,
+                                                 cpm_density=96)
+                ref, _, _ = _ref_walk(p, one, tuple(v + 0.0 * one for v in state),
+                                      backward, 96)
+                assert all(g.shape == () and np.array_equal(g, w[0])
+                           for g, w in zip(got, walk))
+                assert all(np.array_equal(w, r) for w, r in zip(walk, ref))
+
+
+def test_0d_complex_lambda_equals_one_element(four_jump):
+    # numpy rounds complex products of scalars apart from its array loops,
+    # so a 0-d lambda must not walk in scalar arithmetic
+    rng = np.random.default_rng(20)
+    z = rng.uniform(-20.0, 400.0, 200) + 1j * rng.uniform(-5.0, 5.0, 200)
+    for derivative in (False, True):
+        got = np.array([delta_batch(four_jump, v, derivative=derivative) for v in z])
+        one = np.array([delta_batch(four_jump, np.array([v]), derivative=derivative)
+                        for v in z])
+        assert np.array_equal(got, one[..., 0])
 
 
 @pytest.mark.parametrize("name", ["cubic", "mathieu", "four_jump", "one_jump", "eig_desk"])
@@ -468,6 +490,20 @@ def test_stack_of_constant_cells_bit_identical_to_single_walks(n):
         *_, ref = propagate_endpoints_batch(p, base[r], initial_state(p, "phi", base[r])[0],
                                             count_zeros=True)
         assert np.array_equal(zeros[r], ref)
+
+
+def test_dense_evaluation_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call
+    src = str(Path(jumpsl.__file__).resolve().parents[1])
+    code = ("import sys, jumpsl\n"
+            "p = jumpsl.validate(jumpsl.ProblemSpec(jumpsl.constant_potential(0.0), "
+            "jumpsl.RobinBC(0.0, 0.0)))\n"
+            "jumpsl.fundamental_solution(p, 'phi', jumpsl.SpectralPoint.from_lambda(2.0))"
+            ".eval(0.5)\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_constant_cell_groups_keep_memory_bounded(free, four_jump):

@@ -384,6 +384,16 @@ def test_scan_survives_huge_delta_at_floor():
     _assert_index_certified(p, sd.lambdas)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_at_scan_floor_is_domain_error():
+    # at q = 1000 phi overflows at the scan floor and its Pruefer angle is
+    # not a number there; at q = 300 only Delta does, and the roots come out
+    with pytest.raises(DomainError, match=r"phi overflowed at lambda = -1002101\.1.*NaN"):
+        eigenvalues(_barrier(1000.0), 4)
+    lams = eigenvalues(_barrier(300.0), 4).lambdas
+    assert lams == pytest.approx([1.2983, 1.2984, 11.6787, 11.6795], abs=1e-4)
+
+
 def _mathieu(q):
     """Neumann problem with potential 2 q cos 2x (sampled, cubic spline)."""
     x = np.linspace(0.0, PI, 513)

@@ -17,7 +17,10 @@ the oscillation index N; located roots, counts 1500 and 3000 included,
 and ``spectrum._locate``'s roots and Delta' from cold and from shifted
 predictions, with the barrier problems whose lowest pairs share a cell;
 gamma and beta; dense solutions and their step nodes; Weyl samples from
-scalar and array calls; contour counts; and the params,
+scalar and array calls; contour counts; end states of one-lambda walks
+(real and complex, plain and variational, forward and backward), a
+variational walk that counts zeros and stacked stepped-cell walks on a
+2-D lambda; and the params,
 residuals, nfev and Jacobians of the benchmark's two fits (seeds 1-3) and
 of the three inverse round trips of acceptance criterion 11.
 """
@@ -128,6 +131,36 @@ def _forward_cases(api, out):
         for count in (1500, 3000):
             out[f"roots_large/{name}/{count}"] = api.eigenvalues(p, count).lambdas
             _locate_case(api, out, f"{name}/{count}", p, count, "spec", propagation.CPM_DENSITY)
+
+
+def _walk_cases(api, out):
+    """End states of one-lambda walks (the walks of scalar ``weyl_m``), a
+    variational walk that counts zeros, and stacks of stepped-cell problems
+    walked on a 2-D lambda, as the fit's Jacobian walks them."""
+    from jumpsl import propagation
+
+    walk = propagation.propagate_endpoints_batch
+    start = (1.0, -0.4, 0.3, -0.7)
+    for name, p in _problems(api).items():
+        for kind, lam in (("real", np.array([37.3])), ("complex", np.array([37.3 + 0.4j]))):
+            for var, state in (("plain", start[:2]), ("var", start)):
+                for backward in (False, True):
+                    out[f"walk1/{name}/{kind}/{var}/{backward:d}"] = np.array(
+                        walk(p, lam, state, backward=backward))
+        out[f"walk_var_zeros/{name}"] = np.array(
+            walk(p, np.linspace(-5.0, 900.0, 40), start, count_zeros=True))
+    jump = api.JumpCondition(PI / 3, 1.5, 1.0, 0.6)
+    rows = [api.validate(api.ProblemSpec(api.PiecewisePolynomial(
+        coefficients=((0.3 + dq, 0.2, -0.1, 0.05), (0.1, -0.2, 0.15, -0.04 + dq)),
+        breakpoints=(PI / 3,)), api.RobinBC(0.4 + dh, -0.3), (jump,)))
+        for dq, dh in ((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3))]
+    stack = propagation._stack(rows)
+    base = np.linspace(-5.0, 400.0, 25) + 0.37 * np.arange(3)[:, None]
+    for kind, lam in (("real", base), ("complex", base + 0.5j)):
+        for var, state in (("plain", start[:2]), ("var", start)):
+            for backward in (False, True):
+                out[f"walk_stack/{kind}/{var}/{backward:d}"] = np.array(
+                    walk(stack, lam, state, backward=backward, cpm_density=96))
 
 
 def _locate_case(api, out, key, p, count, left, dens, predicted=None):
@@ -247,6 +280,7 @@ def dump(path):
 
     out = {}
     _forward_cases(api, out)
+    _walk_cases(api, out)
     _locate_cases(api, out)
     _fit_cases(api, out)
     np.savez(path, **out)
