@@ -10,7 +10,7 @@ ending negative at the largest index:
 
 The empty subset carries coefficient prod(alpha_i) and phase 0.  The same
 terms (with sines) give the leading characteristic function, whose real
-zeros seed the eigenvalue brackets.
+zeros are the leading-order eigenvalues.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def sine_sum(problem, rho, trig="sin"):
     """The leading trigonometric sum of Delta with all rho powers divided out.
 
     ``trig="cos"`` gives the analogous sum for a Dirichlet condition at 0
-    (the sine-type solution), used to seed secondary spectra.
+    (the sine-type solution), whose zeros lead the Dirichlet spectrum.
     """
     val = _leading_sum(problem, trig)(np.asarray(rho, dtype=float))
     return float(val) if np.ndim(val) == 0 else val
@@ -138,16 +138,16 @@ def _check_count(count):
         raise DomainError(f"count must be an integer >= 1, got {count!r}")
 
 
-def eigenvalue_guesses(problem, count, trig="sin", step=0.05):
-    """Ascending real zeros of the leading sine sum, used as bracket seeds:
-    exact zeros on a grid of width ``step`` plus its sign changes, bisected
-    together to b - a <= 4 eps b (rho = 0 counts only where the sum vanishes)."""
+def eigenvalue_guesses(problem, count, trig="sin"):
+    """Ascending real zeros of the leading sine sum, the leading-order roots:
+    exact zeros on a grid of width 0.05 in rho plus its sign changes,
+    bisected together to b - a <= 4 eps b (rho = 0 counts only where it vanishes)."""
     _check_count(count)
     g = _leading_sum(problem, trig)
     zeros = [0.0] if g(0.0) == 0.0 else []
     lo, chunk = 0.0, max(10.0, float(count))
     while len(zeros) < count:
-        grid = np.arange(lo, lo + chunk + step, step)
+        grid = np.arange(lo, lo + chunk + 0.05, 0.05)
         vals = g(grid)
         inner = grid[:-1] != 0.0
         exact = grid[:-1][inner & (vals[:-1] == 0.0)]

@@ -8,11 +8,13 @@ system, never from finite differences.  A fit's perturbed problems walk
 as one stack per cell layout, and Delta and gamma come off it at once.
 
 Eigenvalues are located by bisecting the exact oscillation index over a
-grid on the real axis (its floor extends below zero), which also
-certifies them, and polished by a safeguarded Newton iteration in
-lambda from the grid cells where Delta changes sign.  Predicted roots (a
-fit's residuals have them) seed the bisection near themselves; the
-brackets, and so the roots' bits, do not depend on the seeds.
+grid on the real axis, which also certifies them, and polished by a
+safeguarded Newton iteration in lambda from the grid cells where Delta
+changes sign.  The grid's floor lies below every eigenvalue; its top
+doubles until the index counts the roots asked for, so a potential's mean
+moves no root out of reach.  Predicted roots (a fit's residuals have
+them) seed the bisection near themselves; the brackets, and so the
+roots' bits, do not depend on the seeds.
 
 Norming constants and coupling coefficients of a whole spectrum come from
 two batched propagations: the squared norm of phi is the Lagrange bracket
@@ -40,7 +42,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .asymptotics import _check_count, eigenvalue_guesses
+from .asymptotics import _check_count
 from .errors import (
     ConfigParseError,
     ContourTooCloseError,
@@ -307,49 +309,55 @@ def _locate(problem, count, left, cpm_density, predicted=None):
     """The lowest ``count`` zeros of Delta on the real axis, polished, with
     Delta' at them.
 
-    The oscillation index N is bisected over the scan grid (steps of 0.05
-    in -sqrt(-lambda) below zero, 0.02 in sqrt(lambda) above, from below
-    :func:`lambda_floor` past the guess of root count + 1), one
-    :func:`_sweep` per level, from both ends and every 25th point or the
-    points k - 1 .. k + 2 around each predicted root's cell.  An interval
-    holding one of the first ``count`` rises of N gets its midpoint or, once
-    at most 3 cells wide, all its points and one more on each side; then
-    :func:`_split` splits cells where N rises by 2 or more.  Brackets are
-    cells where Delta is zero at the left end or changes sign (np.sign:
-    |Delta| passes 1e154 at deep floors), and N must read n or n + 1 at the
-    ends of root n's (a cell apart where a root sits on a grid point) and
-    never fall, or MissedEigenvalueError names the interval."""
-    rho_max = eigenvalue_guesses(
-        problem, count + 2, trig="cos" if left == "dirichlet" else "sin")[-1] + 0.75
-    s = np.concatenate([np.arange(-math.sqrt(-lambda_floor(problem)) - 0.05, 0.0, 0.05),
-                        np.arange(0.0, rho_max + 0.02, 0.02)])
-    lam = s * np.abs(s)          # s = sign(lambda) sqrt|lambda|
-    seen, want = np.zeros(lam.size, bool), np.zeros(lam.size, bool)
-    index, vals = np.zeros(lam.size, int), np.zeros(lam.size)
-    want[[0, -1]] = True
-    want[np.arange(0, lam.size, 25) if predicted is None else np.clip(
-        np.searchsorted(lam, predicted)[:, None] + np.arange(-2, 2), 0, lam.size - 1)] = True
-    while (new := want & ~seen).any():
-        index[new], vals[new] = _sweep(problem, lam[new], left, cpm_density)
-        seen |= new
-        pts = np.flatnonzero(seen)
-        rise = np.flatnonzero((np.diff(index[pts]) > 0) & (index[pts[:-1]] < count))
-        lo, hi = pts[rise], pts[rise + 1]
-        wide = hi - lo > 3
-        near = lo[~wide, None] + np.arange(-1, 5)
-        want[(lo + hi)[wide] // 2] = True
-        want[np.clip(near[near <= hi[~wide, None] + 1], 0, lam.size - 1)] = True
-    x, index, vals = lam[pts], index[pts], vals[pts]
-    if index[-1] < count:
-        raise MissedEigenvalueError(f"found only {index[-1]} of {count} requested eigenvalues")
-    pair = np.flatnonzero((np.diff(pts) == 1) & (np.diff(index) > 1) & (index[:-1] < count))
-    extra = _split(problem, x[pair], x[pair + 1], index[pair], index[pair + 1],
-                   count, left, cpm_density)
-    order = np.argsort(np.concatenate([x, extra[0]]))
-    x, index, vals = (np.concatenate(v)[order] for v in zip((x, index, vals), extra))
+    The oscillation index N is bisected for every root at once, one
+    :func:`_sweep` per level, over a grid of steps of 0.05 in
+    -sqrt(-lambda) from below :func:`lambda_floor` to zero and of 0.02 in
+    sqrt(lambda) above (point k at k steps, so a taller grid keeps every
+    point).  The first level takes both ends, the top at sqrt(lambda) =
+    count + 2, and every 25th point or the points k - 2 .. k + 1 around
+    each predicted root's cell; the top doubles while N reads below
+    ``count`` there, up to sqrt(lambda) = 100 max(count, 10), and the next
+    level takes every 25th point above the old top too.  Each level
+    takes the neighbouring points across which N rises from below
+    ``count``: more than 3 cells apart they get the grid point halfway, 2 or
+    3 cells apart all the grid points between and one more on each side,
+    and within a cell, where N rises by 2 or more, their lambda midpoint
+    unless it rounds onto an end.  Brackets are cells where Delta is zero
+    at the left end or changes sign (np.sign: |Delta| passes 1e154 at deep
+    floors), and N must read n or n + 1 at the ends of root n's (a cell
+    apart where a root sits on a grid point) and never fall, or
+    MissedEigenvalueError names the interval.  The brackets, and so the
+    roots' bits, do not depend on the predictions."""
+    neg = -np.arange(-math.sqrt(-lambda_floor(problem)) - 0.05, 0.0, 0.05) ** 2
+    top = 50 * (count + 2)
+    grid = lambda top: np.append(neg, (np.arange(top + 1) * 0.02) ** 2)
+    lam = grid(top)
+    new = lam[np.r_[0, lam.size - 1, np.arange(0, lam.size, 25) if predicted is None else np.clip(
+        np.searchsorted(lam, predicted)[:, None] + np.arange(-2, 2), 0, lam.size - 1).ravel()]]
+    x, index, vals = np.empty(0), np.empty(0, int), np.empty(0)
+    while (new := np.setdiff1d(new, x)).size:
+        order = np.argsort(np.concatenate([x, new]))
+        x, index, vals = (np.concatenate(v)[order] for v in zip(
+            (x, index, vals), (new, *_sweep(problem, new, left, cpm_density))))
+        seeded = lam.size
+        if index[-1] < count:
+            if top * 0.02 > 100 * max(count, 10):
+                raise MissedEigenvalueError(
+                    f"found only {index[-1]} of {count} requested eigenvalues")
+            top *= 2
+            lam = grid(top)
+        cell = np.searchsorted(lam, x, side="right") - 1
+        j = np.flatnonzero((np.diff(index) > 0) & (index[:-1] < count))
+        lo, hi, gap, mid = cell[j], cell[j + 1], np.diff(cell)[j], 0.5 * (x[j] + x[j + 1])
+        fill = (gap > 1) & (gap <= 3)
+        near = lo[fill, None] + np.arange(-1, 5)
+        split = (gap <= 1) & (np.diff(index)[j] > 1) & (x[j] < mid) & (mid < x[j + 1])
+        # the top and every 25th point above the last top are new where it doubled
+        new = np.concatenate([lam[seeded::25], lam[-1:], lam[(lo + hi)[gap > 3] // 2], mid[split],
+                              lam[np.clip(near[near <= hi[fill, None] + 1], 0, lam.size - 1)]])
     # an exact zero of Delta on the grid is its own bracket, not a sign change;
     # a cell is two evaluated points with no grid point between them
-    lo = np.flatnonzero((np.diff(np.searchsorted(lam, x, side="right")) <= 1) & (
+    lo = np.flatnonzero((np.diff(cell) <= 1) & (
         (vals[:-1] == 0.0) | (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)))[:count]
     n = np.arange(lo.size)
     index0, x0 = np.append(0, index), np.append(-np.inf, x)   # names roots below the floor too
@@ -369,26 +377,6 @@ def _locate(problem, count, left, cpm_density, predicted=None):
     if np.any(droots == 0.0):
         raise ToleranceError("vanishing Delta derivative at a located root")
     return roots, droots
-
-
-def _split(problem, lo, hi, n_lo, n_hi, count, left, cpm_density):
-    """Points inside the cells [lo, hi] across which N rises from ``n_lo``
-    to ``n_hi``, with N and Delta there.  Each cell, then each half, where
-    N rises by 2 or more from below ``count`` gets its lambda midpoint, one
-    :func:`_sweep` per level, for at most 60 levels and while the midpoint
-    is not an end; :func:`_locate` names a cell left over."""
-    found = [(np.empty(0), np.empty(0, int), np.empty(0))]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        ok = (lo < mid) & (mid < hi) & (n_hi - n_lo > 1) & (n_lo < count)
-        if not ok.any():
-            break
-        lo, hi, n_lo, n_hi, mid = lo[ok], hi[ok], n_lo[ok], n_hi[ok], mid[ok]
-        n_mid, v_mid = _sweep(problem, mid, left, cpm_density)
-        found.append((mid, n_mid, v_mid))
-        lo, hi = np.append(lo, mid), np.append(mid, hi)
-        n_lo, n_hi = np.append(n_lo, n_mid), np.append(n_mid, n_hi)
-    return tuple(map(np.concatenate, zip(*found)))
 
 
 def eigenvalues(problem, count, verify=True, left="spec",

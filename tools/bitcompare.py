@@ -15,7 +15,9 @@ The cases: Delta and Delta' (real and complex lambda, as arrays and one 0-d
 lambda at a time, both left data, two densities); ``propagate_interval``;
 the oscillation index N; located roots, counts 1500 and 3000 included,
 and ``spectrum._locate``'s roots and Delta' from cold and from shifted
-predictions, with the barrier problems whose lowest pairs share a cell;
+predictions, with the barrier problems whose lowest pairs share a cell
+and potentials with a large mean (q = 50, Mathieu + 60, q = 20) whose
+roots lie above the locator's first grid top;
 gamma and beta; dense solutions and their step nodes; Weyl samples from
 scalar and array calls; contour counts; end states of one-lambda walks
 (real and complex, plain and variational, forward and backward), a
@@ -185,8 +187,8 @@ def _shift_cells(lams, cells):
 
 def _locate_cases(api, out):
     """Located roots and Delta' from a cold start and, at density 96, from
-    predictions 0, 1 or 10 cells off; and the barrier problems, whose
-    lowest pairs share a grid cell."""
+    predictions 0, 1 or 10 cells off; the barrier problems, whose lowest
+    pairs share a grid cell; and potentials with a large mean."""
     from jumpsl import propagation
 
     for name, p in _problems(api).items():
@@ -202,6 +204,19 @@ def _locate_cases(api, out):
             ((0.0,), (q,), (0.0,)), (PI / 2 - 0.25, PI / 2 + 0.25)), api.RobinBC(0.0, 0.0)))
         _locate_case(api, out, f"barrier{q:g}", p, 8, "spec", propagation.CPM_DENSITY)
         _record(api, out, f"barrier_eigs/{q:g}", lambda: api.eigenvalues(p, 8).lambdas)
+    # potentials with a large mean, whose roots lie above sqrt(lambda) = count + 2;
+    # const20's third root from phi(0) = 0 lies just above it
+    x = np.linspace(0.0, PI, 513)
+    for name, q, count, lefts in (
+            ("const50", api.constant_potential(50.0), 6, ("spec", "dirichlet")),
+            ("mathieu60", api.SampledGrid(x, 60.0 + 4.0 * np.cos(2.0 * x), order=3), 8,
+             ("spec",)),
+            ("const20", api.constant_potential(20.0), 3, ("dirichlet",))):
+        p = api.validate(api.ProblemSpec(q, api.RobinBC(0.0, 0.0)))
+        for left in lefts:
+            _locate_case(api, out, f"{name}/{left}", p, count, left, propagation.CPM_DENSITY)
+            _record(api, out, f"raised_eigs/{name}/{left}",
+                    lambda: api.eigenvalues(p, count, left=left).lambdas)
 
 
 def _fit(api, out, key, fs, start):
