@@ -16,6 +16,7 @@ leading-order m, and no calibration is needed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -78,14 +79,28 @@ def weyl_m(problem, lam, sd: SpectralData | None = None):
 
     ``lam`` may be a scalar or an array: one backward solve of psi serves
     every point, and the sample's fields are then arrays of lam's shape
-    (Python complex numbers for a scalar).  ``sd`` supplies known
-    eigenvalues for the proximity check; without it only an exactly
-    vanishing Delta is rejected.  DomainError where m overflows.
+    (Python complex numbers for a scalar, computed on them if not real).
+    ``sd`` supplies known eigenvalues for the proximity check; without it
+    only an exactly vanishing Delta is rejected.  DomainError where lambda
+    or m is not finite.
     """
+    if sd is not None and len(sd):
+        _reject_poles(np.asarray(lam, dtype=complex).reshape(-1), sd.lambdas)
+    # isinstance first: np.ndim costs about a microsecond on a Python number
+    if (isinstance(lam, (complex, float, int)) or np.ndim(lam) == 0) and complex(lam).imag:
+        lam = complex(lam)
+        if not cmath.isfinite(lam):     # named as such, not as an overflow below
+            raise DomainError(f"lambda={lam} is not finite")
+        psi0 = _psi_at_zero(problem, lam)
+        delta = _wronskian(initial_state(problem, "phi", lam)[0], psi0)
+        if delta == 0.0:
+            raise PoleError(f"Delta vanishes at lambda={lam}")
+        m = _wronskian(initial_state(problem, "chi", lam)[0], psi0) / delta
+        if not cmath.isfinite(m):
+            raise DomainError(f"m is not finite at lambda={lam} (overflow)")
+        return WeylSample(lam, m, delta, psi0[0] / delta, problem.variant)
     lam = np.asarray(lam, dtype=complex)
     flat = lam.reshape(-1)
-    if sd is not None and len(sd):
-        _reject_poles(flat, sd.lambdas)
     with np.errstate(over="ignore", invalid="ignore"):
         psi0 = _psi_at_zero(problem, flat)
         delta = _wronskian(initial_state(problem, "phi", flat)[0], psi0)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -276,19 +277,56 @@ def _ref_step(h, lam, qb, a, y, yp):
     return (C + aS) * y + hS * yp, (ql * hS) * y + (C - aS) * yp
 
 
-def _ref_step_var(h, lam, qb, a, y, yp, u, up):
+def _ref_rows(h, lam, qb, a):
+    """t11, t21, hS, t22, d11, d21, d12, d22 of one step."""
     ql = qb - lam
     C, S, D = _ref_cs_d(ql * (-h * h) - a * a)
     h2 = h * h
     hS, aS, aD, halfS = h * S, a * S, a * D, 0.5 * S
-    t11, t21, t22 = C + aS, ql * hS, C - aS
-    d11 = h2 * (aD - halfS)
-    d22 = -h2 * (aD + halfS)
-    d12 = (h2 * h) * D
-    d21 = (h2 * h) * (ql * D) - hS
+    return (C + aS, ql * hS, hS, C - aS, h2 * (aD - halfS),
+            (h2 * h) * (ql * D) - hS, (h2 * h) * D, -h2 * (aD + halfS))
+
+
+def _ref_step_var(h, lam, qb, a, y, yp, u, up):
+    t11, t21, hS, t22, d11, d21, d12, d22 = _ref_rows(h, lam, qb, a)
     return (t11 * y + hS * yp, t21 * y + t22 * yp,
             t11 * u + hS * up + d11 * y + d12 * yp,
             t21 * u + t22 * up + d21 * y + d22 * yp)
+
+
+def _py_step(h, lam, qb, a, const, state):
+    """One step of one non-real lambda on Python numbers: a plain step on a
+    constant cell (a = 0) takes C and S from cmath, every other step the
+    rows of :func:`_ref_rows` on one element; products and sums in the
+    order of :func:`_ref_step_var`."""
+    if const and len(state) == 2:
+        ql = qb - lam
+        z = cmath.sqrt(ql * (-h * h))
+        hS = h * (cmath.sin(z) / z if z != 0 else 1.0)
+        t11 = t22 = cmath.cos(z)
+        t21 = ql * hS
+    else:
+        t11, t21, hS, t22, d11, d21, d12, d22 = (
+            v.item() for v in _ref_rows(h, np.array([lam]), qb, a))
+    y, yp = state[:2]
+    if len(state) == 2:
+        return t11 * y + hS * yp, t21 * y + t22 * yp
+    u, up = state[2:]
+    return (t11 * y + hS * yp, t21 * y + t22 * yp,
+            t11 * u + hS * up + d11 * y + d12 * yp,
+            t21 * u + t22 * up + d21 * y + d22 * yp)
+
+
+def _py_jump(jump, state, inverse):
+    """``apply_jump`` on each (y, y') pair of Python numbers."""
+    out = ()
+    for y, yp in zip(state[::2], state[1::2]):
+        if inverse:
+            y = y / jump.a
+            out += (y, (yp - jump.c * y) / jump.b)
+        else:
+            out += (jump.a * y, jump.b * yp + jump.c * y)
+    return out
 
 
 def _ref_zeros(h, lam, qb, a, before, after):
@@ -308,18 +346,23 @@ def _ref_zeros(h, lam, qb, a, before, after):
     return np.where(s < PI, flip, turns[1] + lift - turns[0])
 
 
-def _ref_walk(problem, lam, state, backward, density):
+def _ref_walk(problem, lam, state, backward, density, python=False):
     """One step at a time, as scalars per step; returns the end state, the
     states at the step nodes of every cell, in propagation order, and for
-    real lambda the zeros of y counted step by step (else 0)."""
+    real lambda the zeros of y counted step by step (else 0).  ``python``
+    walks one non-real lambda, a one-element array, on Python numbers
+    (:func:`_py_step`, :func:`_py_jump`) and returns one-element arrays."""
     step = _ref_step if len(state) == 2 else _ref_step_var
+    if python:
+        lam, state = lam.item(), tuple(v.item() for v in state)
     pieces, jumps = problem.pieces, problem.jump_after_piece
     cells, zeros = {}, 0
     for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
         piece = pieces[i]
         if backward and jumps[i] is not None:
-            state = sum((apply_jump(jumps[i], state[k:k + 2], inverse=True)
-                         for k in range(0, len(state), 2)), ())
+            state = _py_jump(jumps[i], state, True) if python else sum(
+                (apply_jump(jumps[i], state[k:k + 2], inverse=True)
+                 for k in range(0, len(state), 2)), ())
         x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
         if piece.q_const is not None:
             h, qbs, avals = x1 - x0, [piece.q_const], [0.0]
@@ -333,13 +376,18 @@ def _ref_walk(problem, lam, state, backward, density):
             avals = (math.sqrt(3.0) / 12.0 * h * h * (q1 - q2)).tolist()
         cells[i] = [state]
         for qb, a in zip(qbs, avals):
-            state = step(h, lam, qb, a, *state)
+            if python:
+                state = _py_step(h, lam, qb, a, piece.q_const is not None, state)
+            else:
+                state = step(h, lam, qb, a, *state)
             if not np.iscomplexobj(lam):
                 zeros = zeros + _ref_zeros(h, lam, qb, a, cells[i][-1], state)
             cells[i].append(state)
         if not backward and jumps[i] is not None:
-            state = sum((apply_jump(jumps[i], state[k:k + 2])
-                         for k in range(0, len(state), 2)), ())
+            state = _py_jump(jumps[i], state, False) if python else sum(
+                (apply_jump(jumps[i], state[k:k + 2]) for k in range(0, len(state), 2)), ())
+    if python:
+        state = tuple(np.array([v]) for v in state)
     return state, cells, zeros
 
 
@@ -370,10 +418,11 @@ def test_blocked_batch_bit_identical_to_step_loop(name, n, request):
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
-@pytest.mark.parametrize("name", ["four_jump", "one_jump", "eig_desk"])
+@pytest.mark.parametrize("name", ["four_jump", "one_jump", "eig_desk", "cubic", "mathieu"])
 def test_0d_lambda_bit_identical_to_step_loop(name, request):
-    # a 0-d lambda walks as a one-element array and returns 0-d rows; the
-    # one-element walk is the step loop's
+    # a 0-d lambda walks as one element and returns 0-d rows; one non-real
+    # lambda walks as the step loop on Python numbers, a real one (57.1)
+    # as the step loop on numpy
     p = request.getfixturevalue(name)
     for lam in np.array([3.7 + 0.9j, -12.3 + 2.1j, 410.2 - 0.3j, 57.1]):
         one = np.array([lam])
@@ -385,15 +434,14 @@ def test_0d_lambda_bit_identical_to_step_loop(name, request):
                 walk = propagate_endpoints_batch(p, one, state, backward=backward,
                                                  cpm_density=96)
                 ref, _, _ = _ref_walk(p, one, tuple(v + 0.0 * one for v in state),
-                                      backward, 96)
-                assert all(g.shape == () and np.array_equal(g, w[0])
+                                      backward, 96, python=lam.imag != 0.0)
+                assert all(np.ndim(g) == 0 and np.array_equal(g, w[0])
                            for g, w in zip(got, walk))
                 assert all(np.array_equal(w, r) for w, r in zip(walk, ref))
 
 
 def test_0d_complex_lambda_equals_one_element(four_jump):
-    # numpy rounds complex products of scalars apart from its array loops,
-    # so a 0-d lambda must not walk in scalar arithmetic
+    # a 0-d lambda and a one-element array take the same walk
     rng = np.random.default_rng(20)
     z = rng.uniform(-20.0, 400.0, 200) + 1j * rng.uniform(-5.0, 5.0, 200)
     for derivative in (False, True):
