@@ -27,11 +27,11 @@ sums of a single step; an index sweep counts the zeros of y on each
 block's trail of states as the walk leaves it.  Constant cells take their
 exact steps the same way, from one call per block of cells times lambdas
 on widths and q values laid out once per problem.  One non-real lambda
-walks on Python numbers (:func:`_walk_one`): numpy's fixed cost per call
-outweighs one element's arithmetic.  Dense solutions keep every node and
-reach other points by one partial step from the nearest node.  Real
-lambda runs in float64 with the complex evaluation's real parts, bit for
-bit.  Problems with one cell layout walk as one stack (:func:`_stack`).
+walks (y, y') on Python numbers (:func:`_walk_one`): numpy's fixed cost
+per call outweighs one element's arithmetic.  Dense solutions keep every
+node and reach other points by one partial step from the nearest node.
+Real lambda runs in float64 with the complex evaluation's real parts, bit
+for bit.  Problems with one cell layout walk as one stack (:func:`_stack`).
 
 The lambda-derivative of a solution is propagated through the analytic
 derivative of the step (no finite differences).
@@ -267,16 +267,6 @@ def _exact_steps(cells, lam, var):
         del w, T
 
 
-def _exact_row(h, lam, q):
-    """:func:`_coefs`'s rows t11, t21, hS, t22 of a constant cell's exact
-    step (a = 0, so t11 = t22 = C) at one lambda, from cmath."""
-    ql = q - lam
-    z = cmath.sqrt(ql * (-h * h))
-    hS = h * (cmath.sin(z) / z if z else 1.0)
-    C = cmath.cos(z)
-    return C, ql * hS, hS, C
-
-
 # ----------------------------------------------------------------------
 # jumps
 # ----------------------------------------------------------------------
@@ -496,36 +486,36 @@ def _stack(problems):
                          [f.name for f in fields(problems[0].boundary)]))
 
 
-def _walk_one(problem, lam, S, backward, density):
-    """One non-real lambda (a one-element array) walked from the list S on
-    Python numbers, with the step rows of :func:`_exact_row` (constant cells,
-    no variational pair) or :func:`_coefs`, in :func:`_cross_cell`'s order."""
-    pieces, jumps, n, z = problem.pieces, problem.jump_after_piece, len(S), lam.item()
+def _walk_one(problem, lam, y, yp, backward, density):
+    """(y, y') of one non-real lambda (a one-element array) walked on Python
+    numbers in :func:`_cross_cell`'s and :func:`_jump_state`'s order: a
+    stepped cell's rows from :func:`_coefs`, a constant cell's exact step
+    from cmath (:func:`_coefs`'s expressions with a = 0, so t11 = t22 = C),
+    as NaN where cmath overflows (numpy gives inf or nan there)."""
+    pieces, jumps, lam1 = problem.pieces, problem.jump_after_piece, lam.item()
     for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
         piece = pieces[i]
         x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
         if piece.q_const is None:
-            rows = [t for _, T, _ in _steps(piece, x0, x1, lam, density, n == 4)[2]
+            rows = [t for _, T, _ in _steps(piece, x0, x1, lam, density, False)[2]
                     for t in T[..., 0].tolist()]
         else:
-            rows = [_exact_row(x1 - x0, z, piece.q_const) if n == 2 else
-                    _coefs(x1 - x0, lam, piece.q_const, 0.0, True)[1][0].tolist()]
-        for t in rows:
-            y, yp = S[0], S[1]
-            if n == 2:
-                S = [t[0] * y + t[2] * yp, t[1] * y + t[3] * yp]
-            else:
-                S = [t[0] * y + t[4] * yp, t[1] * y + t[5] * yp,
-                     t[2] * S[2] + t[6] * S[3] + t[8] * y + t[10] * yp,
-                     t[3] * S[2] + t[7] * S[3] + t[9] * y + t[11] * yp]
+            h, ql = x1 - x0, piece.q_const - lam1
+            try:
+                z = cmath.sqrt(ql * (-h * h))
+                hS, C = h * (cmath.sin(z) / z if z else 1.0), cmath.cos(z)
+                rows = [(C, ql * hS, hS, C)]
+            except (OverflowError, ValueError):
+                rows = [(complex(math.nan, math.nan),) * 4]
+        for t11, t21, hS, t22 in rows:
+            y, yp = t11 * y + hS * yp, t21 * y + t22 * yp
         jump = jumps[i - 1] if backward else jumps[i]   # jumps[-1], at pi, is None
-        for k in range(0, n, 2) if jump is not None else ():
-            if backward:
-                S[k] = S[k] / jump.a
-                S[k + 1] = (S[k + 1] - jump.c * S[k]) / jump.b
-            else:
-                S[k], S[k + 1] = jump.a * S[k], jump.b * S[k + 1] + jump.c * S[k]
-    return S
+        if jump is not None and backward:
+            y = y / jump.a
+            yp = (yp - jump.c * y) / jump.b
+        elif jump is not None:
+            y, yp = jump.a * y, jump.b * yp + jump.c * y
+    return y, yp
 
 
 def propagate_endpoints_batch(problem, lam, start, backward=False,
@@ -541,23 +531,19 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
     need).  ``start`` is (y, y') or, to carry the variational pair along,
     (y, y', u, u'); each value broadcasts against ``lam``.  Returns the
     state of the same length at the far endpoint: 0-d rows for a 0-d ``lam``,
-    Python numbers where it is not real, and NaN where cmath overflows there.
+    Python numbers for a non-real one walking (y, y').
 
     ``problem`` may be a stack (:func:`_stack`) with one row of a 2-D
     ``lam`` per problem.  With ``cells``, a list with one slot per cell,
     each slot receives the cell's dense-output record.  ``count_zeros``
     appends the zeros of y on (0, pi] of a forward walk of real lambda.
     """
-    lam = np.asarray(lam)
-    lam = lam.astype(complex if lam.dtype.kind == "c" else float, copy=False)
+    lam = np.asarray(lam, dtype=complex if np.iscomplexobj(lam) else float)
     if lam.dtype == complex and lam.size == 1 and lam.ndim < 2 and lam.item().imag \
-            and cells is None and not count_zeros:
-        try:    # a start of -0.0 is +0.0, as below
-            end = _walk_one(problem, lam.reshape(1), [np.asarray(v, complex).item() + 0.0
-                                                      for v in start], backward, cpm_density)
-        except (OverflowError, ValueError):     # from cmath, where numpy gives inf or nan
-            end = [complex(math.nan, math.nan)] * len(start)
-        return tuple(np.array(end)[:, None]) if lam.ndim else tuple(end)
+            and len(start) == 2 and cells is None and not count_zeros:
+        y, yp = (np.asarray(v, complex).item() + 0.0 for v in start)    # -0.0 is +0.0, as below
+        end = _walk_one(problem, lam.reshape(1), y, yp, backward, cpm_density)
+        return tuple(np.array(end)[:, None]) if lam.ndim else end
     shape, lam = lam.shape, lam if lam.ndim else lam.reshape(1)    # 0-d: one element
     S = np.empty((len(start),) + lam.shape,
                  complex if lam.dtype == complex else np.result_type(lam, *start))

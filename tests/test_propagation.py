@@ -149,6 +149,23 @@ def test_magnus_constant_q_matches_exact_step():
     assert complex(magnus.yp) == pytest.approx(complex(exact.yp), rel=1e-12)
 
 
+def test_errors_of_the_python_walk_propagate():
+    # a walk of one non-real lambda on Python numbers turns only cmath's
+    # overflow into NaN: an error of the potential or of the start reaches
+    # the caller, as on the numpy walk
+    def bad(x):
+        raise ValueError("q failed")
+
+    sp, s0 = SpectralPoint.from_lambda(11.0 + 0.5j), StateVector(1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="q failed"):
+        propagate_interval(bad, sp, s0, 0.0, 2.5)
+    cell = validate(ProblemSpec(constant_potential(0.2), RobinBC(0.0, 0.0)))
+    with pytest.raises(ValueError):
+        propagate_endpoints_batch(cell, 11.0 + 0.5j, (np.ones(2), 0.0))
+    y, yp = propagate_endpoints_batch(cell, -1e6 - 1j, (1.0, 0.0))
+    assert cmath.isnan(y) and cmath.isnan(yp)
+
+
 def test_magnus_cubic_q_matches_dop853():
     from scipy.integrate import solve_ivp
 
@@ -295,38 +312,29 @@ def _ref_step_var(h, lam, qb, a, y, yp, u, up):
 
 
 def _py_step(h, lam, qb, a, const, state):
-    """One step of one non-real lambda on Python numbers: a plain step on a
-    constant cell (a = 0) takes C and S from cmath, every other step the
-    rows of :func:`_ref_rows` on one element; products and sums in the
-    order of :func:`_ref_step_var`."""
-    if const and len(state) == 2:
+    """One step of (y, y') at one non-real lambda on Python numbers: a step
+    on a constant cell (a = 0) takes C and S from cmath, every other step
+    the rows of :func:`_ref_rows` on one element; products and sums in the
+    order of :func:`_ref_step`."""
+    if const:
         ql = qb - lam
         z = cmath.sqrt(ql * (-h * h))
         hS = h * (cmath.sin(z) / z if z != 0 else 1.0)
         t11 = t22 = cmath.cos(z)
         t21 = ql * hS
     else:
-        t11, t21, hS, t22, d11, d21, d12, d22 = (
-            v.item() for v in _ref_rows(h, np.array([lam]), qb, a))
-    y, yp = state[:2]
-    if len(state) == 2:
-        return t11 * y + hS * yp, t21 * y + t22 * yp
-    u, up = state[2:]
-    return (t11 * y + hS * yp, t21 * y + t22 * yp,
-            t11 * u + hS * up + d11 * y + d12 * yp,
-            t21 * u + t22 * up + d21 * y + d22 * yp)
+        t11, t21, hS, t22 = (v.item() for v in _ref_rows(h, np.array([lam]), qb, a)[:4])
+    y, yp = state
+    return t11 * y + hS * yp, t21 * y + t22 * yp
 
 
 def _py_jump(jump, state, inverse):
-    """``apply_jump`` on each (y, y') pair of Python numbers."""
-    out = ()
-    for y, yp in zip(state[::2], state[1::2]):
-        if inverse:
-            y = y / jump.a
-            out += (y, (yp - jump.c * y) / jump.b)
-        else:
-            out += (jump.a * y, jump.b * yp + jump.c * y)
-    return out
+    """``apply_jump`` on (y, y') of Python numbers."""
+    y, yp = state
+    if inverse:
+        y = y / jump.a
+        return y, (yp - jump.c * y) / jump.b
+    return jump.a * y, jump.b * yp + jump.c * y
 
 
 def _ref_zeros(h, lam, qb, a, before, after):
@@ -350,8 +358,9 @@ def _ref_walk(problem, lam, state, backward, density, python=False):
     """One step at a time, as scalars per step; returns the end state, the
     states at the step nodes of every cell, in propagation order, and for
     real lambda the zeros of y counted step by step (else 0).  ``python``
-    walks one non-real lambda, a one-element array, on Python numbers
-    (:func:`_py_step`, :func:`_py_jump`) and returns one-element arrays."""
+    walks (y, y') of one non-real lambda, a one-element array, on Python
+    numbers (:func:`_py_step`, :func:`_py_jump`) and returns one-element
+    arrays."""
     step = _ref_step if len(state) == 2 else _ref_step_var
     if python:
         lam, state = lam.item(), tuple(v.item() for v in state)
@@ -420,9 +429,9 @@ def test_blocked_batch_bit_identical_to_step_loop(name, n, request):
 
 @pytest.mark.parametrize("name", ["four_jump", "one_jump", "eig_desk", "cubic", "mathieu"])
 def test_0d_lambda_bit_identical_to_step_loop(name, request):
-    # a 0-d lambda walks as one element and returns 0-d rows; one non-real
-    # lambda walks as the step loop on Python numbers, a real one (57.1)
-    # as the step loop on numpy
+    # a 0-d lambda walks as one element and returns 0-d rows; (y, y') of
+    # one non-real lambda walks as the step loop on Python numbers, a
+    # variational pair or a real lambda (57.1) as the step loop on numpy
     p = request.getfixturevalue(name)
     for lam in np.array([3.7 + 0.9j, -12.3 + 2.1j, 410.2 - 0.3j, 57.1]):
         one = np.array([lam])
@@ -434,7 +443,8 @@ def test_0d_lambda_bit_identical_to_step_loop(name, request):
                 walk = propagate_endpoints_batch(p, one, state, backward=backward,
                                                  cpm_density=96)
                 ref, _, _ = _ref_walk(p, one, tuple(v + 0.0 * one for v in state),
-                                      backward, 96, python=lam.imag != 0.0)
+                                      backward, 96,
+                                      python=lam.imag != 0.0 and len(state) == 2)
                 assert all(np.ndim(g) == 0 and np.array_equal(g, w[0])
                            for g, w in zip(got, walk))
                 assert all(np.array_equal(w, r) for w, r in zip(walk, ref))

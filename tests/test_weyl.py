@@ -296,16 +296,19 @@ def _free_m(lam):
 
 @pytest.mark.parametrize("name, closed", [("free", _free_m), ("one_jump", _one_jump_m)])
 def test_complex_m_matches_closed_form(request, name, closed):
-    # the closed forms run in long double; the scalar walk (Python numbers)
-    # and the array walk (numpy) each round rho pi apart, so their worst
-    # errors differ by a few per cent either way (over 3,000 such points
-    # their mean errors were 8.33e-15 and 8.34e-15)
+    # the closed forms run in long double.  The scalar walk (Python numbers)
+    # and the array walk (numpy) agree to about 1e-15, far inside the
+    # 1e-13 error they share, so which of them has the larger worst or
+    # mean error is a matter of that 1e-15: at these points the scalar's
+    # worst error is 1.0034x (free) and 1.0000x (one_jump) the array's
     p = request.getfixturevalue(name)
     rng = np.random.default_rng(0)
     lam = rng.uniform(-20.0, 400.0, 200) + 1j * rng.choice([-1.0, 1.0], 200) \
         * 10.0 ** rng.uniform(-1.0, 0.7, 200)
     exact = closed(lam.astype(np.clongdouble))
-    scalar = np.array([weyl_m(p, z).m for z in lam])
-    worst = [float(np.max(np.abs(m - exact) / np.abs(exact))) for m in (scalar, weyl_m(p, lam).m)]
-    assert max(worst) < 1e-12
-    assert worst[0] <= 1.1 * worst[1]
+    scalar, array = np.array([weyl_m(p, z).m for z in lam]), weyl_m(p, lam).m
+    assert np.max(np.abs(scalar - array) / np.abs(array)) < 1e-14
+    err = [np.abs(m - exact) / np.abs(exact) for m in (scalar, array)]
+    assert np.max(err[1]) < 1e-12
+    assert np.max(err[0]) <= 1.01 * np.max(err[1])
+    assert np.mean(err[0]) <= 1.01 * np.mean(err[1])

@@ -22,6 +22,14 @@ The cases:
   ``cpm_density=96`` for m = 1, 20, 400 and 2,131 points in [-5, 900]:
   real lambda plain and with the derivative, and complex lambda
   (imaginary part 0.5) plain.
+
+The workers run with glibc's mmap and trim thresholds fixed (32 and 64
+MiB), so that large arrays come from the heap on both sides.  Left to
+glibc, the threshold moves with each process's history of frees, and one
+side may map every 200 KiB array of a case afresh while the other reuses
+heap: ``delta_batch/cubic/real_d/m2131`` read 1.4x apart on two trees
+that run the same code for it, and the same within 4% with the
+thresholds fixed.
 """
 
 import argparse
@@ -117,7 +125,8 @@ def main(argv=None):
             procs[side] = subprocess.Popen(
                 [sys.executable, __file__, "--worker", str(root.resolve() / "src")],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-                env=dict(os.environ, PYTHONPATH=""))
+                env=dict(os.environ, PYTHONPATH="", MALLOC_MMAP_THRESHOLD_=str(32 << 20),
+                         MALLOC_TRIM_THRESHOLD_=str(64 << 20)))
         names = [json.loads(procs[s].stdout.readline()) for s in sides]
         if names[0] != names[1]:
             sys.exit("layertime: the two trees build different cases")
