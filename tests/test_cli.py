@@ -119,6 +119,8 @@ def test_two_spectra_cmd_eigenparameter(tmp_path, eig_desk, capsys):
 def test_contour_count_cmd(free_cfg, capsys):
     assert main(["contour-count", free_cfg, "--rect=-0.5,8.5,-1,1"]) == 0
     assert capsys.readouterr().out.strip() == "zeros_inside,3"
+    assert main(["contour-count", free_cfg, "--rect=1,2,3"]) == 1
+    assert "ConfigParseError: --rect expects" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -149,6 +151,25 @@ def test_fit_cmd(tmp_path, one_jump, one_jump_cfg):
     assert report["converged"] is True
     assert report["parameters"]["c0"] == pytest.approx(
         one_jump.jumps[0].c, abs=1e-6)
+
+
+def test_fit_cmd_unconverged(tmp_path, one_jump, capsys):
+    # one evaluation cannot move c0 from 0.9 to the targets' 0: exit 2, report written
+    from jumpsl import (JumpCondition, ProblemSpec, eigenvalues, export_csv, spectral_data,
+                        validate)
+    targets, cfg = tmp_path / "targets.csv", tmp_path / "start.json"
+    export_csv(spectral_data(one_jump, eigenvalues(one_jump, 6, verify=False)), targets)
+    save_problem(validate(ProblemSpec(one_jump.potential, one_jump.boundary,
+                                      (JumpCondition(PI / 2, 2.0, 0.5, 0.9),))), cfg)
+    fitspec = tmp_path / "fit.json"
+    fitspec.write_text(json.dumps({"mode": "full_spectral", "unknowns": ["c0"],
+                                   "targets_file": str(targets), "max_iter": 1}))
+    out = tmp_path / "report.json"
+    assert main(["fit", str(cfg), str(fitspec), "-o", str(out)]) == 2
+    assert "NumericalError: fit did not converge" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["converged"] is False and report["nfev"] == 1
+    assert report["parameters"] == {"c0": 0.9}
 
 
 @pytest.mark.parametrize("text", ["", "n,rho\n0,0\n", "n,lambda,rho\n0,abc,0\n"],

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from jumpsl import (
+    ConfigParseError,
     EigenparameterBC,
     FitSpec,
     JumpCondition,
@@ -18,6 +19,7 @@ from jumpsl import (
     PiecewisePolynomial,
     ProblemSpec,
     RobinBC,
+    SampledGrid,
     ValidatedProblem,
     ValidationError,
     constant_potential,
@@ -84,7 +86,7 @@ def test_fit_recovers_boundary_and_coupling(one_jump):
     assert rec.jumps[0].c == pytest.approx(one_jump.jumps[0].c, abs=1e-6)
 
 
-def test_validation_rejections(free, one_jump, generic):
+def test_validation_rejections(free, one_jump, generic, eig_desk):
     lam = (0.0, 1.0, 4.0)
     gam = (0.3, 0.6, 0.6)
     for tok in ("w", "d", "b0", "d0", "w1"):
@@ -148,6 +150,25 @@ def test_validation_rejections(free, one_jump, generic):
     FitSpec(mode="full_spectral", template=one_jump, unknowns=("h", "H"),
             targets_lambda=lam, targets_gamma=gam,
             bounds={"h": (-math.inf, 0.5), "H": (-1.0, math.inf)})
+    # a mode, unknown list or token that no template allows
+    x = np.linspace(0.0, PI, 9)
+    grid = validate(ProblemSpec(SampledGrid(x, np.cos(x)), RobinBC(0.0, 0.0)))
+    halves = validate(ProblemSpec(PiecewisePolynomial(((0.1,), (0.2,)), (PI / 2,)),
+                                  RobinBC(0.0, 0.0)))
+    for template, field_, message in (
+            (one_jump, {"mode": "inverse"}, "unknown fit mode"),
+            (one_jump, {"unknowns": ()}, "no unknown parameters"),
+            (one_jump, {"targets_lambda": (), "targets_gamma": ()},
+             "targets_lambda must be nonempty"),
+            (eig_desk, {"unknowns": ("H",)}, "needs a Robin problem"),
+            (one_jump, {"unknowns": ("x1",)}, "unrecognized unknown token"),
+            (grid, {"unknowns": ("q0",)}, "piecewise polynomial potential"),
+            (one_jump, {"unknowns": ("q1",)}, "piece index 1 out of range"),
+            (halves, {"mode": "half_inverse", "unknowns": ("q0",)},
+             r"only on pieces inside \(pi/2, pi\]")):
+        with pytest.raises(ValidationError, match=message):
+            FitSpec(**{"mode": "full_spectral", "template": template, "unknowns": ("h",),
+                       "targets_lambda": lam, "targets_gamma": gam, **field_})
 
 
 def test_pack_unpack_round_trip(generic):
@@ -249,6 +270,25 @@ def test_load_fitspec_full(tmp_path, one_jump):
     assert np.allclose(fs.targets_lambda, sd.lambdas)
     assert np.allclose(fs.targets_gamma, sd.gammas)
     assert fs.max_iter == 40
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read fit spec"),
+    ("{mode", "cannot read fit spec"),
+    ({"mode": "full_spectral", "unknowns": ["c0"]}, "missing key 'targets_file'"),
+    (["full_spectral"], "malformed fit spec"),
+    ({"mode": "two_spectra", "unknowns": ["h"], "targets_file": "t.csv"},
+     "two_spectra needs targets_file"),
+    ({"mode": "full_spectral", "unknowns": ["c0"], "targets_file": ["t.csv", "t.csv"]},
+     "full_spectral takes a single targets_file"),
+], ids=["missing_file", "not_json", "missing_key", "not_an_object", "two_spectra_one_file",
+        "full_two_files"])
+def test_load_fitspec_config_errors(tmp_path, one_jump, content, message):
+    cfg = tmp_path / "fit.json"
+    if content is not None:
+        cfg.write_text(content if isinstance(content, str) else json.dumps(content))
+    with pytest.raises(ConfigParseError, match=message):
+        load_fitspec(cfg, one_jump)
 
 
 def test_load_fitspec_two_files(tmp_path, free):

@@ -62,6 +62,9 @@ def test_jump_sign_error():
     with pytest.raises(JumpSignError):
         validate(ProblemSpec(constant_potential(0.0), RobinBC(0, 0),
                              (JumpCondition(1.0, 1.0, -1.0),)))
+    with pytest.raises(JumpSignError, match="non-finite jump"):
+        validate(ProblemSpec(constant_potential(0.0), RobinBC(0, 0),
+                             (JumpCondition(1.0, math.inf, 1.0),)))
 
 
 def test_boundary_constraint_error():
@@ -72,6 +75,8 @@ def test_boundary_constraint_error():
     with pytest.raises(BoundaryConstraintError):
         validate(ProblemSpec(constant_potential(0.0),
                              EigenparameterBC(1, 1, 1, 1, 2, 1)))
+    with pytest.raises(BoundaryConstraintError, match="unknown boundary condition"):
+        validate(ProblemSpec(constant_potential(0.0), (0.0, 0.0)))
 
 
 @pytest.mark.parametrize("field", ["h1", "h2", "h3", "H1", "H2", "H3"])
@@ -99,6 +104,28 @@ def test_potential_error_nonfinite():
         PiecewisePolynomial(coefficients=((0.0, math.nan),))
     with pytest.raises(PotentialError):
         SampledGrid(np.linspace(0, PI, 5), [0, 1, math.inf, 1, 0])
+    with pytest.raises(PotentialError, match="unknown potential type float"):
+        validate(ProblemSpec(0.0, RobinBC(0, 0)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PiecewisePolynomial(coefficients=((),)), "degree"),
+    (lambda: PiecewisePolynomial(coefficients=((1.0,) * 8,)), "degree"),
+    (lambda: PiecewisePolynomial(coefficients=((1.0,), (2.0,)), breakpoints=(PI,)),
+     r"lie in \(0, pi\)"),
+    (lambda: PiecewisePolynomial(coefficients=((1.0,),) * 3, breakpoints=(2.0, 1.0)),
+     "strictly increasing"),
+    (lambda: SampledGrid([0.0, PI], [1.0, 2.0], order=2), "order"),
+    (lambda: SampledGrid([0.0, 1.0, PI], [1.0, 2.0]), "matching"),
+    (lambda: SampledGrid([0.0], [1.0]), "at least 2"),
+    (lambda: SampledGrid([0.0, 2.0, 1.0, PI], [1.0] * 4), "strictly increasing"),
+    (lambda: SampledGrid([0.1, PI], [1.0, 2.0]), "cover"),
+    (lambda: SampledGrid([0.0, 3.0], [1.0, 2.0]), "cover"),
+], ids=["degree_0", "degree_7", "breakpoint_range", "breakpoint_order", "grid_order",
+        "grid_length", "grid_one_sample", "grid_monotone", "grid_left", "grid_right"])
+def test_potential_shape_checks(make, message):
+    with pytest.raises(PotentialError, match=message):
+        make()
 
 
 def test_piecewise_polynomial_breakpoints():
@@ -215,9 +242,14 @@ def test_config_parse_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigParseError):
         load_problem(bad)
-    with pytest.raises(ConfigParseError):
+    with pytest.raises(ConfigParseError, match="unknown potential type 'mystery'"):
         problem_from_dict({"potential": {"type": "mystery"},
                            "boundary": {"type": "robin", "h": 0, "H": 0},
+                           "jumps": []})
+    with pytest.raises(ConfigParseError, match="unknown boundary type 'dirichlet'"):
+        problem_from_dict({"potential": {"type": "piecewise_polynomial",
+                                         "coefficients": [[0.0]]},
+                           "boundary": {"type": "dirichlet", "h": 0},
                            "jumps": []})
     with pytest.raises(ConfigParseError):
         load_problem(tmp_path / "missing.json")
