@@ -24,9 +24,17 @@ scalar and array calls; contour counts; end states of one-lambda walks
 variational walk that counts zeros and stacked stepped-cell walks on a
 2-D lambda; and the params,
 residuals, nfev and Jacobians of the benchmark's two fits (seeds 1-3) and
-of the three inverse round trips of acceptance criterion 11.
+of the three inverse round trips of acceptance criterion 11.  Text cases:
+each problem's config (``problem_to_dict`` as JSON, and again after a
+round trip through ``problem_from_dict``) and ``fingerprint()``, the
+messages of malformed configs, and the exit status, stdout and stderr of
+``jumpsl eigs``, ``spectral-data --json``, ``weyl`` and ``two-spectra`` on
+each problem and of two ``jumpsl fit`` runs.
 """
 
+import contextlib
+import io
+import json
 import math
 import sys
 import tempfile
@@ -290,10 +298,71 @@ def _fit_cases(api, out):
         print(f"criterion 11 {label}: error {np.max(np.abs(r.params - x)):.4e}")
 
 
+def _cli(out, key, argv):
+    """Exit status, stdout and stderr of ``jumpsl`` with ``argv``."""
+    from jumpsl.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = main(argv)
+    out[f"cli/{key}/status"] = np.array(status)
+    out[f"cli/{key}/stdout"] = np.array(stdout.getvalue())
+    out[f"cli/{key}/stderr"] = np.array(stderr.getvalue())
+
+
+def _text_cases(api, out):
+    """Configs, fingerprints and config errors as text, and the CLI's output."""
+    problems = _problems(api)
+    for name, p in problems.items():
+        text = json.dumps(api.problem_to_dict(p))
+        out[f"config/{name}"] = np.array(text)
+        out[f"config_round/{name}"] = np.array(
+            json.dumps(api.problem_to_dict(api.problem_from_dict(json.loads(text)))))
+        out[f"fingerprint/{name}"] = np.array(p.fingerprint())
+    good = api.problem_to_dict(problems["generic"])
+    for label, key, value in (
+            ("potential_type", "potential", {"type": "mystery"}),
+            ("potential_type_list", "potential", {"type": []}),
+            ("potential_no_type", "potential", {"coefficients": [[0.0]]}),
+            ("potential_field", "potential", {"type": "sampled_grid", "knots": [0.0]}),
+            ("boundary_type", "boundary", {"type": "dirichlet", "h": 0.0}),
+            ("boundary_type_and_value", "boundary", {"type": "dirichlet", "h": "zz"}),
+            ("boundary_value", "boundary", {"type": "robin", "h": "zz", "H": 0.0}),
+            ("boundary_field", "boundary", {"type": "robin", "h": 0.0}),
+            ("boundary_not_a_dict", "boundary", 5),
+            ("jump_field", "jumps", [{"d": 1.0, "a": 1.0}])):
+        _record(api, out, f"config_error/{label}",
+                lambda: api.problem_from_dict({**good, key: value}).fingerprint())
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        for name, p in problems.items():
+            cfg = str(work / f"{name}.json")
+            api.save_problem(p, cfg)
+            _cli(out, f"eigs/{name}", ["eigs", cfg, "--count", "12"])
+            _cli(out, f"spectral_data/{name}", ["spectral-data", cfg, "--count", "12", "--json"])
+            _cli(out, f"weyl/{name}", ["weyl", cfg, "--grid=-5:60:9", "--imag", "0.5"])
+            _cli(out, f"two_spectra/{name}", ["two-spectra", cfg, "--count", "20",
+                                              "--lam=-1.5,2.5,7.3"])
+        for name, count, mode, unknowns, moved in (
+                ("generic", 10, "full_spectral", ["h", "H", "c0"],
+                 {"boundary": {"type": "robin", "h": 1.1, "H": -0.9}}),
+                ("half", 12, "half_inverse", ["H", "q1"],
+                 {"boundary": {"type": "robin", "h": 0.2, "H": -0.3}})):
+            p = problems[name]
+            targets = work / f"{name}_targets.csv"
+            api.export_csv(api.spectral_data(p, api.eigenvalues(p, count)), targets)
+            start, fitspec = work / f"{name}_start.json", work / f"{name}_fit.json"
+            start.write_text(json.dumps({**api.problem_to_dict(p), **moved}))
+            fitspec.write_text(json.dumps({"mode": mode, "unknowns": unknowns,
+                                           "targets_file": str(targets)}))
+            _cli(out, f"fit/{name}", ["fit", str(start), str(fitspec)])
+
+
 def dump(path):
     import jumpsl as api
 
     out = {}
+    _text_cases(api, out)
     _forward_cases(api, out)
     _walk_cases(api, out)
     _locate_cases(api, out)

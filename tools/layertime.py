@@ -22,6 +22,12 @@ The cases:
   ``cpm_density=96`` for m = 1, 20, 400 and 2,131 points in [-5, 900]:
   real lambda plain and with the derivative, and complex lambda
   (imaginary part 0.5) plain.
+- ``delta_batch/four_jump/real_d/m20``: ``delta_batch`` with the derivative
+  on four_jump at 20 real points in [-5, 900], a walk of five constant
+  cells whose exact steps come from one coefficient call;
+- ``locate/half/cold``: a cold ``spectrum._locate`` of 40 roots at
+  ``cpm_density=96`` on the half-inverse truth of acceptance criterion 11,
+  as a fit's first residual makes it.
 
 The workers run with glibc's mmap and trim thresholds fixed (32 and 64
 MiB), so that large arrays come from the heap on both sides.  Left to
@@ -64,6 +70,11 @@ def _cases(api, np):
                                                   (0.1, -0.2, 0.15, -0.04)),
                                     breakpoints=(PI / 3,)),
             api.RobinBC(0.4, -0.3), (jump(PI / 3, 1.5, 1.0, 0.6),))),
+        "half": api.validate(api.ProblemSpec(
+            api.PiecewisePolynomial(coefficients=((0.25, -0.1, 0.2, 0.0),
+                                                  (0.1, 0.3, -0.2, 0.08)),
+                                    breakpoints=(PI / 2,)),
+            api.RobinBC(0.2, -0.4))),
     }
     rng = np.random.default_rng(22)
     n = 200
@@ -83,6 +94,11 @@ def _cases(api, np):
                                ("complex", lam + 0.5j, False)):
             cases[f"delta_batch/cubic/{kind}/m{m}"] = (reps, lambda z=z, d=deriv, r=reps: [
                 api.delta_batch(cubic, z, derivative=d, cpm_density=96) for _ in range(r)])
+    lam = np.linspace(-5.0, 900.0, 20)
+    cases["delta_batch/four_jump/real_d/m20"] = (20, lambda: [
+        api.delta_batch(problems["four_jump"], lam, derivative=True) for _ in range(20)])
+    cases["locate/half/cold"] = (3, lambda: [
+        api.spectrum._locate(problems["half"], 40, "spec", 96) for _ in range(3)])
     return cases
 
 
