@@ -53,47 +53,48 @@ def _build_parser():
                     "problems with interior transmission conditions.")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_text):
+    def add(name, command, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(command=command)
         p.add_argument("config", help="problem config (JSON)")
         p.add_argument("-o", "--output", default=None,
                        help="output path (default: stdout)")
         return p
 
-    p = add("eigs", "lowest eigenvalues as CSV")
+    p = add("eigs", _cmd_eigs, "lowest eigenvalues as CSV")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--no-verify", action="store_true",
                    help="accepted and ignored: the oscillation index that "
                         "locates the eigenvalues certifies them")
 
-    p = add("spectral-data", "eigenvalues with gamma_n and beta_n as CSV")
+    p = add("spectral-data", _cmd_spectral_data, "eigenvalues with gamma_n and beta_n as CSV")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--no-verify", action="store_true", help="accepted and ignored")
     p.add_argument("--json", action="store_true", dest="as_json")
 
-    p = add("weyl", "sample the Weyl m-function along a lambda line")
+    p = add("weyl", _cmd_weyl, "sample the Weyl m-function along a lambda line")
     p.add_argument("--grid", required=True,
                    help="START:STOP:NUM for the real part of lambda")
     p.add_argument("--imag", type=float, default=0.0,
                    help="imaginary part of lambda (default 0)")
 
-    p = add("asym-check", "exact vs asymptotic Delta comparison table")
+    p = add("asym-check", _cmd_asym_check, "exact vs asymptotic Delta comparison table")
     p.add_argument("--rho", required=True,
                    help="comma-separated rho values, e.g. 40,80")
 
-    p = add("gauge", "emit the gauge-normalized config (w preserved)")
+    add("gauge", _cmd_gauge, "emit the gauge-normalized config (w preserved)")
 
-    p = add("two-spectra", "recover m(lambda) from two truncated spectra")
+    p = add("two-spectra", _cmd_two_spectra, "recover m(lambda) from two truncated spectra")
     p.add_argument("--count", type=int, required=True,
                    help="eigenvalues per spectrum")
     p.add_argument("--lam", required=True,
                    help="comma-separated lambda evaluation points")
     p.add_argument("--truncation", type=int, default=None)
 
-    p = add("fit", "inverse fit from a fit-spec JSON")
+    p = add("fit", _cmd_fit, "inverse fit from a fit-spec JSON")
     p.add_argument("fitspec", help="fit definition (JSON)")
 
-    p = add("contour-count", "argument-principle zero count in a rectangle")
+    p = add("contour-count", _cmd_contour_count, "argument-principle zero count in a rectangle")
     p.add_argument("--rect", required=True,
                    help="re_min,re_max,im_min,im_max")
     return ap
@@ -103,19 +104,16 @@ def _build_parser():
 # subcommand bodies
 # ----------------------------------------------------------------------
 
-def _cmd_eigs(args):
-    p = load_problem(args.config)
+def _cmd_eigs(p, args):
     _emit(_spectral_text(eigenvalues(p, args.count)), args.output)
 
 
-def _cmd_spectral_data(args):
-    p = load_problem(args.config)
+def _cmd_spectral_data(p, args):
     sd = spectral_data(p, eigenvalues(p, args.count))
     _emit(_spectral_text(sd, args.as_json), args.output)
 
 
-def _cmd_weyl(args):
-    p = load_problem(args.config)
+def _cmd_weyl(p, args):
     try:
         start, stop, num = args.grid.split(":")
         grid = np.linspace(float(start), float(stop), int(num))
@@ -125,8 +123,7 @@ def _cmd_weyl(args):
           args.output)
 
 
-def _cmd_asym_check(args):
-    p = load_problem(args.config)
+def _cmd_asym_check(p, args):
     rhos = _parse_floats(args.rho)
     power = 5 if p.variant == "eigenparameter" else 1
     lines = ["rho,exact_delta,asymptotic_delta,scaled_error"]
@@ -142,8 +139,7 @@ def _cmd_asym_check(args):
     _emit("\n".join(lines) + "\n", args.output)
 
 
-def _cmd_gauge(args):
-    p = load_problem(args.config)
+def _cmd_gauge(p, args):
     g = gauge_transform(p)
     data = problem_to_dict(g)
     data["note"] = ("gauge-normalized transmission coefficients: every "
@@ -151,8 +147,7 @@ def _cmd_gauge(args):
     _emit(json.dumps(data, indent=2) + "\n", args.output)
 
 
-def _cmd_two_spectra(args):
-    p = load_problem(args.config)
+def _cmd_two_spectra(p, args):
     prim = eigenvalues(p, args.count)
     sec = weyl.secondary_spectrum(p, args.count)
     ts = weyl.TwoSpectra(primary=prim, secondary=sec, problem=p)
@@ -167,16 +162,11 @@ def _cmd_two_spectra(args):
 def _named_parameters(fs, params):
     """Fitted values by token: a list of coefficients for ``q<i>``, else a
     number."""
-    out, pos = {}, 0
-    for tok, kind, _, width in inverse._token_slots(fs):
-        chunk = params[pos:pos + width].tolist()
-        out[tok] = chunk if kind == "q" else chunk[0]
-        pos += width
-    return out
+    return {tok: params[sl].tolist() if kind == "q" else params[sl][0].item()
+            for tok, kind, _, sl in inverse._token_slots(fs)}
 
 
-def _cmd_fit(args):
-    template = load_problem(args.config)
+def _cmd_fit(template, args):
     fs = inverse.load_fitspec(args.fitspec, template)
     result = inverse.fit(fs)
     data = {
@@ -192,25 +182,12 @@ def _cmd_fit(args):
         raise NumericalError(f"fit did not converge: {result.message}")
 
 
-def _cmd_contour_count(args):
-    p = load_problem(args.config)
+def _cmd_contour_count(p, args):
     rect = _parse_floats(args.rect)
     if len(rect) != 4:
         raise ConfigParseError("--rect expects re_min,re_max,im_min,im_max")
     n = count_zeros_contour(p, tuple(rect))
     _emit(f"zeros_inside,{n}\n", args.output)
-
-
-_DISPATCH = {
-    "eigs": _cmd_eigs,
-    "spectral-data": _cmd_spectral_data,
-    "weyl": _cmd_weyl,
-    "asym-check": _cmd_asym_check,
-    "gauge": _cmd_gauge,
-    "two-spectra": _cmd_two_spectra,
-    "fit": _cmd_fit,
-    "contour-count": _cmd_contour_count,
-}
 
 
 def main(argv=None) -> int:
@@ -220,7 +197,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             # argparse exits 2 on usage errors; remap to the validation code
             return 0 if exc.code in (0, None) else 1
-        _DISPATCH[args.subcommand](args)
+        args.command(load_problem(args.config), args)
         return 0
     except NumericalError as exc:
         _report(exc)

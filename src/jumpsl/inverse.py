@@ -15,7 +15,7 @@ Three modes:
 The weight function w is never a free parameter (uniqueness needs it
 known), so an ``a<i>`` unknown moves a_i while b_i is retied to keep
 a_i b_i fixed.  Each unknown token is parsed and checked in one place,
-:func:`_token_slots`, into a (token, kind, index, width) slot that
+:func:`_token_slots`, into a (token, kind, index, slice) slot that
 packing, unpacking, the bounds and the CLI report read.  The optimizer
 is scipy's trust-region least squares over the forward eigenvalue map.
 
@@ -167,9 +167,9 @@ def _finite(v):
 
 def _token_slots(fs: FitSpec):
     """Each unknown, parsed and checked against the template and mode once,
-    as (token, kind, index, width): kind "bc" for a boundary constant
-    (index None), else "a", "c" or "q" with the jump or potential piece
-    index; a ``q`` token spans all coefficients of its piece."""
+    as (token, kind, index, slice of the parameter vector): kind "bc" for a
+    boundary constant (index None), else "a", "c" or "q" with the jump or
+    potential piece index; a ``q`` token spans all coefficients of its piece."""
     p, half = fs.template, fs.mode == "half_inverse"
     slots = []
     for tok in fs.unknowns:
@@ -181,6 +181,7 @@ def _token_slots(fs: FitSpec):
             raise ValidationError(
                 f"{tok!r} may not be freed: the weight function and jump "
                 f"locations are known data of the inverse problem")
+        m = _INDEXED.match(tok)
         if tok in _ROBIN_TOKENS or tok in _EIG_TOKENS:
             if tok in _ROBIN_TOKENS and p.variant != "robin":
                 raise ValidationError(f"token {tok!r} needs a Robin problem")
@@ -190,30 +191,29 @@ def _token_slots(fs: FitSpec):
             if half and tok in ("h", "h1", "h2", "h3"):
                 raise ValidationError("half_inverse keeps the left boundary "
                                       "data fixed")
-            slots.append((tok, "bc", None, 1))
-            continue
-        m = _INDEXED.match(tok)
-        if not m:
+            kind, idx, width = "bc", None, 1
+        elif not m:
             raise ValidationError(f"unrecognized unknown token {tok!r}")
-        kind, idx = m.group(1), int(m.group(2))
-        if kind in ("a", "c"):
+        elif m.group(1) in ("a", "c"):
+            kind, idx, width = m.group(1), int(m.group(2)), 1
             if idx >= len(p.jumps):
                 raise ValidationError(f"jump index {idx} out of range")
             if half and p.jumps[idx].d <= PI / 2:
                 raise ValidationError("half_inverse keeps jumps at or left of "
                                       "pi/2 fixed")
-            slots.append((tok, kind, idx, 1))
-            continue
-        pot = p.potential
-        if not isinstance(pot, PiecewisePolynomial):
-            raise ValidationError("q unknowns require a piecewise polynomial "
-                                  "potential")
-        if idx >= len(pot.coefficients):
-            raise ValidationError(f"potential piece index {idx} out of range")
-        if half and pot.edges[idx] < PI / 2 - 1e-12:
-            raise ValidationError("half_inverse may free the potential only "
-                                  "on pieces inside (pi/2, pi]")
-        slots.append((tok, kind, idx, len(pot.coefficients[idx])))
+        else:
+            kind, idx, pot = "q", int(m.group(2)), p.potential
+            if not isinstance(pot, PiecewisePolynomial):
+                raise ValidationError("q unknowns require a piecewise polynomial "
+                                      "potential")
+            if idx >= len(pot.coefficients):
+                raise ValidationError(f"potential piece index {idx} out of range")
+            if half and pot.edges[idx] < PI / 2 - 1e-12:
+                raise ValidationError("half_inverse may free the potential only "
+                                      "on pieces inside (pi/2, pi]")
+            width = len(pot.coefficients[idx])
+        start = slots[-1][3].stop if slots else 0
+        slots.append((tok, kind, idx, slice(start, start + width)))
     return slots
 
 
@@ -235,7 +235,7 @@ def unpack_parameters(fs: FitSpec, params) -> ValidatedProblem:
     """Rebuild a validated problem with the unknowns replaced by params."""
     params = np.asarray(params, dtype=float)
     slots = _token_slots(fs)
-    expected = sum(s[3] for s in slots)
+    expected = slots[-1][3].stop
     if len(params) != expected:
         raise MismatchError(f"parameter vector has {len(params)} entries, "
                             f"expected {expected}")
@@ -243,10 +243,8 @@ def unpack_parameters(fs: FitSpec, params) -> ValidatedProblem:
     bc = p.boundary
     jumps = list(p.jumps)
     pot = p.potential
-    pos = 0
-    for tok, kind, i, width in slots:
-        chunk = params[pos:pos + width]
-        pos += width
+    for tok, kind, i, sl in slots:
+        chunk = params[sl]
         if kind == "bc":
             bc = replace(bc, **{tok: float(chunk[0])})
         elif kind == "a":
@@ -392,21 +390,19 @@ def _bounds_arrays(fs: FitSpec):
     if stray:
         raise ValidationError(f"bounds name tokens that are not unknowns: "
                               f"{sorted(stray, key=str)}")
-    lo = np.full(sum(s[3] for s in slots), -np.inf)
+    lo = np.full(slots[-1][3].stop, -np.inf)
     hi = np.full(lo.size, np.inf)
-    pos = 0
-    for tok, _, _, width in slots:
+    for tok, _, _, sl in slots:
         if tok in fs.bounds:
             try:
-                lo[pos:pos + width], hi[pos:pos + width] = fs.bounds[tok]
+                lo[sl], hi[sl] = fs.bounds[tok]
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"bound on {tok!r} must be a pair (lo, hi), "
                                       f"got {fs.bounds[tok]!r}") from exc
             if any(isinstance(v, bool) for v in fs.bounds[tok]) \
-                    or not np.all(lo[pos:pos + width] < hi[pos:pos + width]):
+                    or not np.all(lo[sl] < hi[sl]):
                 raise ValidationError(f"bound on {tok!r} needs numbers lo < hi and no "
                                       f"nan end, got {tuple(fs.bounds[tok])}")
-        pos += width
     return lo, hi
 
 

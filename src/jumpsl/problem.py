@@ -24,7 +24,7 @@ import math
 import os
 import tempfile
 from bisect import bisect_right
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -120,6 +120,7 @@ class PiecewisePolynomial:
     """
 
     max_degree = 6
+    type_name = "piecewise_polynomial"
 
     def __init__(self, coefficients, breakpoints=()):
         breakpoints = tuple(float(t) for t in breakpoints)
@@ -169,7 +170,7 @@ class PiecewisePolynomial:
 
     def to_dict(self):
         return {
-            "type": "piecewise_polynomial",
+            "type": self.type_name,
             "breakpoints": list(self.breakpoints),
             "coefficients": [list(c) for c in self.coefficients],
         }
@@ -177,6 +178,8 @@ class PiecewisePolynomial:
 
 class SampledGrid:
     """Potential given by samples with zero-, first- or third-order interpolation."""
+
+    type_name = "sampled_grid"
 
     def __init__(self, x, values, order=1):
         x = tuple(float(t) for t in x)
@@ -221,7 +224,7 @@ class SampledGrid:
 
     def to_dict(self):
         return {
-            "type": "sampled_grid",
+            "type": self.type_name,
             "x": list(self.x),
             "values": list(self.values),
             "order": self.order,
@@ -276,8 +279,8 @@ class ValidatedProblem:
         self.alpha_primes = alpha_primes
         self.pieces = pieces
         self.jump_after_piece = jump_after_piece  # JumpCondition or None per interior node
-        from .propagation import _const_cells   # propagation imports this module
-        self.const_cells = _const_cells(pieces)
+        from .propagation import _layout   # propagation imports this module
+        self.layout = _layout(pieces, jump_after_piece)
         self._jump_ds = tuple(j.d for j in spec.jumps)
 
     # -- basic queries --------------------------------------------------
@@ -422,43 +425,35 @@ def gauge_transform(problem: ValidatedProblem) -> ValidatedProblem:
 # configuration files (JSON)
 # ----------------------------------------------------------------------
 
+#: the class that each config type names, per kind of config entry
+_CONFIG_TYPES = {"potential": {c.type_name: c for c in (PiecewisePolynomial, SampledGrid)},
+                 "boundary": {c.variant: c for c in (RobinBC, EigenparameterBC)}}
+
+
+def _config_class(kind, name):
+    cls = _CONFIG_TYPES[kind].get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ConfigParseError(f"unknown {kind} type {name!r}")
+    return cls
+
+
 def problem_to_dict(problem):
     spec = problem.spec if isinstance(problem, ValidatedProblem) else problem
-    bc = spec.boundary
-    if isinstance(bc, RobinBC):
-        boundary = {"type": "robin", "h": bc.h, "H": bc.H}
-    else:
-        boundary = {
-            "type": "eigenparameter",
-            "h1": bc.h1, "h2": bc.h2, "h3": bc.h3,
-            "H1": bc.H1, "H2": bc.H2, "H3": bc.H3,
-        }
     return {
         "potential": spec.potential.to_dict(),
-        "boundary": boundary,
-        "jumps": [{"d": j.d, "a": j.a, "b": j.b, "c": j.c} for j in spec.jumps],
+        "boundary": {"type": spec.boundary.variant, **asdict(spec.boundary)},
+        "jumps": [asdict(j) for j in spec.jumps],
     }
 
 
 def problem_from_dict(data) -> ValidatedProblem:
     try:
         pot_data = dict(data["potential"])
-        pot_type = pot_data.pop("type")
-        if pot_type == "piecewise_polynomial":
-            pot = PiecewisePolynomial(**pot_data)
-        elif pot_type == "sampled_grid":
-            pot = SampledGrid(**pot_data)
-        else:
-            raise ConfigParseError(f"unknown potential type {pot_type!r}")
+        pot = _config_class("potential", pot_data.pop("type"))(**pot_data)
         bc_data = dict(data["boundary"])
         bc_type = bc_data.pop("type")
         bc_data = {k: float(v) for k, v in bc_data.items()}
-        if bc_type == "robin":
-            bc = RobinBC(**bc_data)
-        elif bc_type == "eigenparameter":
-            bc = EigenparameterBC(**bc_data)
-        else:
-            raise ConfigParseError(f"unknown boundary type {bc_type!r}")
+        bc = _config_class("boundary", bc_type)(**bc_data)
         jumps = tuple(JumpCondition(**{k: float(v) for k, v in dict(j).items()})
                       for j in data.get("jumps", []))
     except (KeyError, TypeError, ValueError) as exc:

@@ -236,20 +236,24 @@ def _steps(piece, x0, x1, lam, density, var):
                    for k in range(0, n, block))
 
 
-def _const_cells(pieces):
-    """Width and q columns of the constant cells among ``pieces`` in forward
-    walk order and, widths negated, in backward order: the lambda-independent
-    data of their exact steps, laid out once per problem."""
-    const = [p for p in pieces if p.q_const is not None]
+def _layout(pieces, jumps):
+    """The lambda-independent data of a walk, laid out once per problem: for
+    the forward and the backward walk, its route of (cell index, piece,
+    start, end, jump crossed after the cell) in walk order, and the width
+    and q columns of its constant cells (widths negated backward).
+    ``jumps[i]`` sits at the right end of cell i; ``jumps[-1]``, at pi, is
+    None, so it is the jump a backward walk crosses after cell 0."""
+    cells, const = list(enumerate(pieces)), [p for p in pieces if p.q_const is not None]
     h, q = np.array([p.length for p in const]), np.array([p.q_const for p in const])
-    return (h, q), (-h[::-1], q[::-1])
+    return (([(i, p, p.xl, p.xr, jumps[i]) for i, p in cells], (h, q)),
+            ([(i, p, p.xr, p.xl, jumps[i - 1]) for i, p in cells[::-1]], (-h[::-1], q[::-1])))
 
 
 def _exact_steps(cells, lam, var):
     """Each constant cell's one exact step, as a block for :func:`_cross_cell`,
     in walk order.  A group of cells of at most ``_BLOCK_ELEMS`` (cells x
     lambda) entries takes its steps from one :func:`_coefs` call on the
-    columns of ``cells`` (see :func:`_const_cells`), made when the walk
+    columns of ``cells`` (see :func:`_layout`), made when the walk
     reaches it and dropped before the next.  A cell alone in its group
     passes scalars: on a one-row column the float-to-complex casts made a
     call on 3,000 lambda with the variational pair about 1.4x as slow."""
@@ -322,8 +326,7 @@ def propagate_interval(q, sp, state, x_from, x_to):
     y, yp = complex(state.y), complex(state.yp)
     if x_to == x_from:
         return StateVector(y, yp, x_to)
-    cell = SimpleNamespace(pieces=[piece], jump_after_piece=[None],
-                           const_cells=_const_cells([piece]))
+    cell = SimpleNamespace(layout=_layout([piece], [None]))
     y, yp = propagate_endpoints_batch(cell, np.asarray(sp.lam, dtype=complex), (y, yp),
                                       backward=x_to < x_from)
     return StateVector(complex(y), complex(yp), x_to)
@@ -476,11 +479,10 @@ def _stack(problems):
         return replace(cells[0], qfun=lambda x: np.stack([c.qfun(x) for c in cells], axis=-1))
 
     weights = tuple(np.array(w)[:, None] for w in zip(*(p.weights for p in problems)))
-    pieces = [piece(c) for c in zip(*(p.pieces for p in problems))]
     return SimpleNamespace(
-        pieces=pieces, const_cells=_const_cells(pieces),
-        jump_after_piece=[None if j[0] is None else columns(j, "abc")
-                          for j in zip(*(p.jump_after_piece for p in problems))],
+        layout=_layout([piece(c) for c in zip(*(p.pieces for p in problems))],
+                       [None if j[0] is None else columns(j, "abc")
+                        for j in zip(*(p.jump_after_piece for p in problems))]),
         variant=problems[0].variant, weights=weights, w_end=weights[-1],
         boundary=columns([p.boundary for p in problems],
                          [f.name for f in fields(problems[0].boundary)]))
@@ -492,10 +494,8 @@ def _walk_one(problem, lam, y, yp, backward, density):
     stepped cell's rows from :func:`_coefs`, a constant cell's exact step
     from cmath (:func:`_coefs`'s expressions with a = 0, so t11 = t22 = C),
     as NaN where cmath overflows (numpy gives inf or nan there)."""
-    pieces, jumps, lam1 = problem.pieces, problem.jump_after_piece, lam.item()
-    for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
-        piece = pieces[i]
-        x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
+    lam1 = lam.item()
+    for _, piece, x0, x1, jump in problem.layout[backward][0]:
         if piece.q_const is None:
             rows = [t for _, T, _ in _steps(piece, x0, x1, lam, density, False)[2]
                     for t in T[..., 0].tolist()]
@@ -509,7 +509,6 @@ def _walk_one(problem, lam, y, yp, backward, density):
                 rows = [(complex(math.nan, math.nan),) * 4]
         for t11, t21, hS, t22 in rows:
             y, yp = t11 * y + hS * yp, t21 * y + t22 * yp
-        jump = jumps[i - 1] if backward else jumps[i]   # jumps[-1], at pi, is None
         if jump is not None and backward:
             y = y / jump.a
             yp = (yp - jump.c * y) / jump.b
@@ -549,14 +548,10 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
                  complex if lam.dtype == complex else np.result_type(lam, *start))
     for k, v in enumerate(start):
         S[k] = v + 0.0          # as zeros + v: a start of -0.0 is +0.0
-    pieces, jumps = problem.pieces, problem.jump_after_piece
-    exact = _exact_steps(problem.const_cells[backward], lam, len(S) == 4)
+    route, const = problem.layout[backward]
+    exact = _exact_steps(const, lam, len(S) == 4)
     zeros = 0 if count_zeros else None
-    for i in (range(len(pieces) - 1, -1, -1) if backward else range(len(pieces))):
-        piece = pieces[i]
-        if backward and jumps[i] is not None:
-            S = _jump_state(jumps[i], S, inverse=True)
-        x0, x1 = (piece.xr, piece.xl) if backward else (piece.xl, piece.xr)
+    for i, piece, x0, x1, jump in route:
         if piece.q_const is None:
             h, xs, blocks = _steps(piece, x0, x1, lam, cpm_density, len(S) == 4)
         else:   # pulled in the call, so the walk holds no row while the next is built
@@ -565,7 +560,7 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
         S, zeros = _cross_cell(h, blocks or (next(exact),), S, nodes, zeros)
         if cells is not None:
             cells[i] = _PieceSol(piece, xs, h, np.concatenate(nodes))
-        if not backward and jumps[i] is not None:
-            S = _jump_state(jumps[i], S)
+        if jump is not None:
+            S = _jump_state(jump, S, backward)
     end = tuple(S) if shape else tuple(row.reshape(shape) for row in S)
     return end + (zeros.reshape(shape),) if count_zeros else end
