@@ -110,7 +110,9 @@ class FitSpec:
     (finite, at least machine epsilon) is the solver's xtol and ftol,
     ``cpm_density`` >= 1 sets the steps per unit length, and the targets
     are finite reals, in sequences that are not strings; no number is a
-    bool.  ValidationError names what breaks these rules.
+    bool.  The targets of the mode (lambdas plus gammas, lambdas plus mus,
+    or lambdas alone) number at least the unknown parameters.
+    ValidationError names what breaks these rules.
     """
 
     mode: str
@@ -157,7 +159,10 @@ def _validate_fitspec(fs: FitSpec):
             ("cpm_density", lambda v: v >= 1, "at least 1")):
         if not (_finite(v := getattr(fs, name)) and ok(v)):
             raise ValidationError(f"{name} must be finite and {rule}, got {v!r}")
-    _bounds_arrays(fs)      # checks the unknowns, then their bounds
+    lo, _ = _bounds_arrays(fs)      # checks the unknowns, then their bounds
+    if (count := _targets(fs)[0].size) < lo.size:
+        raise ValidationError(f"{fs.mode} has {count} targets for {lo.size} unknowns: "
+                              f"a fit needs at least one target per unknown")
 
 
 def _finite(v):

@@ -174,7 +174,7 @@ def test_validation_rejections(free, one_jump, generic, eig_desk):
 def test_pack_unpack_round_trip(generic):
     fs = FitSpec(mode="full_spectral", template=generic,
                  unknowns=("h", "H", "a0", "c0", "q0"),
-                 targets_lambda=(1.0,), targets_gamma=(0.5,))
+                 targets_lambda=(1.0, 4.0, 9.0), targets_gamma=(0.5,) * 3)
     x = pack_parameters(fs)
     rebuilt = unpack_parameters(fs, x)
     assert np.array_equal(pack_parameters(fs, rebuilt), x)
@@ -196,13 +196,45 @@ def test_pack_unpack_round_trip(generic):
                             breakpoints=(PI / 2,)),
         RobinBC(0.2, -0.4)))
     fs = FitSpec(mode="half_inverse", template=half, unknowns=("H", "q1"),
-                 targets_lambda=(1.0,))
+                 targets_lambda=(1.0, 4.0, 9.0, 16.0, 25.0))
     x = pack_parameters(fs)
     assert np.array_equal(x, [-0.4, 0.1, 0.3, -0.2, 0.08])
     assert np.array_equal(pack_parameters(fs, unpack_parameters(fs, x)), x)
     moved = unpack_parameters(fs, x + 0.01)
     assert np.array_equal(pack_parameters(fs, moved), x + 0.01)
     assert moved.potential.coefficients[0] == half.potential.coefficients[0]
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_fewer_targets_than_unknowns_rejected(tmp_path, count):
+    # criterion 11's half-inverse setup frees H and q1's 4 coefficients; from
+    # its 3 or 4 lowest eigenvalues a fit reported recoveries off by 3e-2 and
+    # 7e-3.  Targets count per mode: gammas only in full_spectral, mus only
+    # in two_spectra.
+    truth = validate(ProblemSpec(
+        PiecewisePolynomial(coefficients=((0.25, -0.1, 0.2, 0.0), (0.1, 0.3, -0.2, 0.08)),
+                            breakpoints=(PI / 2,)),
+        RobinBC(0.2, -0.4)))
+    lowest = eigenvalues(truth, count, verify=False, cpm_density=96)
+    lams = tuple(lowest.lambdas)
+    message = f"has {count} targets for 5 unknowns"
+    with pytest.raises(ValidationError, match=message):
+        FitSpec(mode="half_inverse", template=truth, unknowns=("H", "q1"),
+                targets_lambda=lams, targets_gamma=lams, targets_mu=lams)
+    csv, cfg = tmp_path / "targets.csv", tmp_path / "fit.json"
+    export_csv(lowest, csv)
+    cfg.write_text(json.dumps({"mode": "half_inverse", "unknowns": ["H", "q1"],
+                               "targets_file": str(csv)}))
+    with pytest.raises(ConfigParseError, match=message):
+        load_fitspec(cfg, truth)
+    for mode, key in (("full_spectral", "targets_gamma"), ("two_spectra", "targets_mu")):
+        FitSpec(mode=mode, template=truth, unknowns=("H", "q1"), targets_lambda=lams[:3],
+                **{key: lams[:3]})
+        with pytest.raises(ValidationError, match="has 4 targets for 5 unknowns"):
+            FitSpec(mode=mode, template=truth, unknowns=("H", "q1"), targets_lambda=lams[:2],
+                    **{key: lams[:2]})
+    FitSpec(mode="half_inverse", template=truth, unknowns=("H", "q1"),
+            targets_lambda=(0.0, 1.0, 4.0, 9.0, 16.0))
 
 
 @pytest.mark.parametrize("start", [(0.3, 0.05), (0.8, 0.05)],
@@ -452,7 +484,7 @@ def test_stacked_rows_bit_identical_to_single_problems(monkeypatch, case):
             RobinBC(0.3, -0.2), (JumpCondition(1.0, 2.0, 0.5, 0.4),)))
         fs = FitSpec(mode="full_spectral", template=p,
                      unknowns=("h", "H", "a0", "c0", "q0"),
-                     targets_lambda=(1.0,), targets_gamma=(0.5,))
+                     targets_lambda=(1.0, 4.0, 9.0), targets_gamma=(0.5,) * 3)
         lefts, layouts = ("spec", "dirichlet"), 2
     else:
         fs, _ = _jacobian_case("eigenparameter")
