@@ -24,14 +24,18 @@ variational pair.  Each cell builds its step rows for a block of steps
 times all lambdas (about ``_BLOCK_ELEMS`` entries) in one numpy array and
 takes a step as one gather, one multiply and one add, the products and
 sums of a single step; an index sweep counts the zeros of y on each
-block's trail of states as the walk leaves it.  Constant cells take their
-exact steps the same way, from one call per block of cells times lambdas
-on widths and q values laid out once per problem.  One non-real lambda
-walks (y, y') on Python numbers (:func:`_walk_one`): numpy's fixed cost
-per call outweighs one element's arithmetic.  Dense solutions keep every
-node and reach other points by one partial step from the nearest node.
-Real lambda runs in float64 with the complex evaluation's real parts, bit
-for bit.  Problems with one cell layout walk as one stack (:func:`_stack`).
+block's trail of states as the walk leaves it.  A walk follows its
+direction's route of cells and jumps, laid out once per problem
+(:func:`_layout`) with the widths and q values from which its constant
+cells take their exact steps, one call per block of cells times lambdas.
+One non-real lambda walks (y, y') on Python numbers (:func:`_walk_one`):
+numpy's fixed cost per call outweighs one element's arithmetic.  Dense
+solutions keep every node and reach other points by one partial step
+from the nearest node.  Real lambda runs in float64; a forward walk gives
+the complex evaluation's real parts bit for bit, a backward one through
+jumps not always, as the inverse jump map divides (numpy divides by a
+real-valued complex c as a multiplication by 1/c).  Problems with one
+cell layout walk as one stack (:func:`_stack`).
 
 The lambda-derivative of a solution is propagated through the analytic
 derivative of the step (no finite differences).
