@@ -24,7 +24,7 @@ import math
 import os
 import tempfile
 from bisect import bisect_right
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -439,10 +439,11 @@ def _config_class(kind, name):
 
 def problem_to_dict(problem):
     spec = problem.spec if isinstance(problem, ValidatedProblem) else problem
+    # vars() holds a dataclass's fields in order, without asdict's deep copies
     return {
         "potential": spec.potential.to_dict(),
-        "boundary": {"type": spec.boundary.variant, **asdict(spec.boundary)},
-        "jumps": [asdict(j) for j in spec.jumps],
+        "boundary": {"type": spec.boundary.variant, **vars(spec.boundary)},
+        "jumps": [{**vars(j)} for j in spec.jumps],
     }
 
 
