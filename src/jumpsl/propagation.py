@@ -565,6 +565,6 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
         if cells is not None:
             cells[i] = _PieceSol(piece, xs, h, np.concatenate(nodes))
         if jump is not None:
-            S = _jump_state(jump, S, backward)
+            S = _jump_state(jump, S, inverse=backward)
     end = tuple(S) if shape else tuple(row.reshape(shape) for row in S)
     return end + (zeros.reshape(shape),) if count_zeros else end

@@ -94,9 +94,8 @@ def _cases(api, np):
                                ("complex", lam + 0.5j, False)):
             cases[f"delta_batch/cubic/{kind}/m{m}"] = (reps, lambda z=z, d=deriv, r=reps: [
                 api.delta_batch(cubic, z, derivative=d, cpm_density=96) for _ in range(r)])
-    lam = np.linspace(-5.0, 900.0, 20)
-    cases["delta_batch/four_jump/real_d/m20"] = (20, lambda: [
-        api.delta_batch(problems["four_jump"], lam, derivative=True) for _ in range(20)])
+    cases["delta_batch/four_jump/real_d/m20"] = (20, lambda z=np.linspace(-5.0, 900.0, 20): [
+        api.delta_batch(problems["four_jump"], z, derivative=True) for _ in range(20)])
     cases["locate/half/cold"] = (3, lambda: [
         api.spectrum._locate(problems["half"], 40, "spec", 96) for _ in range(3)])
     return cases
