@@ -163,6 +163,9 @@ def _validate_fitspec(fs: FitSpec):
     if (count := _targets(fs)[0].size) < lo.size:
         raise ValidationError(f"{fs.mode} has {count} targets for {lo.size} unknowns: "
                               f"a fit needs at least one target per unknown")
+    for name, mode in (("targets_gamma", "full_spectral"), ("targets_mu", "two_spectra")):
+        if getattr(fs, name) and fs.mode != mode:
+            raise MismatchError(f"{fs.mode} does not read {name}: only {mode} does")
 
 
 def _finite(v):

@@ -22,10 +22,11 @@ scans, index sweeps, stacked Jacobian walks and dense solutions.  A walk
 holds one array of rows over lambda, (y, y') or (y, y', u, u') with the
 variational pair.  Each cell builds its step rows for a block of steps
 times all lambdas (about ``_BLOCK_ELEMS`` entries) in one numpy array and
-takes a step as one gather, one multiply and one add, the products and
-sums of a single step; an index sweep counts the zeros of y on each
-block's trail of states as the walk leaves it.  A walk follows its
-direction's route of cells and jumps, laid out once per problem
+takes a step as one gather, one multiply and one add into one product
+array per walk (an unbuffered ``take``, see :func:`_cross_cell`), the
+products and sums of a single step; an index sweep counts the zeros of
+y on each block's trail of states as the walk leaves it.  A walk follows
+its direction's route of cells and jumps, laid out once per problem
 (:func:`_layout`) with the widths and q values from which its constant
 cells take their exact steps, one call per block of cells times lambdas.
 One non-real lambda walks (y, y') on Python numbers (:func:`_walk_one`):
@@ -189,34 +190,39 @@ def _zeros(h, w, a, trail):
     return count.sum(axis=0)
 
 
-def _cross_cell(h, blocks, S, nodes=None, zeros=None):
+def _cross_cell(h, blocks, S, P, nodes=None, zeros=None):
     """Carry the packed rows S, (y, y') or (y, y', u, u') over lambda,
     through the steps of signed width h of one cell, given as blocks (w,
     step rows, a), keeping a block's states in one (steps + 1, rows, ...)
     trail to count zeros or, appended to ``nodes``, for dense output.
     Returns the end rows and ``zeros`` plus the zeros of y at each lambda.
 
-    A step multiplies the rows of S that the step rows meet, step row first
-    as in t11 * y (numpy's complex products are not symmetric in their
-    bits), adds the halves, then d11 y and d21 y, then d12 y' and d22 y'.
+    A step gathers the rows of S that the step rows meet into the walk's
+    product array P, multiplies them in place, step row first as in t11 * y
+    (numpy's complex products are not symmetric in their bits), adds the
+    halves, then d11 y and d21 y, then d12 y' and d22 y'.  The gather takes
+    ``mode="clip"``: its indices are always in range, and numpy buffers
+    ``take(out=)`` under the default ``mode="raise"``.
 
     A step turns (s y, a y + h y') rigidly through s = sqrt(w) (or w <= 0,
     s = 0: one zero at most), so y has a zero on it where it changes sign
     if s < pi, else where the angle passes a multiple of pi.  Each block of
     steps is counted as the walk leaves it, keeping one block's states."""
     n, gather = len(S), _GATHER[len(S)]
+    P0, P1, D0, D1 = P[:n], P[n:2 * n], P[8:10], P[10:]
     for w, T, a in blocks:
         trail = None
         if nodes is not None or zeros is not None:  # a block's states to count, all to keep
             trail = np.empty((len(T) + 1,) + S.shape, S.dtype)
             trail[0] = S
         for k, Tk in enumerate(T):
-            P = S.take(gather, axis=0)
+            S.take(gather, axis=0, out=P, mode="clip")
             np.multiply(Tk, P, out=P)
-            S = np.add(P[:n], P[n:2 * n], out=S if trail is None else trail[k + 1])
+            S = np.add(P0, P1, out=S if trail is None else trail[k + 1])
             if n == 4:
-                S[2:] += P[8:10]
-                S[2:] += P[10:]
+                U = S[2:]
+                np.add(U, D0, out=U)
+                np.add(U, D1, out=U)
         if zeros is not None:
             zeros = zeros + _zeros(h, w, a, trail)
         if nodes is not None:
@@ -552,6 +558,7 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
                  complex if lam.dtype == complex else np.result_type(lam, *start))
     for k, v in enumerate(start):
         S[k] = v + 0.0          # as zeros + v: a start of -0.0 is +0.0
+    P = np.empty((len(_GATHER[len(S)]),) + lam.shape, S.dtype)    # one step's products
     route, const = problem.layout[backward]
     exact = _exact_steps(const, lam, len(S) == 4)
     zeros = 0 if count_zeros else None
@@ -561,7 +568,7 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
         else:   # pulled in the call, so the walk holds no row while the next is built
             h, xs, blocks = x1 - x0, (x0, x1), None
         nodes = None if cells is None else []
-        S, zeros = _cross_cell(h, blocks or (next(exact),), S, nodes, zeros)
+        S, zeros = _cross_cell(h, blocks or (next(exact),), S, P, nodes, zeros)
         if cells is not None:
             cells[i] = _PieceSol(piece, xs, h, np.concatenate(nodes))
         if jump is not None:

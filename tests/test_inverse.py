@@ -237,6 +237,24 @@ def test_fewer_targets_than_unknowns_rejected(tmp_path, count):
             targets_lambda=(0.0, 1.0, 4.0, 9.0, 16.0))
 
 
+def test_target_lists_the_mode_never_reads_rejected(one_jump):
+    # gammas are read by full_spectral only and mus by two_spectra only; a
+    # list given to another mode would be checked for finite numbers and
+    # then dropped from the fit
+    lam = (1.0, 4.0, 9.0)
+    for mode, extra, name in (("half_inverse", {"targets_gamma": lam}, "targets_gamma"),
+                              ("half_inverse", {"targets_mu": lam}, "targets_mu"),
+                              ("two_spectra", {"targets_mu": lam, "targets_gamma": lam},
+                               "targets_gamma"),
+                              ("full_spectral", {"targets_gamma": lam, "targets_mu": lam},
+                               "targets_mu")):
+        with pytest.raises(MismatchError, match=f"{mode} does not read {name}"):
+            FitSpec(mode=mode, template=one_jump, unknowns=("H",), targets_lambda=lam,
+                    **extra)
+    FitSpec(mode="two_spectra", template=one_jump, unknowns=("H",), targets_lambda=lam,
+            targets_mu=lam, targets_gamma=())
+
+
 @pytest.mark.parametrize("start", [(0.3, 0.05), (0.8, 0.05)],
                          ids=["inside", "outside"])
 def test_fit_ends_on_bound(one_jump, start):

@@ -528,26 +528,45 @@ def test_stack_of_constant_cells_bit_identical_to_single_walks(n):
     # the full-spectral fit's constant-q problem (two constant cells) and a
     # copy with h moved walk as one stack: grouped cells at 25 lambda per
     # row, one cell per coefficient call at 3000
-    problems = [validate(ProblemSpec(constant_potential(0.0), RobinBC(h, -0.4),
-                                     (JumpCondition(PI / 2, 2.0, 0.5, 0.35),)))
-                for h in (0.7, 0.7 + 1e-3)]
+    _assert_stack_matches_single_walks(
+        [validate(ProblemSpec(constant_potential(0.0), RobinBC(h, -0.4),
+                              (JumpCondition(PI / 2, 2.0, 0.5, 0.35),)))
+         for h in (0.7, 0.7 + 1e-3)], n)
+
+
+def _assert_stack_matches_single_walks(problems, n, **kw):
+    """Walks of the stacked problems on a 2-D lambda, real and complex,
+    plain and variational, forward and backward, and the zero count,
+    array_equal to each problem's own walks."""
     stack = _stack(problems)
     base = np.linspace(-5.0, 400.0, n) + 0.37 * np.arange(2)[:, None]
     for lam in (base, base + 0.5j):
         for backward in (False, True):
             for du in ((), (0.3, -0.7)):
                 start = initial_state(stack, "phi", lam)[0] + du
-                got = propagate_endpoints_batch(stack, lam, start, backward=backward)
+                got = propagate_endpoints_batch(stack, lam, start, backward=backward, **kw)
                 for r, p in enumerate(problems):
                     ref = propagate_endpoints_batch(p, lam[r], initial_state(p, "phi", lam[r])[0]
-                                                    + du, backward=backward)
+                                                    + du, backward=backward, **kw)
                     assert all(np.array_equal(g[r], f) for g, f in zip(got, ref))
     *_, zeros = propagate_endpoints_batch(stack, base, initial_state(stack, "phi", base)[0],
-                                          count_zeros=True)
+                                          count_zeros=True, **kw)
     for r, p in enumerate(problems):
         *_, ref = propagate_endpoints_batch(p, base[r], initial_state(p, "phi", base[r])[0],
-                                            count_zeros=True)
+                                            count_zeros=True, **kw)
         assert np.array_equal(zeros[r], ref)
+
+
+@pytest.mark.parametrize("n", [25, 700])
+def test_stack_of_stepped_cells_bit_identical_to_single_walks(n):
+    # criterion 11's half-inverse truth and a copy with q1 moved walk as one
+    # stack: each step's products go through one product array over the
+    # (problems, lambda) rows, blocks of 81 steps at 25 lambda per row and
+    # of 2 steps at 700
+    _assert_stack_matches_single_walks([validate(ProblemSpec(
+        PiecewisePolynomial(coefficients=((0.25, -0.1, 0.2, 0.0), (0.1 + dq, 0.3, -0.2, 0.08)),
+                            breakpoints=(PI / 2,)),
+        RobinBC(0.2, -0.4))) for dq in (0.0, 1e-3)], n, cpm_density=96)
 
 
 def test_dense_evaluation_leaves_numpy_ma_unloaded():

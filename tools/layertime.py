@@ -27,7 +27,12 @@ The cases:
   cells whose exact steps come from one coefficient call;
 - ``locate/half/cold``: a cold ``spectrum._locate`` of 40 roots at
   ``cpm_density=96`` on the half-inverse truth of acceptance criterion 11,
-  as a fit's first residual makes it.
+  as a fit's first residual makes it;
+- ``delta_batch/mathieu/real_d/m20`` and ``locate/mathieu/cold``: the
+  forward_smooth workload's Mathieu problem (``SampledGrid`` on 513 nodes,
+  q = 4 cos 2x) at the default density, ``delta_batch`` with the
+  derivative at 20 real points in [-5, 900] and a cold ``_locate`` of its
+  20 lowest roots, as ``eigenvalues`` makes it.
 
 The workers run with glibc's mmap and trim thresholds fixed (32 and 64
 MiB), so that large arrays come from the heap on both sides.  Left to
@@ -56,6 +61,7 @@ DELTA_COUNTS = (1, 20, 400, 2131)
 def _cases(api, np):
     """name -> (calls per round, function making those calls)."""
     jump = api.JumpCondition
+    x = np.linspace(0.0, PI, 513)
     problems = {
         "one_jump": api.validate(api.ProblemSpec(
             api.constant_potential(0.0), api.RobinBC(0.0, 0.0), (jump(PI / 2, 2.0, 0.5, 0.0),))),
@@ -70,6 +76,8 @@ def _cases(api, np):
                                                   (0.1, -0.2, 0.15, -0.04)),
                                     breakpoints=(PI / 3,)),
             api.RobinBC(0.4, -0.3), (jump(PI / 3, 1.5, 1.0, 0.6),))),
+        "mathieu": api.validate(api.ProblemSpec(
+            api.SampledGrid(x, 4.0 * np.cos(2.0 * x), order=3), api.RobinBC(0.0, 0.0))),
         "half": api.validate(api.ProblemSpec(
             api.PiecewisePolynomial(coefficients=((0.25, -0.1, 0.2, 0.0),
                                                   (0.1, 0.3, -0.2, 0.08)),
@@ -94,10 +102,14 @@ def _cases(api, np):
                                ("complex", lam + 0.5j, False)):
             cases[f"delta_batch/cubic/{kind}/m{m}"] = (reps, lambda z=z, d=deriv, r=reps: [
                 api.delta_batch(cubic, z, derivative=d, cpm_density=96) for _ in range(r)])
-    cases["delta_batch/four_jump/real_d/m20"] = (20, lambda z=np.linspace(-5.0, 900.0, 20): [
-        api.delta_batch(problems["four_jump"], z, derivative=True) for _ in range(20)])
+    for name in ("four_jump", "mathieu"):
+        cases[f"delta_batch/{name}/real_d/m20"] = (20, lambda p=problems[name], z=np.linspace(
+            -5.0, 900.0, 20): [api.delta_batch(p, z, derivative=True) for _ in range(20)])
     cases["locate/half/cold"] = (3, lambda: [
         api.spectrum._locate(problems["half"], 40, "spec", 96) for _ in range(3)])
+    cases["locate/mathieu/cold"] = (3, lambda: [
+        api.spectrum._locate(problems["mathieu"], 20, "spec", api.propagation.CPM_DENSITY)
+        for _ in range(3)])
     return cases
 
 
