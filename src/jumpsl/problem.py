@@ -264,7 +264,8 @@ class Piece:
 
 
 class ValidatedProblem:
-    """A ProblemSpec plus all derived data; immutable after construction.
+    """A ProblemSpec plus all derived data; immutable after construction but
+    for the memo in ``layout``, where walks keep each stepped cell's q samples.
 
     Use :func:`validate` to build one.
     """

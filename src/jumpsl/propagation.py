@@ -20,23 +20,24 @@ h^4.
 Every walk across [0, pi] goes through :func:`propagate_endpoints_batch`:
 scans, index sweeps, stacked Jacobian walks and dense solutions.  A walk
 holds one array of rows over lambda, (y, y') or (y, y', u, u') with the
-variational pair.  Each cell builds its step rows for a block of steps
-times all lambdas (about ``_BLOCK_ELEMS`` entries) in one numpy array and
-takes a step as one gather, one multiply and one add into one product
-array per walk (an unbuffered ``take``, see :func:`_cross_cell`), the
-products and sums of a single step; an index sweep counts the zeros of
-y on each block's trail of states as the walk leaves it.  A walk follows
-its direction's route of cells and jumps, laid out once per problem
-(:func:`_layout`) with the widths and q values from which its constant
-cells take their exact steps, one call per block of cells times lambdas.
-One non-real lambda walks (y, y') on Python numbers (:func:`_walk_one`):
-numpy's fixed cost per call outweighs one element's arithmetic.  Dense
-solutions keep every node and reach other points by one partial step
-from the nearest node.  Real lambda runs in float64; a forward walk gives
-the complex evaluation's real parts bit for bit, a backward one through
-jumps not always, as the inverse jump map divides (numpy divides by a
-real-valued complex c as a multiplication by 1/c).  Problems with one
-cell layout walk as one stack (:func:`_stack`).
+variational pair.  Each cell builds its step rows for a block of steps times
+all lambdas (about ``_BLOCK_ELEMS`` entries) in one numpy array and takes a
+step as one gather, one multiply and one add into one product array per walk
+(an unbuffered ``take``, see :func:`_cross_cell`), the products and sums of
+a single step; an index sweep counts the zeros of y on each block's trail of
+states as the walk leaves it.  A walk follows its direction's route of cells
+and jumps, laid out once per problem (:func:`_layout`) with the widths and q
+values from which its constant cells take their exact steps, one call per
+block of cells times lambdas, and a memo of each stepped cell's grid and q
+samples.  A stack on equal lambda rows builds the step rows of a cell where
+its problems share q for one row.  One non-real lambda walks (y, y') on
+Python numbers (:func:`_walk_one`): numpy's fixed cost per call outweighs
+one element's arithmetic.  Dense solutions keep every node and reach other
+points by one partial step from the nearest node.  Real lambda runs in
+float64; a forward walk gives the complex evaluation's real parts bit for
+bit, a backward one through jumps not always, as the inverse jump map
+divides (numpy divides by a real-valued complex c as a multiplication by
+1/c).  Problems with one cell layout walk as one stack (:func:`_stack`).
 
 The lambda-derivative of a solution is propagated through the analytic
 derivative of the step (no finite differences).
@@ -126,12 +127,13 @@ def _cs(w):
 
 
 def _cs_d(w):
-    """C, S and D = (C - S)/(2 w) = dS/dw, with a series near w = 0."""
+    """C, S and D = (C - S)/(2 w) = dS/dw, by its series where |w| < 1e-3."""
     C, S = _cs(w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        D = np.where(np.abs(w) < 1e-3,
-                     -1.0 / 6.0 + w * (1.0 / 60.0 + w * (-1.0 / 1680.0 + w * (1.0 / 90720.0))),
-                     (C - S) / (2.0 * w) if np.iscomplexobj(w) else (C - S) * (0.5 / w))
+        D = (C - S) / (2.0 * w) if np.iscomplexobj(w) else (C - S) * (0.5 / w)
+    if np.count_nonzero(small := np.abs(w) < 1e-3):
+        v = w[small]
+        D[small] = -1.0 / 6.0 + v * (1.0 / 60.0 + v * (-1.0 / 1680.0 + v * (1.0 / 90720.0)))
     return C, S, D
 
 
@@ -163,8 +165,10 @@ def _coefs(h, lam, qb, a, var=False):
         h2 = h * h
         aD, halfS = a * D, 0.5 * S
         T[:, 2:4], T[:, 6:8] = T[:, :2], T[:, 4:6]
-        T[:, 8], T[:, 9] = h2 * (aD - halfS), (h2 * h) * (ql * D) - hS
-        T[:, 10], T[:, 11] = (h2 * h) * D, -h2 * (aD + halfS)
+        np.multiply(h2, aD - halfS, out=T[:, 8])
+        np.subtract((h2 * h) * (ql * D), hS, out=T[:, 9])
+        np.multiply(h2 * h, D, out=T[:, 10])
+        np.multiply(-h2, aD + halfS, out=T[:, 11])
     return w, T
 
 
@@ -231,32 +235,47 @@ def _cross_cell(h, blocks, S, P, nodes=None, zeros=None):
     return S, zeros
 
 
-def _steps(piece, x0, x1, lam, density, var):
+def _same_rows(v):
+    """Whether the rows of v (along its first axis) agree bit for bit."""
+    v = v.view(f"V{v.itemsize}")
+    return bool((v[1:] == v[:1]).all())
+
+
+def _steps(piece, x0, x1, memo, lam, density, var):
     """Step width, nodes and blocks of steps (see :func:`_cross_cell`) from
     x0 to x1 on a cell where q is not constant: ``density`` steps per unit
-    length, at least 32, built about ``_BLOCK_ELEMS`` (steps x lambda) at a time."""
-    n = max(32, int(math.ceil(abs(x1 - x0) * density)))
-    h = (x1 - x0) / n
-    xs = x0 + h * np.arange(n + 1)
-    # (steps,) or, for a stack of problems, (steps, problems), against lam
-    qb, a = (v.reshape(v.shape + (1,) * (lam.ndim + 1 - v.ndim))
-             for v in _magnus_q(piece, xs[:-1], h))
+    length, at least 32, built about ``_BLOCK_ELEMS`` (steps x lambda) at a
+    time.  ``memo`` (see :func:`_layout`) keeps the width, nodes and q columns
+    per density, a stack's q columns as one if all agree; on equal lambda
+    rows that cell's step rows are then built for one row, and broadcast."""
+    if density not in memo:
+        n = max(32, int(math.ceil(abs(x1 - x0) * density)))
+        h = (x1 - x0) / n
+        xs = x0 + h * np.arange(n + 1)
+        qb, a = _magnus_q(piece, xs[:-1], h)        # (steps,) or (steps, problems)
+        if qb.ndim == 2 and _same_rows(qb.T) and _same_rows(a.T):
+            qb, a = qb[:, :1], a[:, :1]
+        memo[density] = h, xs, qb, a
+    h, xs, qb, a = memo[density]
+    lam = lam[:1] if qb.shape[1:] == (1,) and _same_rows(lam) else lam
+    qb, a = (v.reshape(v.shape + (1,) * (lam.ndim + 1 - v.ndim)) for v in (qb, a))
     block = max(1, _BLOCK_ELEMS // max(1, lam.size))
     return h, xs, ((*_coefs(h, lam, qb[k:k + block], a[k:k + block], var), a[k:k + block])
-                   for k in range(0, n, block))
+                   for k in range(0, len(xs) - 1, block))
 
 
 def _layout(pieces, jumps):
     """The lambda-independent data of a walk, laid out once per problem: for
     the forward and the backward walk, its route of (cell index, piece,
-    start, end, jump crossed after the cell) in walk order, and the width
-    and q columns of its constant cells (widths negated backward).
-    ``jumps[i]`` sits at the right end of cell i; ``jumps[-1]``, at pi, is
-    None, so it is the jump a backward walk crosses after cell 0."""
+    start, end, jump crossed after the cell, :func:`_steps`' memo) in walk
+    order, and the width and q columns of its constant cells (widths negated
+    backward).  ``jumps[i]`` sits at the right end of cell i; ``jumps[-1]``,
+    at pi, is None, so it is the jump a backward walk crosses after cell 0."""
     cells, const = list(enumerate(pieces)), [p for p in pieces if p.q_const is not None]
     h, q = np.array([p.length for p in const]), np.array([p.q_const for p in const])
-    return (([(i, p, p.xl, p.xr, jumps[i]) for i, p in cells], (h, q)),
-            ([(i, p, p.xr, p.xl, jumps[i - 1]) for i, p in cells[::-1]], (-h[::-1], q[::-1])))
+    return (([(i, p, p.xl, p.xr, jumps[i], {}) for i, p in cells], (h, q)),
+            ([(i, p, p.xr, p.xl, jumps[i - 1], {}) for i, p in cells[::-1]],
+             (-h[::-1], q[::-1])))
 
 
 def _exact_steps(cells, lam, var):
@@ -505,9 +524,9 @@ def _walk_one(problem, lam, y, yp, backward, density):
     from cmath (:func:`_coefs`'s expressions with a = 0, so t11 = t22 = C),
     as NaN where cmath overflows (numpy gives inf or nan there)."""
     lam1 = lam.item()
-    for _, piece, x0, x1, jump in problem.layout[backward][0]:
+    for _, piece, x0, x1, jump, memo in problem.layout[backward][0]:
         if piece.q_const is None:
-            rows = [t for _, T, _ in _steps(piece, x0, x1, lam, density, False)[2]
+            rows = [t for _, T, _ in _steps(piece, x0, x1, memo, lam, density, False)[2]
                     for t in T[..., 0].tolist()]
         else:
             h, ql = x1 - x0, piece.q_const - lam1
@@ -562,9 +581,9 @@ def propagate_endpoints_batch(problem, lam, start, backward=False,
     route, const = problem.layout[backward]
     exact = _exact_steps(const, lam, len(S) == 4)
     zeros = 0 if count_zeros else None
-    for i, piece, x0, x1, jump in route:
+    for i, piece, x0, x1, jump, memo in route:
         if piece.q_const is None:
-            h, xs, blocks = _steps(piece, x0, x1, lam, cpm_density, len(S) == 4)
+            h, xs, blocks = _steps(piece, x0, x1, memo, lam, cpm_density, len(S) == 4)
         else:   # pulled in the call, so the walk holds no row while the next is built
             h, xs, blocks = x1 - x0, (x0, x1), None
         nodes = None if cells is None else []

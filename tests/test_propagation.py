@@ -1,9 +1,11 @@
 import cmath
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 import jumpsl
 from jumpsl import (
     DomainError,
+    FitSpec,
     JumpCondition,
     MismatchError,
     PiecewisePolynomial,
@@ -23,8 +26,11 @@ from jumpsl import (
     fundamental_solution,
     initial_state,
     modified_wronskian,
+    pack_parameters,
+    unpack_parameters,
     validate,
 )
+from jumpsl import inverse, propagation
 from jumpsl.propagation import (
     CPM_DENSITY,
     StateVector,
@@ -595,3 +601,108 @@ def test_constant_cell_groups_keep_memory_bounded(free, four_jump):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+# ----------------------------------------------------------------------
+# lambda-independent step data: kept per problem, shared across stack rows
+# ----------------------------------------------------------------------
+
+_HALF_STEPS = math.ceil(PI / 2 * 96)       # steps on each cell of half at density 96
+
+
+def _half_jacobian_problems():
+    """The shifted problems of a half-inverse Jacobian at criterion 11's
+    truth (H and q1 unknown; q known on cell 0), built as
+    ``inverse._jacobian`` builds them, and the truth's 40 roots."""
+    truth = validate(ProblemSpec(PiecewisePolynomial(
+        coefficients=((0.25, -0.1, 0.2, 0.0), (0.1, 0.3, -0.2, 0.08)), breakpoints=(PI / 2,)),
+        RobinBC(0.2, -0.4)))
+    roots = eigenvalues(truth, 40, cpm_density=96).lambdas
+    fs = FitSpec(mode="half_inverse", template=truth, unknowns=("H", "q1"),
+                 targets_lambda=tuple(roots), cpm_density=96)
+    x = pack_parameters(fs)
+    steps = inverse._FD_STEP * np.maximum(1.0, np.abs(x))
+    return [unpack_parameters(fs, x + sign * e)
+            for sign in (1.0, -1.0) for e in np.diag(steps)], roots
+
+
+def _spy_coefs(monkeypatch):
+    """The (lambda rows, steps) of every later ``_coefs`` call."""
+    calls, coefs = [], propagation._coefs
+
+    def spy(h, lam, qb, *args):
+        calls.append((lam.shape[0], len(qb)))
+        return coefs(h, lam, qb, *args)
+
+    monkeypatch.setattr(propagation, "_coefs", spy)
+    return calls
+
+
+def _assert_rows_walk_alone(got, problems, lam, du, backward):
+    for r, p in enumerate(problems):
+        ref = propagate_endpoints_batch(p, lam[r], initial_state(p, "phi", lam[r])[0] + du,
+                                        backward=backward, cpm_density=96)
+        assert all(np.array_equal(g[r], f) for g, f in zip(got, ref))
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_half_inverse_stack_builds_known_cell_rows_once(backward, monkeypatch):
+    # every shifted problem has cell 0's q, so on tiled lambda rows that
+    # cell's step rows are built for one row and broadcast; cell 1's for all
+    problems, roots = _half_jacobian_problems()
+    stack, tiled = _stack(problems), np.tile(roots, (len(problems), 1))
+    calls = _spy_coefs(monkeypatch)
+    for lam in (tiled, tiled + 0.5j):
+        for du in ((), (0.0, 0.0)):         # the plain start and the norm start
+            calls.clear()
+            got = propagate_endpoints_batch(stack, lam, initial_state(stack, "phi", lam)[0] + du,
+                                            backward=backward, cpm_density=96)
+            rows = [r for r, _ in calls]
+            assert rows == sorted(rows, reverse=backward)       # cell 0 first forward
+            assert sum(n for r, n in calls if r == 1) == _HALF_STEPS
+            assert sum(n for r, n in calls if r == len(problems)) == _HALF_STEPS
+            _assert_rows_walk_alone(got, problems, lam, du, backward)
+
+
+def test_stack_on_unequal_lambda_rows_builds_every_row(monkeypatch):
+    problems, roots = _half_jacobian_problems()
+    stack, lam = _stack(problems), roots + 0.37 * np.arange(len(problems))[:, None]
+    calls = _spy_coefs(monkeypatch)
+    got = propagate_endpoints_batch(stack, lam, initial_state(stack, "phi", lam)[0],
+                                    cpm_density=96)
+    assert {r for r, _ in calls} == {len(problems)}
+    assert sum(n for _, n in calls) == 2 * _HALF_STEPS
+    # cell 0 keeps one q column all the same, cell 1 one per problem
+    qcols = [cell[5][96][2].shape for cell in stack.layout[0][0]]
+    assert qcols == [(_HALF_STEPS, 1), (_HALF_STEPS, len(problems))]
+    _assert_rows_walk_alone(got, problems, lam, (), False)
+
+
+def test_walks_sample_q_once_per_cell_and_direction(cubic, monkeypatch):
+    p = validate(cubic.spec)                # a problem no walk has seen
+    samples, call = [], PiecewisePolynomial.__call__
+    monkeypatch.setattr(PiecewisePolynomial, "__call__",
+                        lambda self, x: samples.append(np.shape(x)) or call(self, x))
+    for backward in (False, True):
+        for lam, state in ((np.linspace(-5.0, 900.0, 40), (1.0, -0.4)),
+                           (np.array([37.3]), (1.0, -0.4, 0.3, -0.7)),
+                           (np.array([37.3 + 0.4j]), (1.0, -0.4))):   # the Python walk
+            propagate_endpoints_batch(p, lam, state, backward=backward, cpm_density=96)
+    assert len(samples) == 4                # two stepped cells, two directions
+    propagate_endpoints_batch(p, np.array([5.0]), (1.0, -0.4), cpm_density=160)
+    assert len(samples) == 6
+
+
+def test_step_memo_dies_with_its_problem(cubic):
+    lam = np.linspace(1.0, 50.0, 5)
+    p = validate(cubic.spec)
+    stack = _stack([p, p])
+    refs = []
+    for walker in (p, stack):
+        propagate_endpoints_batch(walker, lam if walker is p else np.tile(lam, (2, 1)),
+                                  (1.0, -0.4), cpm_density=96)
+        memo = next(cell[5] for cell in walker.layout[0][0] if cell[1].q_const is None)
+        refs.append(weakref.ref(memo[96][2]))
+    del p, stack, walker, memo
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

@@ -21,8 +21,10 @@ roots lie above the locator's first grid top;
 gamma and beta; dense solutions and their step nodes; Weyl samples from
 scalar and array calls; contour counts; end states of one-lambda walks
 (real and complex, plain and variational, forward and backward), a
-variational walk that counts zeros and stacked stepped-cell walks on a
-2-D lambda; and the params,
+variational walk that counts zeros, stacked stepped-cell walks on a 2-D
+lambda (among them stacks whose rows share cell 0's q, on equal and on
+unequal lambda rows) and variational walks on cubic whose steps' |w| lie
+on both sides of 1e-3, where D's series ends; and the params,
 residuals, nfev and Jacobians of the benchmark's two fits (seeds 1-3) and
 of the three inverse round trips of acceptance criterion 11.  Text cases:
 each problem's config (``problem_to_dict`` as JSON, and again after a
@@ -171,6 +173,28 @@ def _walk_cases(api, out):
             for backward in (False, True):
                 out[f"walk_stack/{kind}/{var}/{backward:d}"] = np.array(
                     walk(stack, lam, state, backward=backward, cpm_density=96))
+    # the half-inverse truth with q1 or H moved: one q on cell 0, walked on
+    # equal lambda rows (cell 0's step rows built for one row) and on unequal ones
+    half = propagation._stack([api.validate(api.ProblemSpec(api.PiecewisePolynomial(
+        coefficients=((0.25, -0.1, 0.2, 0.0), (0.1 + dq, 0.3, -0.2, 0.08)),
+        breakpoints=(PI / 2,)), api.RobinBC(0.2, -0.4 + dh)))
+        for dq, dh in ((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3))])
+    tiled = np.tile(np.linspace(-5.0, 400.0, 25), (3, 1))
+    for rows, lam0 in (("equal", tiled), ("unequal", base)):
+        for kind, lam in (("real", lam0), ("complex", lam0 + 0.5j)):
+            for var, state in (("plain", start[:2]), ("var", start)):
+                for backward in (False, True):
+                    out[f"walk_stack_half/{rows}/{kind}/{var}/{backward:d}"] = np.array(
+                        walk(half, lam, state, backward=backward, cpm_density=96))
+    # cubic at density 96 has h^2 = 1.075e-4 and qbar in [-0.028, 0.457], so
+    # |w| = 1e-3 at |lambda - qbar| = 9.302: each walk's steps lie on both
+    # sides of the bound of D's series
+    d = np.linspace(0.0, 0.45, 10)
+    near = np.concatenate([9.302 + d, d - 9.302])
+    for kind, lam in (("real", near), ("complex", near + 0.05j)):
+        for backward in (False, True):
+            out[f"walk_series/{kind}/{backward:d}"] = np.array(
+                walk(_problems(api)["cubic"], lam, start, backward=backward, cpm_density=96))
 
 
 def _locate_case(api, out, key, p, count, left, dens, predicted=None):

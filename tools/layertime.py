@@ -28,11 +28,26 @@ The cases:
 - ``locate/half/cold``: a cold ``spectrum._locate`` of 40 roots at
   ``cpm_density=96`` on the half-inverse truth of acceptance criterion 11,
   as a fit's first residual makes it;
+- ``locate/half/warm``: the same ``_locate`` from exact predictions, the
+  roots of the cold one;
+- ``jacobian/half``: one ``inverse._jacobian`` of the half-inverse fit
+  (unknowns H and q1, the 40 roots as targets, ``cpm_density=96``) at the
+  truth, the stacked walks of ten shifted problems;
 - ``delta_batch/mathieu/real_d/m20`` and ``locate/mathieu/cold``: the
   forward_smooth workload's Mathieu problem (``SampledGrid`` on 513 nodes,
   q = 4 cos 2x) at the default density, ``delta_batch`` with the
   derivative at 20 real points in [-5, 900] and a cold ``_locate`` of its
   20 lowest roots, as ``eigenvalues`` makes it.
+
+Every case but ``jacobian/half`` (whose shifted problems are new in each
+call) walks one validated problem again and again.  Where a problem keeps
+its stepped cells' q samples, only its first call takes them, so a cold
+``_locate`` here is cold in its roots, not in its samples, while each
+residual of a fit validates a new problem.
+
+Each root is recorded as its commit (``git rev-parse --short HEAD``) and
+whether its tracked files differ from it, or as its path where it is not
+the top of a git work tree.
 
 The workers run with glibc's mmap and trim thresholds fixed (32 and 64
 MiB), so that large arrays come from the heap on both sides.  Left to
@@ -107,6 +122,16 @@ def _cases(api, np):
             -5.0, 900.0, 20): [api.delta_batch(p, z, derivative=True) for _ in range(20)])
     cases["locate/half/cold"] = (3, lambda: [
         api.spectrum._locate(problems["half"], 40, "spec", 96) for _ in range(3)])
+    half = problems["half"]
+    roots = api.spectrum._locate(half, 40, "spec", 96)[0][:40]
+    cases["locate/half/warm"] = (3, lambda: [
+        api.spectrum._locate(half, 40, "spec", 96, roots) for _ in range(3)])
+    fs = api.FitSpec(mode="half_inverse", template=half, unknowns=("H", "q1"),
+                     targets_lambda=tuple(roots), cpm_density=96)
+    x, forward = api.pack_parameters(fs), {}
+    api.inverse.residuals(fs, x, _forward=forward)
+    cases["jacobian/half"] = (10, lambda: [
+        api.inverse._jacobian(fs, x, forward["lams"], forward["mus"]) for _ in range(10)])
     cases["locate/mathieu/cold"] = (3, lambda: [
         api.spectrum._locate(problems["mathieu"], 20, "spec", api.propagation.CPM_DENSITY)
         for _ in range(3)])
@@ -132,6 +157,21 @@ def worker(src):
         print(json.dumps((time.perf_counter() - t) / calls * 1e6), flush=True)
 
 
+def _describe(root):
+    """{"commit", "dirty"} of a git work tree's top, else {"path"}."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    try:
+        if Path(git("rev-parse", "--show-toplevel")).resolve() == root.resolve():
+            return {"commit": git("rev-parse", "--short", "HEAD"),
+                    "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    except (OSError, subprocess.CalledProcessError):
+        pass
+    return {"path": str(root)}
+
+
 def _ask(proc, case):
     proc.stdin.write(case + "\n")
     proc.stdin.flush()
@@ -146,6 +186,7 @@ def main(argv=None):
     ap.add_argument("--rounds", type=int, default=9)
     args = ap.parse_args(argv)
     sides = ("parent", "change")
+    roots = {s: _describe(root) for s, root in zip(sides, (args.parent, args.change))}
     procs = {}
     try:
         for side, root in zip(sides, (args.parent, args.change)):
@@ -182,7 +223,7 @@ def main(argv=None):
     record.setdefault("layertime", []).append({
         "command": "python tools/layertime.py PARENT CHANGE --json FILE --rounds "
                    f"{args.rounds}",
-        "roots": {"parent": str(args.parent), "change": str(args.change)},
+        "roots": roots,
         "machine": {"cpu": platform.processor() or platform.machine(), "nproc": os.cpu_count(),
                     "python": platform.python_version()},
         "rounds": args.rounds, "rows": rows})
