@@ -120,9 +120,9 @@ def _cases(api, np):
     for name in ("four_jump", "mathieu"):
         cases[f"delta_batch/{name}/real_d/m20"] = (20, lambda p=problems[name], z=np.linspace(
             -5.0, 900.0, 20): [api.delta_batch(p, z, derivative=True) for _ in range(20)])
-    cases["locate/half/cold"] = (3, lambda: [
-        api.spectrum._locate(problems["half"], 40, "spec", 96) for _ in range(3)])
     half = problems["half"]
+    cases["locate/half/cold"] = (3, lambda: [
+        api.spectrum._locate(half, 40, "spec", 96) for _ in range(3)])
     roots = api.spectrum._locate(half, 40, "spec", 96)[0][:40]
     cases["locate/half/warm"] = (3, lambda: [
         api.spectrum._locate(half, 40, "spec", 96, roots) for _ in range(3)])
