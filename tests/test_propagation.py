@@ -540,6 +540,14 @@ def test_stack_of_constant_cells_bit_identical_to_single_walks(n):
          for h in (0.7, 0.7 + 1e-3)], n)
 
 
+def _assert_rows_walk_alone(got, problems, lam, du, backward, **kw):
+    """Row r of the stacked end state ``got`` is problem r's own walk of phi."""
+    for r, p in enumerate(problems):
+        ref = propagate_endpoints_batch(p, lam[r], initial_state(p, "phi", lam[r])[0] + du,
+                                        backward=backward, **kw)
+        assert all(np.array_equal(g[r], f) for g, f in zip(got, ref))
+
+
 def _assert_stack_matches_single_walks(problems, n, **kw):
     """Walks of the stacked problems on a 2-D lambda, real and complex,
     plain and variational, forward and backward, and the zero count,
@@ -551,10 +559,7 @@ def _assert_stack_matches_single_walks(problems, n, **kw):
             for du in ((), (0.3, -0.7)):
                 start = initial_state(stack, "phi", lam)[0] + du
                 got = propagate_endpoints_batch(stack, lam, start, backward=backward, **kw)
-                for r, p in enumerate(problems):
-                    ref = propagate_endpoints_batch(p, lam[r], initial_state(p, "phi", lam[r])[0]
-                                                    + du, backward=backward, **kw)
-                    assert all(np.array_equal(g[r], f) for g, f in zip(got, ref))
+                _assert_rows_walk_alone(got, problems, lam, du, backward, **kw)
     *_, zeros = propagate_endpoints_batch(stack, base, initial_state(stack, "phi", base)[0],
                                           count_zeros=True, **kw)
     for r, p in enumerate(problems):
@@ -638,13 +643,6 @@ def _spy_coefs(monkeypatch):
     return calls
 
 
-def _assert_rows_walk_alone(got, problems, lam, du, backward):
-    for r, p in enumerate(problems):
-        ref = propagate_endpoints_batch(p, lam[r], initial_state(p, "phi", lam[r])[0] + du,
-                                        backward=backward, cpm_density=96)
-        assert all(np.array_equal(g[r], f) for g, f in zip(got, ref))
-
-
 @pytest.mark.parametrize("backward", [False, True])
 def test_half_inverse_stack_builds_known_cell_rows_once(backward, monkeypatch):
     # every shifted problem has cell 0's q, so on tiled lambda rows that
@@ -661,7 +659,7 @@ def test_half_inverse_stack_builds_known_cell_rows_once(backward, monkeypatch):
             assert rows == sorted(rows, reverse=backward)       # cell 0 first forward
             assert sum(n for r, n in calls if r == 1) == _HALF_STEPS
             assert sum(n for r, n in calls if r == len(problems)) == _HALF_STEPS
-            _assert_rows_walk_alone(got, problems, lam, du, backward)
+            _assert_rows_walk_alone(got, problems, lam, du, backward, cpm_density=96)
 
 
 def test_stack_on_unequal_lambda_rows_builds_every_row(monkeypatch):
@@ -675,7 +673,7 @@ def test_stack_on_unequal_lambda_rows_builds_every_row(monkeypatch):
     # cell 0 keeps one q column all the same, cell 1 one per problem
     qcols = [cell[5][96][2].shape for cell in stack.layout[0][0]]
     assert qcols == [(_HALF_STEPS, 1), (_HALF_STEPS, len(problems))]
-    _assert_rows_walk_alone(got, problems, lam, (), False)
+    _assert_rows_walk_alone(got, problems, lam, (), False, cpm_density=96)
 
 
 def test_walks_sample_q_once_per_cell_and_direction(cubic, monkeypatch):
