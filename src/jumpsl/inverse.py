@@ -274,14 +274,15 @@ def unpack_parameters(fs: FitSpec, params) -> ValidatedProblem:
 
 def _forward_targets(fs: FitSpec, problem, *predicted):
     """(lams, gams, mus): the lambda_n and the mu_n of ``two_spectra``, each
-    as a (roots, Delta' there) pair, and the gamma_n of ``full_spectral``.
+    as :func:`spectrum._locate` gives them, and the gamma_n of
+    ``full_spectral`` (from the locate's end rows for Robin data).
     ``predicted`` holds predicted lambda_n (and mu_n) to warm-start the
     root locator."""
     guess = list(predicted) or [None, None]
     lams = _locate(problem, len(fs.targets_lambda), "spec", fs.cpm_density, guess[0])
     gams, mus = None, None
     if fs.mode == "full_spectral":
-        gams, _ = _norming_data(problem, lams[0], fs.cpm_density)
+        gams, _ = _norming_data(problem, lams[0], fs.cpm_density, lams[2])
     elif fs.mode == "two_spectra":
         mus = _locate(problem, len(fs.targets_mu), "dirichlet", fs.cpm_density, guess[1])
     return lams, gams, mus
@@ -307,8 +308,8 @@ def residuals(fs: FitSpec, params, _forward=None):
     optimizer backs away instead of crashing.  :func:`fit` passes a dict
     as ``_forward``: its "predicted" entry, a tuple of predicted roots per
     spectrum, warm-starts the root locator, and the dict receives the
-    (roots, Delta') pairs (lams, mus; left as they are when flagged) that
-    the Jacobian starts from.
+    roots with Delta' there (lams, mus, as :func:`spectrum._locate` gives
+    them; left as they are when flagged) that the Jacobian starts from.
     """
     targets, scales = _targets(fs)
     flagged = np.full(scales.size, FLAG_RESIDUAL)
@@ -333,7 +334,7 @@ def _jacobian(fs: FitSpec, params, lams, mus):
     """d residuals / d params from the forward data at ``params``, by the
     implicit function theorem (see the module docstring): no eigenvalue
     solve, and Delta' at the roots comes with ``lams`` and ``mus``, the
-    (roots, Delta') pairs of :func:`residuals`.  The perturbed problems
+    located roots of :func:`residuals`.  The perturbed problems
     (and, for gamma_n, the problem at lambda_n -+ dl) share one stacked
     propagation per kind of row.  Zero when a perturbed problem is
     invalid, so the solver stops instead of crashing; ``fit`` never asks
@@ -445,7 +446,7 @@ def fit(fs: FitSpec, initial_guess=None, raise_on_failure=False) -> FitResult:
         if not lin:
             return ()
         out, pos = [], 0
-        for roots, _ in lin["spectra"]:
+        for roots, *_ in lin["spectra"]:
             rows = slice(pos, pos + roots.size)
             out.append(roots + (lin["jac"][rows] * scales[rows, None]) @ (x - lin["x"]))
             pos += roots.size

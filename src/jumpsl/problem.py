@@ -265,7 +265,7 @@ class Piece:
 
 class ValidatedProblem:
     """A ProblemSpec plus all derived data; immutable after construction but
-    for the memo in ``layout``, where walks keep each stepped cell's q samples.
+    for the fingerprint (hashed on first use) and the q sample memo in ``layout``.
 
     Use :func:`validate` to build one.
     """
@@ -283,6 +283,7 @@ class ValidatedProblem:
         from .propagation import _layout   # propagation imports this module
         self.layout = _layout(pieces, jump_after_piece)
         self._jump_ds = tuple(j.d for j in spec.jumps)
+        self._fingerprint = None
 
     # -- basic queries --------------------------------------------------
 
@@ -331,8 +332,10 @@ class ValidatedProblem:
         )
 
     def fingerprint(self):
-        payload = json.dumps(problem_to_dict(self), sort_keys=True)
-        return hashlib.sha1(payload.encode()).hexdigest()[:16]
+        if self._fingerprint is None:
+            payload = json.dumps(problem_to_dict(self), sort_keys=True)
+            self._fingerprint = hashlib.sha1(payload.encode()).hexdigest()[:16]
+        return self._fingerprint
 
     def __repr__(self):
         return (

@@ -48,6 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -206,7 +207,8 @@ def _cross_cell(h, blocks, S, P, nodes=None, zeros=None):
     (numpy's complex products are not symmetric in their bits), adds the
     halves, then d11 y and d21 y, then d12 y' and d22 y'.  The gather takes
     ``mode="clip"``: its indices are always in range, and numpy buffers
-    ``take(out=)`` under the default ``mode="raise"``.
+    ``take(out=)`` under the default ``mode="raise"``.  The loop binds take,
+    multiply and add once and steps into the block's trail, or into S.
 
     A step turns (s y, a y + h y') rigidly through s = sqrt(w) (or w <= 0,
     s = 0: one zero at most), so y has a zero on it where it changes sign
@@ -214,19 +216,20 @@ def _cross_cell(h, blocks, S, P, nodes=None, zeros=None):
     steps is counted as the walk leaves it, keeping one block's states."""
     n, gather = len(S), _GATHER[len(S)]
     P0, P1, D0, D1 = P[:n], P[n:2 * n], P[8:10], P[10:]
+    take, multiply, add, var = np.ndarray.take, np.multiply, np.add, n == 4
     for w, T, a in blocks:
-        trail = None
+        rows, urows = repeat(S), repeat(S[2:])      # each step's state and its (u, u')
         if nodes is not None or zeros is not None:  # a block's states to count, all to keep
             trail = np.empty((len(T) + 1,) + S.shape, S.dtype)
             trail[0] = S
-        for k, Tk in enumerate(T):
-            S.take(gather, axis=0, out=P, mode="clip")
-            np.multiply(Tk, P, out=P)
-            S = np.add(P0, P1, out=S if trail is None else trail[k + 1])
-            if n == 4:
-                U = S[2:]
-                np.add(U, D0, out=U)
-                np.add(U, D1, out=U)
+            rows, urows = trail[1:], trail[1:, 2:] if var else urows
+        for Tk, Sk, U in zip(T, rows, urows):
+            take(S, gather, 0, P, "clip")
+            multiply(Tk, P, P)
+            S = add(P0, P1, Sk)
+            if var:
+                add(U, D0, U)
+                add(U, D1, U)
         if zeros is not None:
             zeros = zeros + _zeros(h, w, a, trail)
         if nodes is not None:

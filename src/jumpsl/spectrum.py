@@ -17,11 +17,11 @@ them) seed the bisection near themselves; the brackets, and so the
 roots' bits, do not depend on the seeds.
 
 Norming constants and coupling coefficients of a whole spectrum come from
-two batched propagations: the squared norm of phi is the Lagrange bracket
+phi's end state at pi: the squared norm of phi is the Lagrange bracket
 w (u phi' - phi u') at pi of phi and its variational companion u started
 from zero, and beta_n = psi/phi is read off at pi, where psi's data are
 exact.  One forward propagation serves a whole spectrum, with no dense
-solution and no quadrature.
+solution and no quadrature: for Robin data, the polish's last Newton walk.
 
 Sign convention: the derivative identity at an eigenvalue reads
 
@@ -273,23 +273,23 @@ def _sweep(problem, lam, left, cpm_density):
 def _polish_roots(fdf, lo, hi, flo):
     """Vectorized bracket-safeguarded Newton iteration (the ``rtsafe`` rule).
 
-    ``fdf(x)`` returns f and f' over an array; f(lo) has the sign of ``flo``.
-    Each root starts at its bracket midpoint; a Newton step that is not
-    finite, lands outside the sign bracket or fails to halve the step before
-    last falls back to the midpoint.  A root stops at f = 0, or when its
-    Newton step or bracket is within 4 eps max(1, |x|), and is returned as
-    the last point evaluated, with f' there."""
+    ``fdf(x)`` returns f, f' and any more rows over an array; f(lo) has the
+    sign of ``flo``.  Each root starts at its bracket midpoint; a Newton step
+    that is not finite, lands outside the sign bracket or fails to halve the
+    step before last falls back to the midpoint.  A root stops at f = 0, or
+    when its Newton step or bracket is within 4 eps max(1, |x|), and is
+    returned as the last point evaluated, with f' and the rows there."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     x, step = 0.5 * (lo + hi), np.array([hi - lo, hi - lo])
-    dfx = np.full_like(x, np.nan)
-    todo = np.arange(x.size)
+    kept, todo = None, np.arange(x.size)
     for _ in range(64):
         xt = x[todo]
-        f, df = fdf(xt)
+        f, *rows = fdf(xt)
+        kept = np.full((len(rows),) + x.shape, np.nan) if kept is None else kept
         below = np.sign(f) == np.sign(flo[todo])
         lt, ht = np.where(below, xt, lo[todo]), np.where(below, hi[todo], xt)
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = f / df
+            dx = f / rows[0]
         tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(xt))
         done = (f == 0.0) | (np.abs(dx) <= tol) | (ht - lt <= tol)
         xn = xt - dx
@@ -297,17 +297,18 @@ def _polish_roots(fdf, lo, hi, flo):
             & (2.0 * np.abs(dx) <= np.abs(step[0, todo]))
         xn = np.where(safe, xn, 0.5 * (lt + ht))
         step[:, todo] = step[1, todo], xn - xt
-        lo[todo], hi[todo], dfx[todo] = lt, ht, df
+        lo[todo], hi[todo], kept[:, todo] = lt, ht, rows
         x[todo] = np.where(done, xt, xn)
         todo = todo[~done]
         if todo.size == 0:
-            return x, dfx
+            return (x, *kept)
     raise ToleranceError(f"{todo.size} root(s) unconverged after 64 Newton steps")
 
 
 def _locate(problem, count, left, cpm_density, predicted=None):
     """The lowest ``count`` zeros of Delta on the real axis, polished, with
-    Delta' at them.
+    Delta' at them and, for Robin data with ``left="spec"``, the end rows
+    (y, y', u, u') of each root's last Newton walk (else None).
 
     The oscillation index N is bisected for every root at once, one
     :func:`_sweep` per level, over a grid of steps of 0.05 in
@@ -369,14 +370,16 @@ def _locate(problem, count, left, cpm_density, predicted=None):
         raise MissedEigenvalueError(
             f"the oscillation index reads {index0[k]} at lambda = {x0[k]:.10g} and "
             f"{index0[k + 1]} at {x0[k + 1]:.10g}, out of step with Delta's sign changes")
-    roots, droots = _polish_roots(
-        lambda z: delta_batch(problem, z, derivative=True, left=left,
-                              cpm_density=cpm_density),
-        x[lo], x[np.where(vals[lo] == 0.0, lo, lo + 1)], vals[lo])
+    def newton(z):      # delta_batch's walk, handing its end state on
+        start, dstart = _phi_start(problem, z, left)
+        end = propagate_endpoints_batch(problem, z, start + dstart, cpm_density=cpm_density)
+        return (*_delta_at(problem, z, end, derivative=True), *end)
+    roots, droots, *ends = _polish_roots(
+        newton, x[lo], x[np.where(vals[lo] == 0.0, lo, lo + 1)], vals[lo])
     # simplicity check: nonzero derivative at every root
     if np.any(droots == 0.0):
         raise ToleranceError("vanishing Delta derivative at a located root")
-    return roots, droots
+    return roots, droots, ends if problem.variant == "robin" and left == "spec" else None
 
 
 def eigenvalues(problem, count, verify=True, left="spec",
@@ -384,11 +387,14 @@ def eigenvalues(problem, count, verify=True, left="spec",
     """The lowest ``count`` eigenvalues, located by bisecting the
     oscillation index and Newton-polished (see :func:`_locate`).  The index
     certifies each root's bracket, so every record is "index-verified";
-    ``verify`` is accepted and does nothing."""
+    ``verify`` is accepted and does nothing.  For Robin data the result
+    privately keeps the polish's end rows for :func:`spectral_data`."""
     _check_count(count)
-    roots, _ = _locate(problem, count, left, cpm_density)
-    return SpectralData(_records(roots, ["index-verified"] * count), problem.fingerprint(),
-                        problem.variant, cpm_density)
+    roots, _, ends = _locate(problem, count, left, cpm_density)
+    sd = SpectralData(_records(roots, ["index-verified"] * count), problem.fingerprint(),
+                      problem.variant, cpm_density)
+    object.__setattr__(sd, "_walk", (sd.fingerprint, cpm_density, roots, ends))  # not a field
+    return sd
 
 
 def _records(lams, certifications, gammas=None, betas=None):
@@ -453,13 +459,14 @@ def count_zeros_contour(problem, rectangle):
 # norming constants and coupling coefficients
 # ----------------------------------------------------------------------
 
-def _norming_data(problem, lams, cpm_density):
+def _norming_data(problem, lams, cpm_density, end=None):
     """(gamma, beta) arrays at real eigenvalues from one batched forward
-    propagation (see :func:`spectral_data`)."""
+    propagation (see :func:`spectral_data`), or from its ``end`` rows."""
     lam = np.asarray(lams, dtype=float)
-    start, _ = initial_state(problem, "phi", lam)
-    return _norming_at(problem, lam, propagate_endpoints_batch(
-        problem, lam, start + (0.0, 0.0), cpm_density=cpm_density))
+    if end is None:
+        start, _ = initial_state(problem, "phi", lam)
+        end = propagate_endpoints_batch(problem, lam, start + (0.0, 0.0), cpm_density=cpm_density)
+    return _norming_at(problem, lam, end)
 
 
 def _norming_at(problem, lam, end):
@@ -511,11 +518,16 @@ def spectral_data(problem, eigs) -> SpectralData:
     eigenparameter variant; the bracket starts from zero, and the boundary
     terms enter as positive squares.
 
+    Robin data from :func:`eigenvalues` walk no more: the end rows of the
+    polish's last Newton walks (u from zero too) give the same bits where
+    the fingerprint, density and lambdas match.  Any other input walks.
+
     Each record's rho is sqrt(lambda_n), also where ``eigs`` carries its
     own.  MismatchError if ``eigs`` names another problem by its
     fingerprint; an empty one, as :func:`load_csv` gives, names none.
     """
     fingerprint = problem.fingerprint()
+    walk = getattr(eigs, "_walk", None)
     if isinstance(eigs, SpectralData):
         if eigs.fingerprint not in ("", fingerprint):
             raise MismatchError(f"eigenvalues of {eigs.fingerprint}, not of {fingerprint}")
@@ -524,7 +536,8 @@ def spectral_data(problem, eigs) -> SpectralData:
     else:
         lams, density = np.asarray(eigs, dtype=float), CPM_DENSITY
         certifications = ["bracketed"] * lams.size
-    gammas, betas = _norming_data(problem, lams, density)
+    fused = walk and walk[:2] == (fingerprint, density) and np.array_equal(walk[2], lams)
+    gammas, betas = _norming_data(problem, lams, density, walk[3] if fused else None)
     return SpectralData(records=_records(lams, certifications, gammas.tolist(), betas.tolist()),
                         fingerprint=fingerprint, variant=problem.variant, cpm_density=density)
 

@@ -65,6 +65,19 @@ def test_zero_residual_at_truth_full_eigenparameter(eig_desk):
     assert np.max(np.abs(r)) <= 1e-12
 
 
+@pytest.mark.parametrize("name, unknowns", [("cubic", ("h", "H", "c0")),
+                                            ("eig_desk", ("h1", "H1"))])
+def test_full_spectral_gammas_match_a_walk_at_the_roots(request, name, unknowns):
+    # Robin gammas come from the locate's Newton walks, eigenparameter ones
+    # (whose u starts from phi's lambda-derivative) from a walk of their own:
+    # the bits of _norming_data at the roots either way
+    fs = _full_spec(request.getfixturevalue(name), 12, unknowns=unknowns, cpm_density=96)
+    p = unpack_parameters(fs, pack_parameters(fs) + 0.01)
+    lams, gams, _ = inverse._forward_targets(fs, p)
+    assert (lams[2] is None) == (name == "eig_desk")
+    assert np.array_equal(gams, inverse_spectrum._norming_data(p, lams[0], 96)[0])
+
+
 def test_zero_residual_at_truth_two_spectra(free):
     # free problem: lambda_n = n^2, mu_n = (n + 1/2)^2
     n = np.arange(12)

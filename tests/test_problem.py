@@ -206,6 +206,19 @@ def test_fingerprint_stability(generic, free):
     assert generic.fingerprint() != free.fingerprint()
 
 
+def test_fingerprint_is_encoded_once_on_first_use(monkeypatch):
+    encoded, to_dict = [], problem_module.problem_to_dict
+    monkeypatch.setattr(problem_module, "problem_to_dict",
+                        lambda p: encoded.append(p) or to_dict(p))
+    x = np.linspace(0.0, math.pi, 513)
+    p = validate(ProblemSpec(SampledGrid(x, np.cos(2.0 * x), order=3), RobinBC(0.0, 0.0)))
+    assert encoded == []
+    first = p.fingerprint()
+    assert p.fingerprint() == first and len(encoded) == 1
+    monkeypatch.undo()
+    assert validate(p.spec).fingerprint() == first
+
+
 def test_config_roundtrip_robin(tmp_path, generic):
     path = tmp_path / "p.json"
     save_problem(generic, path)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -28,6 +29,7 @@ from jumpsl import (
     export_csv,
     export_json,
     load_csv,
+    secondary_spectrum,
     spectral_data,
     validate,
     weyl_m,
@@ -287,8 +289,13 @@ def test_gamma_matches_quadrature(request, name, count, bound):
     assert np.max(np.abs(sd.gammas / ref - 1.0)) <= bound
 
 
-def test_spectral_data_call_count(monkeypatch, four_jump):
+def test_spectral_data_call_count(monkeypatch, four_jump, eig_desk, tmp_path):
+    # Robin data from eigenvalues take gamma and beta from the polish's
+    # last Newton walks: no walk; eigenparameter data (whose u starts from
+    # phi's lambda-derivative), a plain list and a loaded table walk once
     eigs = eigenvalues(four_jump, 400, verify=False)
+    desk = eigenvalues(eig_desk, 400, verify=False)
+    export_csv(eigs, tmp_path / "e.csv")
     calls = {"batch": 0, "dense": 0}
 
     def counting(key, fn):
@@ -302,9 +309,13 @@ def test_spectral_data_call_count(monkeypatch, four_jump):
     for mod in (spectrum, propagation):
         monkeypatch.setattr(mod, "propagate_endpoints_batch", batch)
         monkeypatch.setattr(mod, "fundamental_solution", dense)
-    sd = spectral_data(four_jump, eigs)
-    assert len(sd) == 400
-    assert calls == {"batch": 1, "dense": 0}
+    for p, data, walks in ((four_jump, eigs, 0), (eig_desk, desk, 1),
+                           (four_jump, list(eigs.lambdas), 1),
+                           (four_jump, load_csv(tmp_path / "e.csv"), 1)):
+        calls.update(batch=0, dense=0)
+        sd = spectral_data(p, data)
+        assert len(sd) == 400
+        assert calls == {"batch": walks, "dense": 0}
 
 
 @pytest.mark.parametrize("name", ["eig_desk", "four_jump"])
@@ -510,16 +521,16 @@ def test_root_polish_call_count(monkeypatch):
         breakpoints=(PI / 2,))
     p = validate(ProblemSpec(pot, RobinBC(0.2, -0.4)))
     calls = []
-    original = spectrum.delta_batch
+    original = spectrum.propagate_endpoints_batch
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(problem, lam, start, **kwargs):
+        calls.extend([1] * (len(start) == 4))      # the Newton walks carry (u, u')
+        return original(problem, lam, start, **kwargs)
 
-    monkeypatch.setattr(spectrum, "delta_batch", counting)
+    monkeypatch.setattr(spectrum, "propagate_endpoints_batch", counting)
     sd = eigenvalues(p, 40, verify=False, cpm_density=96)
     assert len(sd) == 40
-    assert len(calls) <= 10
+    assert 0 < len(calls) <= 10
 
 
 def test_spectral_data_reuses_eigenvalue_density(cubic, tmp_path):
@@ -549,6 +560,54 @@ def test_spectral_data_checks_the_problem(free, one_jump, tmp_path):
     spectrum.export_csv(spectral_data(one_jump, eigenvalues(one_jump, 5)), tmp_path / "s.csv")
     loaded = spectral_data(one_jump, load_csv(tmp_path / "s.csv"))
     assert loaded.fingerprint == one_jump.fingerprint()
+
+
+@pytest.mark.parametrize("name, density", [("cubic", 96), ("cubic", 160), ("mathieu", 160),
+                                           ("four_jump", 160)])
+def test_spectral_data_from_the_polish_matches_a_walk(request, name, density):
+    # gamma and beta from the Newton walks' end rows, bit for bit those of
+    # the separate walk at the roots
+    p = _mathieu(2.0) if name == "mathieu" else request.getfixturevalue(name)
+    sd = spectral_data(p, eigenvalues(p, 30, cpm_density=density))
+    gammas, betas = spectrum._norming_data(p, sd.lambdas, density)
+    assert np.array_equal(sd.gammas, gammas) and np.array_equal(sd.betas, betas)
+
+
+def _walks(monkeypatch):
+    """The number of walks that spectrum starts from here on."""
+    calls, walk = [], spectrum.propagate_endpoints_batch
+    monkeypatch.setattr(spectrum, "propagate_endpoints_batch",
+                        lambda *a, **k: calls.append(1) or walk(*a, **k))
+    return calls
+
+
+def test_spectral_data_of_a_secondary_spectrum_walks(monkeypatch, cubic):
+    # the mu_n's Newton walks follow phi from y(0) = 0, not from the Robin
+    # data that gamma and beta need
+    mus = secondary_spectrum(cubic, 20)
+    gammas, betas = spectrum._norming_data(cubic, mus.lambdas, mus.cpm_density)
+    walks = _walks(monkeypatch)
+    sd = spectral_data(cubic, mus)
+    assert len(walks) == 1
+    assert np.array_equal(sd.gammas, gammas) and np.array_equal(sd.betas, betas)
+
+
+def test_spectral_data_of_rebuilt_records_walks(monkeypatch, cubic, generic):
+    eigs = eigenvalues(cubic, 20)
+    fused = spectral_data(cubic, eigs)
+    # a SpectralData made again from the same records, or by replace(), has
+    # no walk of its own: it equals eigs and walks, to the same bits
+    for again in (SpectralData(eigs.records, eigs.fingerprint, eigs.variant, eigs.cpm_density),
+                  dataclasses.replace(eigs)):
+        assert again == eigs and repr(again) == repr(eigs)
+        walks = _walks(monkeypatch)
+        sd = spectral_data(cubic, again)
+        monkeypatch.undo()
+        assert len(walks) == 1
+        assert np.array_equal(sd.gammas, fused.gammas) and np.array_equal(sd.betas, fused.betas)
+    # another Robin problem's spectrum, end rows and all, is still refused
+    with pytest.raises(MismatchError):
+        spectral_data(generic, eigs)
 
 
 @pytest.mark.parametrize("count", [0, -3, 2.5, 2.0, True, "3", None])

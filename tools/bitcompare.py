@@ -18,7 +18,8 @@ and ``spectrum._locate``'s roots and Delta' from cold and from shifted
 predictions, with the barrier problems whose lowest pairs share a cell
 and potentials with a large mean (q = 50, Mathieu + 60, q = 20) whose
 roots lie above the locator's first grid top;
-gamma and beta; dense solutions and their step nodes; Weyl samples from
+gamma and beta from ``eigenvalues``' own result, from a plain list of the
+same roots and at the secondary spectrum's roots; dense solutions and their step nodes; Weyl samples from
 scalar and array calls; contour counts; end states of one-lambda walks
 (real and complex, plain and variational, forward and backward), a
 variational walk that counts zeros, stacked stepped-cell walks on a 2-D
@@ -117,6 +118,11 @@ def _forward_cases(api, out):
         sd = api.spectral_data(p, api.eigenvalues(p, 40))
         out[f"roots/{name}"] = sd.lambdas
         out[f"gamma/{name}"], out[f"beta/{name}"] = sd.gammas, sd.betas
+        # the same roots as a plain list, and the secondary spectrum, take their own walk
+        walked = api.spectral_data(p, list(sd.lambdas))
+        out[f"gamma_walked/{name}"], out[f"beta_walked/{name}"] = walked.gammas, walked.betas
+        _record(api, out, f"gamma_beta_secondary/{name}", lambda: [
+            (r.gamma, r.beta) for r in api.spectral_data(p, api.secondary_spectrum(p, 30))])
         _record(api, out, f"roots_dirichlet/{name}",
                 lambda: api.eigenvalues(p, 30, left="dirichlet").lambdas)
         for kind in ("phi", "psi", "chi"):

@@ -37,7 +37,9 @@ The cases:
   forward_smooth workload's Mathieu problem (``SampledGrid`` on 513 nodes,
   q = 4 cos 2x) at the default density, ``delta_batch`` with the
   derivative at 20 real points in [-5, 900] and a cold ``_locate`` of its
-  20 lowest roots, as ``eigenvalues`` makes it.
+  20 lowest roots, as ``eigenvalues`` makes it;
+- ``spectra/mathieu``: ``eigenvalues`` and then ``spectral_data`` of the same
+  problem, 20 roots, as the forward_smooth workload asks for its spectrum.
 
 Every case but ``jacobian/half`` (whose shifted problems are new in each
 call) walks one validated problem again and again.  Where a problem keeps
@@ -135,6 +137,9 @@ def _cases(api, np):
     cases["locate/mathieu/cold"] = (3, lambda: [
         api.spectrum._locate(problems["mathieu"], 20, "spec", api.propagation.CPM_DENSITY)
         for _ in range(3)])
+    mathieu = problems["mathieu"]
+    cases["spectra/mathieu"] = (3, lambda: [
+        api.spectral_data(mathieu, api.eigenvalues(mathieu, 20)) for _ in range(3)])
     return cases
 
 
