@@ -41,7 +41,7 @@ print("secondary (Dirichlet-at-0) spectrum (n + 1/2)^2 determine m through")
 print("products normalized by the leading-order functions (Hadamard")
 print("factorization), no potential and no fitted constant required:")
 prim = eigenvalues(problem, 100, verify=False)
-sec = secondary_spectrum(problem, 100, verify=False)
+sec = secondary_spectrum(problem, 100)
 ts = TwoSpectra(prim, sec, problem)
 approx = m_from_two_spectra(ts, -1.0).real
 print(f"  m(-1) from 100+100 eigenvalues: {approx:.15f}")

@@ -63,13 +63,9 @@ def _build_parser():
 
     p = add("eigs", _cmd_eigs, "lowest eigenvalues as CSV")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--no-verify", action="store_true",
-                   help="accepted and ignored: the oscillation index that "
-                        "locates the eigenvalues certifies them")
 
     p = add("spectral-data", _cmd_spectral_data, "eigenvalues with gamma_n and beta_n as CSV")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--no-verify", action="store_true", help="accepted and ignored")
     p.add_argument("--json", action="store_true", dest="as_json")
 
     p = add("weyl", _cmd_weyl, "sample the Weyl m-function along a lambda line")

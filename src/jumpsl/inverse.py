@@ -73,7 +73,7 @@ from .problem import (
     ValidatedProblem,
     validate,
 )
-from .spectrum import _locate, _norming_data, _stacked, load_csv
+from .spectrum import _locate, _norming_at, _stacked, load_csv
 
 __all__ = [
     "FitSpec",
@@ -275,14 +275,14 @@ def unpack_parameters(fs: FitSpec, params) -> ValidatedProblem:
 def _forward_targets(fs: FitSpec, problem, *predicted):
     """(lams, gams, mus): the lambda_n and the mu_n of ``two_spectra``, each
     as :func:`spectrum._locate` gives them, and the gamma_n of
-    ``full_spectral`` (from the locate's end rows for Robin data).
+    ``full_spectral`` (from the locate's end rows).
     ``predicted`` holds predicted lambda_n (and mu_n) to warm-start the
     root locator."""
     guess = list(predicted) or [None, None]
     lams = _locate(problem, len(fs.targets_lambda), "spec", fs.cpm_density, guess[0])
     gams, mus = None, None
     if fs.mode == "full_spectral":
-        gams, _ = _norming_data(problem, lams[0], fs.cpm_density, lams[2])
+        gams, _ = _norming_at(problem, lams[0], lams[2])
     elif fs.mode == "two_spectra":
         mus = _locate(problem, len(fs.targets_mu), "dirichlet", fs.cpm_density, guess[1])
     return lams, gams, mus

@@ -18,10 +18,10 @@ roots' bits, do not depend on the seeds.
 
 Norming constants and coupling coefficients of a whole spectrum come from
 phi's end state at pi: the squared norm of phi is the Lagrange bracket
-w (u phi' - phi u') at pi of phi and its variational companion u started
-from zero, and beta_n = psi/phi is read off at pi, where psi's data are
-exact.  One forward propagation serves a whole spectrum, with no dense
-solution and no quadrature: for Robin data, the polish's last Newton walk.
+w (u phi' - phi u') at pi of phi and u = dphi/dlambda, and beta_n =
+psi/phi is read off at pi, where psi's data are exact.  One forward
+propagation serves a whole spectrum, with no dense solution and no
+quadrature: for :func:`eigenvalues`' own result, the polish's last one.
 
 Sign convention: the derivative identity at an eigenvalue reads
 
@@ -191,8 +191,8 @@ def _stacked(problems, lam, left, cpm_density, norm=False):
     for key in dict.fromkeys(keys):
         rows = [r for r, k in enumerate(keys) if k == key]
         stack, lr = _stack([problems[r] for r in rows]), lam[rows]
-        start = _phi_start(stack, lr, left)[0]
-        end = propagate_endpoints_batch(stack, lr, start + (0.0, 0.0) if norm else start,
+        start, dstart = _phi_start(stack, lr, left)
+        end = propagate_endpoints_batch(stack, lr, start + dstart if norm else start,
                                         cpm_density=cpm_density)
         delta[rows] = _delta_at(stack, lr, end)
         if norm:
@@ -307,8 +307,8 @@ def _polish_roots(fdf, lo, hi, flo):
 
 def _locate(problem, count, left, cpm_density, predicted=None):
     """The lowest ``count`` zeros of Delta on the real axis, polished, with
-    Delta' at them and, for Robin data with ``left="spec"``, the end rows
-    (y, y', u, u') of each root's last Newton walk (else None).
+    Delta' at them and, with ``left="spec"``, the end rows (y, y', u, u')
+    of each root's last Newton walk (else None: they follow another phi).
 
     The oscillation index N is bisected for every root at once, one
     :func:`_sweep` per level, over a grid of steps of 0.05 in
@@ -379,7 +379,7 @@ def _locate(problem, count, left, cpm_density, predicted=None):
     # simplicity check: nonzero derivative at every root
     if np.any(droots == 0.0):
         raise ToleranceError("vanishing Delta derivative at a located root")
-    return roots, droots, ends if problem.variant == "robin" and left == "spec" else None
+    return roots, droots, ends if left == "spec" else None
 
 
 def eigenvalues(problem, count, verify=True, left="spec",
@@ -387,8 +387,8 @@ def eigenvalues(problem, count, verify=True, left="spec",
     """The lowest ``count`` eigenvalues, located by bisecting the
     oscillation index and Newton-polished (see :func:`_locate`).  The index
     certifies each root's bracket, so every record is "index-verified";
-    ``verify`` is accepted and does nothing.  For Robin data the result
-    privately keeps the polish's end rows for :func:`spectral_data`."""
+    ``verify`` is accepted and does nothing.  With ``left="spec"`` the
+    result privately keeps the polish's end rows for :func:`spectral_data`."""
     _check_count(count)
     roots, _, ends = _locate(problem, count, left, cpm_density)
     sd = SpectralData(_records(roots, ["index-verified"] * count), problem.fingerprint(),
@@ -464,21 +464,18 @@ def _norming_data(problem, lams, cpm_density, end=None):
     propagation (see :func:`spectral_data`), or from its ``end`` rows."""
     lam = np.asarray(lams, dtype=float)
     if end is None:
-        start, _ = initial_state(problem, "phi", lam)
-        end = propagate_endpoints_batch(problem, lam, start + (0.0, 0.0), cpm_density=cpm_density)
+        start, dstart = initial_state(problem, "phi", lam)
+        end = propagate_endpoints_batch(problem, lam, start + dstart, cpm_density=cpm_density)
     return _norming_at(problem, lam, end)
 
 
 def _norming_at(problem, lam, end):
-    """(gamma, beta) from phi and its companion u (started from zero) at pi."""
+    """(gamma, beta) from phi and u = dphi/dlambda at pi."""
     y, yp, u, up = end
     bc = problem.boundary
     norm2 = problem.w_end * (u * yp - y * up)
     if problem.variant == "eigenparameter":
-        # phi's data give R1(phi) = r1 at every lambda, so the left term
-        # (w(0)/r1) R1(phi)^2 is w(0) r1
-        norm2 += problem.weights[0] * bc.r1 \
-            + (problem.w_end / bc.r2) * (yp + bc.H1 * y) ** 2
+        norm2 += (problem.w_end / bc.r2) * (yp + bc.H1 * y) ** 2
     # psi = beta phi, and psi's data at pi are exact: compare the component
     # that is further from its zero (phi' carries an extra factor ~rho)
     (psi, psip), _ = initial_state(problem, "psi", lam)
@@ -507,20 +504,22 @@ def spectral_data(problem, eigs) -> SpectralData:
     sequence), so the norming constants share the eigenvalues'
     discretization.
 
-    The norm needs no quadrature.  The variational step carries u beside
-    phi from u(0) = u'(0) = 0, so -u'' + q u = lambda u + phi, Lagrange's
+    The norm needs no quadrature.  The variational step carries u =
+    dphi/dlambda beside phi, so -u'' + q u = lambda u + phi, Lagrange's
     identity gives d/dx [w (u phi' - phi u')] = w phi^2 on every cell, and
     each jump keeps w (u phi' - phi u') since w+ = w- / (a b).  Hence
-    int_0^pi w phi^2 dx = w(pi) (u phi' - phi u')(pi): exact to rounding on
-    constant cells, the Magnus scheme's own fourth-order norm elsewhere.
-    This is not the residue route gamma_n = beta_n / Delta'(lambda_n),
-    whose lambda-affine boundary data cancel at high n in the
-    eigenparameter variant; the bracket starts from zero, and the boundary
-    terms enter as positive squares.
+    w(pi) (u phi' - phi u')(pi) = int_0^pi w phi^2 dx + w(0) r1: phi's
+    eigenparameter data give (u phi' - phi u')(0) = h3 - h1 h2 = r1, the
+    left term (w(0)/r1) R1(phi)^2, and Robin data start u from zero.  It is
+    exact to rounding on constant cells, the Magnus scheme's own
+    fourth-order norm elsewhere.  This is not the residue route gamma_n =
+    beta_n / Delta'(lambda_n), whose lambda-affine boundary data cancel at
+    high n in the eigenparameter variant; here both boundary terms enter
+    with a positive sign.
 
-    Robin data from :func:`eigenvalues` walk no more: the end rows of the
-    polish's last Newton walks (u from zero too) give the same bits where
-    the fingerprint, density and lambdas match.  Any other input walks.
+    Data from :func:`eigenvalues` walk no more: the end rows of the
+    polish's last Newton walks give the same bits where the fingerprint,
+    density and lambdas match.  Any other input walks.
 
     Each record's rho is sqrt(lambda_n), also where ``eigs`` carries its
     own.  MismatchError if ``eigs`` names another problem by its

@@ -183,9 +183,8 @@ class TwoSpectra:
                     f"(lambda_{i}, lambda_{i + 1})=({lo}, {hi})")
 
 
-def secondary_spectrum(problem, count, verify=True) -> SpectralData:
-    """Spectrum with y(0) = 0 in place of the original condition at 0;
-    ``verify`` is accepted and does nothing, as in :func:`eigenvalues`."""
+def secondary_spectrum(problem, count) -> SpectralData:
+    """Spectrum with y(0) = 0 in place of the original condition at 0."""
     return eigenvalues(problem, count, left="dirichlet")
 
 

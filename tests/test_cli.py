@@ -34,15 +34,16 @@ def test_eigs_csv(free_cfg, tmp_path, capsys):
 
 
 def test_eigs_stdout_and_determinism(free_cfg, capsys):
-    assert main(["eigs", free_cfg, "--count", "4", "--no-verify"]) == 0
+    assert main(["eigs", free_cfg, "--count", "4"]) == 0
     first = capsys.readouterr().out
-    assert main(["eigs", free_cfg, "--count", "4", "--no-verify"]) == 0
-    assert capsys.readouterr().out == first
-    assert first.count("\n") == 5
-    # --no-verify is accepted and ignored: every spectrum is index-verified
     assert main(["eigs", free_cfg, "--count", "4"]) == 0
     assert capsys.readouterr().out == first
+    assert first.count("\n") == 5
+    # every spectrum is index-verified, and there is no flag to skip it
     assert first.count("index-verified") == 4
+    for command in ("eigs", "spectral-data"):
+        assert main([command, free_cfg, "--count", "4", "--no-verify"]) == 1
+        assert "--no-verify" in capsys.readouterr().err
 
 
 def test_eigs_stdout_matches_output_file(one_jump_cfg, tmp_path, capsys):

@@ -68,14 +68,31 @@ def test_zero_residual_at_truth_full_eigenparameter(eig_desk):
 @pytest.mark.parametrize("name, unknowns", [("cubic", ("h", "H", "c0")),
                                             ("eig_desk", ("h1", "H1"))])
 def test_full_spectral_gammas_match_a_walk_at_the_roots(request, name, unknowns):
-    # Robin gammas come from the locate's Newton walks, eigenparameter ones
-    # (whose u starts from phi's lambda-derivative) from a walk of their own:
-    # the bits of _norming_data at the roots either way
+    # the gammas of both variants come from the locate's Newton walks,
+    # with the bits of _norming_data's own walk at the roots
     fs = _full_spec(request.getfixturevalue(name), 12, unknowns=unknowns, cpm_density=96)
     p = unpack_parameters(fs, pack_parameters(fs) + 0.01)
     lams, gams, _ = inverse._forward_targets(fs, p)
-    assert (lams[2] is None) == (name == "eig_desk")
+    assert lams[2] is not None
     assert np.array_equal(gams, inverse_spectrum._norming_data(p, lams[0], 96)[0])
+
+
+def test_full_spectral_eigenparameter_fit_from_a_perturbed_start():
+    # criterion 11's full fit with eigenparameter data: the half-inverse
+    # truth's potential, a jump at pi/3 and 30 pairs at density 96, with
+    # h1, H1, c0 and the right piece of q (7 parameters) moved by up to 0.05
+    pot = PiecewisePolynomial(coefficients=((0.25, -0.1, 0.2, 0.0), (0.1, 0.3, -0.2, 0.08)),
+                              breakpoints=(PI / 2,))
+    truth = validate(ProblemSpec(pot, EigenparameterBC(0.1, 0.5, 1.5, 1.0, 2.0, 0.8),
+                                 (JumpCondition(PI / 3, 1.5, 1.0, 0.6),)))
+    sd = spectral_data(truth, eigenvalues(truth, 30, cpm_density=96))
+    fs = FitSpec(mode="full_spectral", template=truth, unknowns=("h1", "H1", "c0", "q1"),
+                 targets_lambda=tuple(sd.lambdas), targets_gamma=tuple(sd.gammas),
+                 tol=1e-12, cpm_density=96)
+    x = pack_parameters(fs)
+    assert x.size == 7
+    res = fit(fs, initial_guess=x + np.random.default_rng(3).uniform(-0.05, 0.05, x.size))
+    assert res.converged and np.max(np.abs(res.params - x)) < 1e-10
 
 
 def test_zero_residual_at_truth_two_spectra(free):

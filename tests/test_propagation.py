@@ -517,15 +517,16 @@ def test_real_lambda_bit_identical_to_complex(name, request):
         assert all(g.dtype == np.float64 and np.array_equal(g, r.real)
                    for g, r in zip(got, ref))
     # gamma: the Lagrange bracket of spectral_data, propagated in complex
+    # with u started from the lambda-derivative of phi's data
     lams = eigenvalues(p, 60, verify=False).lambdas
     gamma, _ = _norming_data(p, lams, CPM_DENSITY)
     zl = lams.astype(complex)
-    start, _ = initial_state(p, "phi", zl)
-    y, yp, u, up = propagate_endpoints_batch(p, zl, start + (0.0, 0.0))
+    start, dstart = initial_state(p, "phi", zl)
+    y, yp, u, up = propagate_endpoints_batch(p, zl, start + dstart)
     norm2 = p.w_end * (u * yp - y * up).real
     if p.variant == "eigenparameter":
         bc = p.boundary
-        norm2 += p.weights[0] * bc.r1 + (p.w_end / bc.r2) * (yp + bc.H1 * y).real ** 2
+        norm2 += (p.w_end / bc.r2) * (yp + bc.H1 * y).real ** 2
     assert gamma.dtype == np.float64 and np.array_equal(gamma, 1.0 / norm2)
 
 

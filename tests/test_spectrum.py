@@ -290,9 +290,9 @@ def test_gamma_matches_quadrature(request, name, count, bound):
 
 
 def test_spectral_data_call_count(monkeypatch, four_jump, eig_desk, tmp_path):
-    # Robin data from eigenvalues take gamma and beta from the polish's
-    # last Newton walks: no walk; eigenparameter data (whose u starts from
-    # phi's lambda-derivative), a plain list and a loaded table walk once
+    # data from eigenvalues, Robin or eigenparameter, take gamma and beta
+    # from the polish's last Newton walks: no walk; a plain list and a
+    # loaded table walk once
     eigs = eigenvalues(four_jump, 400, verify=False)
     desk = eigenvalues(eig_desk, 400, verify=False)
     export_csv(eigs, tmp_path / "e.csv")
@@ -309,7 +309,7 @@ def test_spectral_data_call_count(monkeypatch, four_jump, eig_desk, tmp_path):
     for mod in (spectrum, propagation):
         monkeypatch.setattr(mod, "propagate_endpoints_batch", batch)
         monkeypatch.setattr(mod, "fundamental_solution", dense)
-    for p, data, walks in ((four_jump, eigs, 0), (eig_desk, desk, 1),
+    for p, data, walks in ((four_jump, eigs, 0), (eig_desk, desk, 0),
                            (four_jump, list(eigs.lambdas), 1),
                            (four_jump, load_csv(tmp_path / "e.csv"), 1)):
         calls.update(batch=0, dense=0)
@@ -563,7 +563,7 @@ def test_spectral_data_checks_the_problem(free, one_jump, tmp_path):
 
 
 @pytest.mark.parametrize("name, density", [("cubic", 96), ("cubic", 160), ("mathieu", 160),
-                                           ("four_jump", 160)])
+                                           ("four_jump", 160), ("eig_desk", 160)])
 def test_spectral_data_from_the_polish_matches_a_walk(request, name, density):
     # gamma and beta from the Newton walks' end rows, bit for bit those of
     # the separate walk at the roots
@@ -590,6 +590,32 @@ def test_spectral_data_of_a_secondary_spectrum_walks(monkeypatch, cubic):
     sd = spectral_data(cubic, mus)
     assert len(walks) == 1
     assert np.array_equal(sd.gammas, gammas) and np.array_equal(sd.betas, betas)
+
+
+def _reflected(q, bc, jumps):
+    """The problem mirrored by x -> pi - x: q(pi - x), the boundary
+    constants swapped with their signs flipped, and each jump moved to
+    pi - d with (1/a, 1/b, c/(ab))."""
+    mirrored = np.polynomial.Polynomial(q)(np.polynomial.Polynomial([PI, -1.0])).coef
+    return validate(ProblemSpec(PiecewisePolynomial((tuple(mirrored),)), RobinBC(-bc.H, -bc.h),
+                                tuple(JumpCondition(PI - j.d, 1.0 / j.a, 1.0 / j.b,
+                                                    j.c / (j.a * j.b)) for j in jumps)))
+
+
+@pytest.mark.parametrize("jumps", [(), (JumpCondition(PI / 3, 1.5, 1.0, 0.6),)],
+                         ids=["smooth", "jump"])
+def test_one_spectrum_does_not_fix_the_problem(cubic, jumps):
+    # a problem and its mirror image share their eigenvalues, while their
+    # norming constants and their spectra with y(0) = 0 differ: numerically,
+    # why each uniqueness theorem asks for gamma_n or a second spectrum
+    q = cubic.potential.coefficients[0]
+    p = validate(ProblemSpec(PiecewisePolynomial((q,)), cubic.boundary, jumps))
+    m = _reflected(q, p.boundary, jumps)
+    a, b = (spectral_data(r, eigenvalues(r, 20, cpm_density=96)) for r in (p, m))
+    assert np.max(np.abs(a.lambdas / b.lambdas - 1.0)) <= 1e-14
+    assert np.max(np.abs(a.gammas / b.gammas - 1.0)) > 0.1
+    mu_a, mu_b = (secondary_spectrum(r, 20).lambdas for r in (p, m))
+    assert np.max(np.abs(mu_a / mu_b - 1.0)) > 0.1
 
 
 def test_spectral_data_of_rebuilt_records_walks(monkeypatch, cubic, generic):

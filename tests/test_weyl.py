@@ -172,7 +172,7 @@ def test_secondary_spectrum_free(free):
 
 def test_two_spectra_free(free):
     prim = eigenvalues(free, 100, verify=False)
-    sec = secondary_spectrum(free, 100, verify=False)
+    sec = secondary_spectrum(free, 100)
     ts = TwoSpectra(prim, sec, free)
     approx = m_from_two_spectra(ts, -1.0)
     assert isinstance(approx, complex)
@@ -207,7 +207,7 @@ def test_deep_negative_axis_raises_domain_error():
     p = validate(ProblemSpec(constant_potential(0.5), RobinBC(0.3, -0.2),
                              (JumpCondition(PI / 3, 2.0, 1.0, 0.5),)))
     ts = TwoSpectra(eigenvalues(p, 20, verify=False),
-                    secondary_spectrum(p, 20, verify=False), p)
+                    secondary_spectrum(p, 20), p)
     for fn in (lambda lam: weyl_m(p, lam).m, lambda lam: m_from_two_spectra(ts, lam)):
         for bad in (-6e4, -1e6):
             for lam in (bad, np.array([-1.0, bad])):
@@ -225,7 +225,7 @@ def test_deep_negative_axis_raises_domain_error():
 def test_non_finite_lambda_is_named(generic, bad):
     # a lambda that is not finite is named as such, not as an overflow
     ts = TwoSpectra(eigenvalues(generic, 10, verify=False),
-                    secondary_spectrum(generic, 10, verify=False), generic)
+                    secondary_spectrum(generic, 10), generic)
     for fn in (lambda lam: weyl_m(generic, lam), lambda lam: m_from_two_spectra(ts, lam)):
         for lam in (bad, np.array([3.0 + 1.0j, bad])):
             with pytest.raises(DomainError, match=r"lambda=.* is not finite$"):
@@ -239,7 +239,7 @@ def test_two_spectra_matches_weyl_m(name, cubic):
         constant_potential(0.5), RobinBC(0.3, -0.2),
         (jump,) if name == "jump_q" else ()))
     ts = TwoSpectra(eigenvalues(problem, 100, verify=False),
-                    secondary_spectrum(problem, 100, verify=False), problem)
+                    secondary_spectrum(problem, 100), problem)
     # lambda = 0 is a removable 0 * inf of the product form
     lam = np.array([-1.0, -5.0, -20.0, 3.3 + 0.5j, 2.5, 0.0])
     direct = weyl_m(problem, lam).m
@@ -249,7 +249,7 @@ def test_two_spectra_matches_weyl_m(name, cubic):
 
 def test_two_spectra_domain_and_interlacing(free, eig_desk):
     prim = eigenvalues(free, 10, verify=False)
-    sec = secondary_spectrum(free, 10, verify=False)
+    sec = secondary_spectrum(free, 10)
     ts = TwoSpectra(prim, sec, free)
     with pytest.raises(PoleError):
         m_from_two_spectra(ts, 1.0)     # a primary eigenvalue
@@ -257,7 +257,7 @@ def test_two_spectra_domain_and_interlacing(free, eig_desk):
         TwoSpectra(sec, prim, free)     # swapped lists cannot interlace
     with pytest.raises(VariantError):
         TwoSpectra(eigenvalues(eig_desk, 10, verify=False),
-                   secondary_spectrum(eig_desk, 10, verify=False), eig_desk)
+                   secondary_spectrum(eig_desk, 10), eig_desk)
 
 
 def test_export_m_samples(tmp_path, free):

@@ -7,9 +7,10 @@
 ``PYTHONPATH`` and saves every result array under the case's name.  Run it
 once in each of two checkouts (say a parent commit and its change), each
 with its own ``src`` on ``PYTHONPATH``; ``compare`` then prints every case
-that is not ``array_equal`` (NaN equal to NaN, dtypes and shapes equal)
-and every case recorded in only one file, and exits with status 1 if there
-is any.  A dump takes about fifteen seconds.
+that is not ``array_equal`` (NaN equal to NaN, dtypes and shapes equal),
+with how many entries moved and the largest relative difference among
+them where both are numeric arrays of one shape, and every case recorded
+in only one file, and exits with status 1 if there is any.  A dump takes about fifteen seconds.
 
 The cases: Delta and Delta' (real and complex lambda, as arrays and one 0-d
 lambda at a time, both left data, two densities); ``propagate_interval``;
@@ -401,6 +402,19 @@ def dump(path):
     print(f"{len(out)} cases from {Path(api.__file__).parent} written to {path}")
 
 
+def _moved(x, y):
+    """For two numeric arrays of one shape, how many entries differ and the
+    largest relative difference |x - y| / max(|x|, |y|) among them (inf
+    where only one is NaN); else nothing."""
+    if x.shape != y.shape or x.dtype.kind not in "iufc" or y.dtype.kind not in "iufc":
+        return ""
+    moved = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(x - y)[moved] / np.maximum(np.abs(x), np.abs(y))[moved]
+    worst = np.max(np.where(np.isnan(rel), np.inf, rel))
+    return f" ({np.count_nonzero(moved)} of {x.size} entries moved, largest relative {worst:.2g})"
+
+
 def compare(path_a, path_b):
     a, b = np.load(path_a), np.load(path_b)
     only = sorted(set(a.files) ^ set(b.files))
@@ -410,7 +424,7 @@ def compare(path_a, path_b):
     differ = [k for k in shared if a[k].dtype != b[k].dtype
               or not np.array_equal(a[k], b[k], equal_nan=a[k].dtype.kind in "fc")]
     for key in differ:
-        print(f"differs: {key}")
+        print(f"differs: {key}{_moved(a[key], b[key])}")
     print(f"{len(shared) - len(differ)} of {len(shared)} shared cases array_equal, "
           f"{len(only)} in one file only")
     return 1 if differ or only else 0
