@@ -56,9 +56,7 @@ def reflection_terms(problem, n_jumps):
     terms = []
     for mask in range(1 << k):
         subset = tuple(i + 1 for i in range(k) if mask >> i & 1)
-        coeff = 1.0
-        for i in range(k):
-            coeff *= primes[i] if mask >> i & 1 else alphas[i]
+        coeff = math.prod((primes[i] if mask >> i & 1 else alphas[i] for i in range(k)), start=1.0)
         p = len(subset)
         phase = 2.0 * sum(
             (-1) ** (p - l + 1) * ds[idx - 1] for l, idx in enumerate(subset, start=1)
@@ -68,13 +66,9 @@ def reflection_terms(problem, n_jumps):
 
 
 def _segment_jump_count(problem, x):
-    if not 0.0 <= x <= PI:
-        raise DomainError(f"x = {x} outside [0, pi]")
-    ds = [j.d for j in problem.jumps]
-    for d in ds:
-        if abs(x - d) < 1e-12:
-            raise DomainError(f"x = {x} coincides with a jump point")
-    return sum(d < x for d in ds)
+    if any(abs(x - j.d) < 1e-12 for j in problem.jumps):
+        raise DomainError(f"x = {x} coincides with a jump point")
+    return problem.segment_of(x)    # DomainError outside [0, pi]
 
 
 def asymptotic_eval(problem, target, x, rho):
@@ -111,8 +105,11 @@ def asymptotic_eval(problem, target, x, rho):
 def _leading_sum(problem, trig):
     """rho -> the leading trigonometric sum of Delta, vectorized over rho.
 
-    ``trig="sinc"`` gives the sine sum divided by rho, finite at rho = 0.
+    ``trig="sinc"`` gives the sine sum divided by rho, finite at rho = 0;
+    ``"cos"`` the cosine sum.  ValueError for any other ``trig``.
     """
+    if trig not in ("sin", "cos", "sinc"):
+        raise ValueError(f"unknown trig {trig!r}")
     terms = reflection_terms(problem, len(problem.jumps))
     coeff = np.array([t.coefficient for t in terms])
     shift = PI + np.array([t.phase for t in terms])

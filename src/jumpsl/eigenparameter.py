@@ -18,7 +18,7 @@ import numpy as np
 from .errors import MismatchError, VariantError
 from .problem import ValidatedProblem
 from .quadrature import weighted_abs_norm_sq
-from .spectrum import SpectralData
+from .spectrum import SpectralData, _n_terms
 
 __all__ = [
     "BoundaryFunctionals",
@@ -89,7 +89,7 @@ def gamma_sum_partial(sd: SpectralData, n_terms=None):
     if sd.variant != "eigenparameter":
         raise VariantError("gamma sums target 1/r1 only in the "
                            "eigenparameter variant")
-    g = sd.gammas if n_terms is None else sd.gammas[:n_terms]
+    g = sd.gammas[:_n_terms(n_terms, len(sd))]
     if np.any(np.isnan(g)):
         raise MismatchError("records lack gamma values; run spectral_data first")
     return np.cumsum(g)

@@ -291,10 +291,6 @@ class ValidatedProblem:
     def variant(self):
         return self.boundary.variant
 
-    @property
-    def n_segments(self):
-        return len(self.jumps) + 1
-
     def segment_of(self, x, side="+"):
         """Weight-segment index containing x (right limit at a jump point)."""
         if not 0.0 <= x <= PI:
@@ -311,9 +307,6 @@ class ValidatedProblem:
     @property
     def w_end(self):
         return self.weights[-1]
-
-    def max_abs_q(self):
-        return self.potential.max_abs()
 
     def min_node_gap(self):
         nodes = [0.0] + list(self._jump_ds) + [PI]
@@ -340,7 +333,7 @@ class ValidatedProblem:
     def __repr__(self):
         return (
             f"ValidatedProblem(variant={self.variant!r}, "
-            f"jumps={len(self.jumps)}, segments={self.n_segments})"
+            f"jumps={len(self.jumps)}, segments={len(self.jumps) + 1})"
         )
 
 

@@ -126,13 +126,20 @@ class SpectralData:
 
     @property
     def gammas(self):
-        return np.array([r.gamma if r.gamma is not None else np.nan
-                         for r in self.records])
+        return np.array([r.gamma for r in self.records], dtype=float)   # None reads nan
 
     @property
     def betas(self):
-        return np.array([r.beta if r.beta is not None else np.nan
-                         for r in self.records])
+        return np.array([r.beta for r in self.records], dtype=float)
+
+
+def _n_terms(n_terms, available):
+    """``n_terms``, or all ``available`` records where None; MismatchError
+    unless it is an integer (not a bool) from 1 to ``available``."""
+    n = available if n_terms is None else n_terms
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= available:
+        raise MismatchError(f"n_terms={n!r} outside 1..{available}")
+    return n
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +161,14 @@ def _phi_start(problem, lam, left):
     raise ValueError(f"unknown left boundary override {left!r}")
 
 
+def _walk_phi(problem, lam, left, cpm_density, derivative=False):
+    """phi's end state at pi from :func:`_phi_start`'s data: (y, y'), and with
+    ``derivative`` (u, u') too, u started from the data's lambda-derivative."""
+    start, dstart = _phi_start(problem, lam, left)
+    return propagate_endpoints_batch(problem, lam, start + dstart if derivative else start,
+                                     cpm_density=cpm_density)
+
+
 def _delta_at(problem, lam, end, derivative=False):
     """Delta, and with ``derivative`` Delta', from phi's end state at pi."""
     psi, dpsi = initial_state(problem, "psi", lam)
@@ -172,10 +187,8 @@ def delta_batch(problem, lam, derivative=False, left="spec",
     :func:`initial_state`; ``left="dirichlet"`` starts phi from (0, 1).
     Real lambda gives float64 arrays, the complex result's real parts."""
     lam = np.asarray(lam)
-    start, dstart = _phi_start(problem, lam, left)
-    end = propagate_endpoints_batch(problem, lam, start + dstart if derivative else start,
-                                    cpm_density=cpm_density)
-    return _delta_at(problem, lam, end, derivative)
+    return _delta_at(problem, lam, _walk_phi(problem, lam, left, cpm_density, derivative),
+                     derivative)
 
 
 def _stacked(problems, lam, left, cpm_density, norm=False):
@@ -191,9 +204,7 @@ def _stacked(problems, lam, left, cpm_density, norm=False):
     for key in dict.fromkeys(keys):
         rows = [r for r, k in enumerate(keys) if k == key]
         stack, lr = _stack([problems[r] for r in rows]), lam[rows]
-        start, dstart = _phi_start(stack, lr, left)
-        end = propagate_endpoints_batch(stack, lr, start + dstart if norm else start,
-                                        cpm_density=cpm_density)
+        end = _walk_phi(stack, lr, left, cpm_density, norm)
         delta[rows] = _delta_at(stack, lr, end)
         if norm:
             gamma[rows] = _norming_at(stack, lr, end)[0]
@@ -241,7 +252,7 @@ def lambda_floor(problem):
     magnitudes of the boundary constants enter the bound alongside the
     potential and the jump c-terms.
     """
-    s = 1.0 + problem.max_abs_q() + max(map(abs, astuple(problem.boundary)))
+    s = 1.0 + problem.potential.max_abs() + max(map(abs, astuple(problem.boundary)))
     if problem.jumps:
         s += sum(abs(j.c) for j in problem.jumps) / min(1.0, problem.min_node_gap())
     return -(s * s)
@@ -371,8 +382,7 @@ def _locate(problem, count, left, cpm_density, predicted=None):
             f"the oscillation index reads {index0[k]} at lambda = {x0[k]:.10g} and "
             f"{index0[k + 1]} at {x0[k + 1]:.10g}, out of step with Delta's sign changes")
     def newton(z):      # delta_batch's walk, handing its end state on
-        start, dstart = _phi_start(problem, z, left)
-        end = propagate_endpoints_batch(problem, z, start + dstart, cpm_density=cpm_density)
+        end = _walk_phi(problem, z, left, cpm_density, derivative=True)
         return (*_delta_at(problem, z, end, derivative=True), *end)
     roots, droots, *ends = _polish_roots(
         newton, x[lo], x[np.where(vals[lo] == 0.0, lo, lo + 1)], vals[lo])
@@ -387,13 +397,13 @@ def eigenvalues(problem, count, verify=True, left="spec",
     """The lowest ``count`` eigenvalues, located by bisecting the
     oscillation index and Newton-polished (see :func:`_locate`).  The index
     certifies each root's bracket, so every record is "index-verified";
-    ``verify`` is accepted and does nothing.  With ``left="spec"`` the
-    result privately keeps the polish's end rows for :func:`spectral_data`."""
+    ``verify`` is accepted and does nothing.  The result privately keeps the
+    polish's end rows for :func:`spectral_data` (None with ``left="dirichlet"``)."""
     _check_count(count)
     roots, _, ends = _locate(problem, count, left, cpm_density)
     sd = SpectralData(_records(roots, ["index-verified"] * count), problem.fingerprint(),
                       problem.variant, cpm_density)
-    object.__setattr__(sd, "_walk", (sd.fingerprint, cpm_density, roots, ends))  # not a field
+    object.__setattr__(sd, "_rows", ends)  # not a field: a rebuilt or replace()d one has none
     return sd
 
 
@@ -463,10 +473,7 @@ def _norming_data(problem, lams, cpm_density, end=None):
     """(gamma, beta) arrays at real eigenvalues from one batched forward
     propagation (see :func:`spectral_data`), or from its ``end`` rows."""
     lam = np.asarray(lams, dtype=float)
-    if end is None:
-        start, dstart = initial_state(problem, "phi", lam)
-        end = propagate_endpoints_batch(problem, lam, start + dstart, cpm_density=cpm_density)
-    return _norming_at(problem, lam, end)
+    return _norming_at(problem, lam, end or _walk_phi(problem, lam, "spec", cpm_density, True))
 
 
 def _norming_at(problem, lam, end):
@@ -518,15 +525,14 @@ def spectral_data(problem, eigs) -> SpectralData:
     with a positive sign.
 
     Data from :func:`eigenvalues` walk no more: the end rows of the
-    polish's last Newton walks give the same bits where the fingerprint,
-    density and lambdas match.  Any other input walks.
+    polish's last Newton walks, which they carry, give the same bits.  Any
+    other input walks, a rebuilt or ``dataclasses.replace``d one too.
 
     Each record's rho is sqrt(lambda_n), also where ``eigs`` carries its
     own.  MismatchError if ``eigs`` names another problem by its
     fingerprint; an empty one, as :func:`load_csv` gives, names none.
     """
     fingerprint = problem.fingerprint()
-    walk = getattr(eigs, "_walk", None)
     if isinstance(eigs, SpectralData):
         if eigs.fingerprint not in ("", fingerprint):
             raise MismatchError(f"eigenvalues of {eigs.fingerprint}, not of {fingerprint}")
@@ -535,8 +541,7 @@ def spectral_data(problem, eigs) -> SpectralData:
     else:
         lams, density = np.asarray(eigs, dtype=float), CPM_DENSITY
         certifications = ["bracketed"] * lams.size
-    fused = walk and walk[:2] == (fingerprint, density) and np.array_equal(walk[2], lams)
-    gammas, betas = _norming_data(problem, lams, density, walk[3] if fused else None)
+    gammas, betas = _norming_data(problem, lams, density, getattr(eigs, "_rows", None))
     return SpectralData(records=_records(lams, certifications, gammas.tolist(), betas.tolist()),
                         fingerprint=fingerprint, variant=problem.variant, cpm_density=density)
 

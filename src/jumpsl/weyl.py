@@ -27,7 +27,7 @@ from .errors import (DomainError, InterlacingError, MismatchError, PoleError,
                      VariantError)
 from .problem import ValidatedProblem, _atomic_write
 from .propagation import SpectralPoint, _psi_at_zero, fundamental_solution, initial_state
-from .spectrum import SpectralData, _fmt, _wronskian, eigenvalues, spectral_data
+from .spectrum import SpectralData, _fmt, _n_terms, _wronskian, eigenvalues, spectral_data
 
 __all__ = [
     "WeylSample",
@@ -140,11 +140,7 @@ def weyl_theta(problem, x, lam, sd: SpectralData | None = None):
 
 def partial_fraction_m(sd: SpectralData, lam, n_terms=None):
     """Truncated partial-fraction series sum_n gamma_n/(lambda_n - lambda)."""
-    if n_terms is None:
-        n_terms = len(sd)
-    if n_terms > len(sd):
-        raise MismatchError(f"only {len(sd)} records available, "
-                            f"{n_terms} requested")
+    n_terms = _n_terms(n_terms, len(sd))
     lam = np.asarray(lam, dtype=complex)
     g = sd.gammas[:n_terms]
     if np.any(np.isnan(g)):
@@ -171,16 +167,13 @@ class TwoSpectra:
     def __post_init__(self):
         if self.problem.variant == "eigenparameter":
             raise VariantError("two-spectra recovery needs the Robin variant")
-        lams = self.primary.lambdas
-        mus = self.secondary.lambdas
+        lams, mus = self.primary.lambdas, self.secondary.lambdas
         n = min(len(lams), len(mus))
-        for i in range(n):
-            lo = lams[i]
-            hi = lams[i + 1] if i + 1 < len(lams) else math.inf
-            if not (lo < mus[i] < hi):
-                raise InterlacingError(
-                    f"mu_{i}={mus[i]} does not lie in "
-                    f"(lambda_{i}, lambda_{i + 1})=({lo}, {hi})")
+        lo, hi, mus = lams[:n], np.append(lams[1:], math.inf)[:n], mus[:n]
+        if (bad := np.flatnonzero(~((lo < mus) & (mus < hi)))).size:
+            i = bad[0]
+            raise InterlacingError(f"mu_{i}={mus[i]} does not lie in "
+                                   f"(lambda_{i}, lambda_{i + 1})=({lo[i]}, {hi[i]})")
 
 
 def secondary_spectrum(problem, count) -> SpectralData:
@@ -202,10 +195,7 @@ def m_from_two_spectra(ts: TwoSpectra, lam, n_terms=None):
     primary eigenvalue; PoleError there, and DomainError where the leading
     sums overflow.
     """
-    avail = min(len(ts.primary), len(ts.secondary))
-    n = avail if n_terms is None else n_terms
-    if not 1 <= n <= avail:
-        raise MismatchError(f"n_terms={n} outside 1..{avail}")
+    n = _n_terms(n_terms, min(len(ts.primary), len(ts.secondary)))
     lams = ts.primary.lambdas[:n]
     mus = ts.secondary.lambdas[:n]
     lam = np.asarray(lam, dtype=complex)

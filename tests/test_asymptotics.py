@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ def test_asymptotic_rejects_x_outside_the_interval(one_jump, x):
     for target in ("phi", "phi_prime"):
         with pytest.raises(DomainError, match=r"outside \[0, pi\]"):
             asymptotic_eval(one_jump, target, x, 3.0)
+
+
+@pytest.mark.parametrize("trig", ["tan", "SIN", "bogus", None])
+def test_unknown_trig_rejected(one_jump, trig):
+    # not read as "cos": an unknown sum is an error, as an unknown target is
+    message = re.escape(f"unknown trig {trig!r}")
+    with pytest.raises(ValueError, match=message):
+        sine_sum(one_jump, 1.3, trig=trig)
+    with pytest.raises(ValueError, match=message):
+        eigenvalue_guesses(one_jump, 3, trig=trig)
 
 
 @pytest.mark.parametrize("count", [0, -3, 2.5, 2.0, True, "3", None])

@@ -317,6 +317,37 @@ def test_residuals_flag_numerical_errors(monkeypatch, one_jump):
     assert len(r) == 8
 
 
+def test_residuals_flag_a_non_finite_model(monkeypatch, one_jump):
+    fs = _full_spec(one_jump, 4, unknowns=("h", "H"))
+    forward = inverse._forward_targets
+
+    def nan_gamma(fs, problem, *predicted):
+        lams, gams, mus = forward(fs, problem, *predicted)
+        return lams, np.where(np.arange(gams.size) == 1, np.nan, gams), mus
+
+    monkeypatch.setattr(inverse, "_forward_targets", nan_gamma)
+    handed = {}
+    r = residuals(fs, pack_parameters(fs), _forward=handed)
+    assert np.all(r == FLAG_RESIDUAL) and len(r) == 8
+    assert "lams" not in handed         # a flagged residual hands no roots on
+
+
+def test_jacobian_is_zero_where_a_step_leaves_the_valid_problems():
+    # r1 = h3 - h1 h2 lies within one step of h3 of 0, so params - step is
+    # invalid (r1 < 0): the Jacobian is zero rather than an exception
+    bc = EigenparameterBC(0.0, 0.0, 1e-6, 1.0, 2.0, 1.0)
+    p = validate(ProblemSpec(constant_potential(0.0), bc))
+    assert 0.0 < bc.r1 < inverse._FD_STEP
+    fs = _full_spec(p, 4, unknowns=("h3",))
+    handed = {}
+    params = pack_parameters(fs)
+    assert np.max(np.abs(residuals(fs, params, _forward=handed))) < 1e-7
+    with pytest.raises(jumpsl.BoundaryConstraintError):
+        unpack_parameters(fs, params - inverse._FD_STEP)
+    jac = inverse._jacobian(fs, params, handed["lams"], handed["mus"])
+    assert jac.shape == (8, 1) and not np.any(jac)
+
+
 def test_residuals_propagate_programming_errors(monkeypatch, one_jump):
     fs = _full_spec(one_jump, 4, unknowns=("h", "H"))
 

@@ -250,6 +250,16 @@ def test_save_problem_is_atomic(tmp_path, monkeypatch, generic, eig_desk):
     assert [f.name for f in tmp_path.iterdir()] == ["p.json"]
 
 
+def test_atomic_write_removes_its_temp_file(tmp_path, generic):
+    # os.replace cannot put a file over a directory: the write fails and
+    # leaves no temporary file behind
+    (tmp_path / "out").mkdir()
+    with pytest.raises(IsADirectoryError):
+        save_problem(generic, tmp_path / "out")
+    assert [f.name for f in tmp_path.iterdir()] == ["out"]
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_config_parse_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

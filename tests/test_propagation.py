@@ -239,6 +239,19 @@ def test_initial_state_variants(free, eig_desk):
     assert yp == pytest.approx(bc.h1 / bc.r1)
 
 
+def test_initial_state_rejects_an_unknown_kind(free, eig_desk):
+    for p in (free, eig_desk):
+        with pytest.raises(ValueError, match="unknown solution kind 'theta'"):
+            initial_state(p, "theta", 2.0)
+
+
+@pytest.mark.parametrize("x", [-0.1, PI + 1e-9, [0.5, 4.0]])
+def test_dense_solution_rejects_points_outside_the_interval(generic, x):
+    sol = fundamental_solution(generic, "phi", SpectralPoint.from_lambda(2.0))
+    with pytest.raises(DomainError, match=r"outside \[0, pi\]"):
+        sol.eval(x)
+
+
 def test_propagate_interval_rejects_straddle(generic):
     sp = SpectralPoint.from_lambda(1.0)
     d = generic.jumps[0].d

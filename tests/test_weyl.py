@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from jumpsl import (
     DomainError,
     InterlacingError,
     JumpCondition,
+    MismatchError,
     PoleError,
     ProblemSpec,
     RobinBC,
@@ -15,6 +18,7 @@ from jumpsl import (
     VariantError,
     constant_potential,
     eigenvalues,
+    gamma_sum_partial,
     m_from_two_spectra,
     numerical_residue,
     partial_fraction_m,
@@ -255,6 +259,16 @@ def test_two_spectra_domain_and_interlacing(free, eig_desk):
         m_from_two_spectra(ts, 1.0)     # a primary eigenvalue
     with pytest.raises(InterlacingError):
         TwoSpectra(sec, prim, free)     # swapped lists cannot interlace
+    # the message names the first mu out of its interval, also past the
+    # last lambda, where the interval has no upper end
+    for shift, named in (({3: 100.0, 5: 100.0}, r"mu_3=.* \(lambda_3, lambda_4\)"),
+                         ({9: -20.0}, r"mu_9=.*, inf\)$")):
+        moved = tuple(dataclasses.replace(r, lam=r.lam + shift.get(r.n, 0.0)) for r in sec)
+        with pytest.raises(InterlacingError, match=named):
+            TwoSpectra(prim, dataclasses.replace(sec, records=moved), free)
+    moved = tuple(dataclasses.replace(r, lam=prim[r.n].lam) for r in sec)
+    with pytest.raises(InterlacingError, match=r"mu_0="):
+        TwoSpectra(prim, dataclasses.replace(sec, records=moved), free)   # not strictly inside
     with pytest.raises(VariantError):
         TwoSpectra(eigenvalues(eig_desk, 10, verify=False),
                    secondary_spectrum(eig_desk, 10), eig_desk)
@@ -312,3 +326,30 @@ def test_complex_m_matches_closed_form(request, name, closed):
     assert np.max(err[1]) < 1e-12
     assert np.max(err[0]) <= 1.01 * np.max(err[1])
     assert np.mean(err[0]) <= 1.01 * np.mean(err[1])
+
+
+@pytest.fixture(scope="module")
+def ten_records(free, eig_desk):
+    """Ten eig_desk records with gammas, and free's two spectra of ten each."""
+    return (spectral_data(eig_desk, eigenvalues(eig_desk, 10)),
+            TwoSpectra(eigenvalues(free, 10), secondary_spectrum(free, 10), free))
+
+
+@pytest.mark.parametrize("n_terms", [0, -1, 1.5, True, 11, 100])
+def test_partial_sums_check_n_terms(ten_records, n_terms):
+    # one check for all three partial sums: an integer, not a bool, from 1
+    # to the number of records there are
+    sd, ts = ten_records
+    message = re.escape(f"n_terms={n_terms!r} outside 1..10")
+    for partial in (lambda: partial_fraction_m(sd, -1.0, n_terms),
+                    lambda: gamma_sum_partial(sd, n_terms),
+                    lambda: m_from_two_spectra(ts, -1.0, n_terms)):
+        with pytest.raises(MismatchError, match=message):
+            partial()
+
+
+def test_partial_sums_take_any_integer_in_range(ten_records):
+    sd, ts = ten_records
+    assert partial_fraction_m(sd, -1.0, np.int64(10)) == partial_fraction_m(sd, -1.0)
+    assert np.array_equal(gamma_sum_partial(sd, 1), sd.gammas[:1])
+    assert m_from_two_spectra(ts, -1.0, np.int32(10)) == m_from_two_spectra(ts, -1.0)
