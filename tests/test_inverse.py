@@ -333,8 +333,8 @@ def test_residuals_flag_a_non_finite_model(monkeypatch, one_jump):
 
 
 def test_jacobian_is_zero_where_a_step_leaves_the_valid_problems():
-    # r1 = h3 - h1 h2 lies within one step of h3 of 0, so params - step is
-    # invalid (r1 < 0): the Jacobian is zero rather than an exception
+    # r1 = h3 - h1 h2 is smaller than the Jacobian's step in h3, so
+    # params - step is invalid (r1 < 0): the Jacobian is zero, not an error
     bc = EigenparameterBC(0.0, 0.0, 1e-6, 1.0, 2.0, 1.0)
     p = validate(ProblemSpec(constant_potential(0.0), bc))
     assert 0.0 < bc.r1 < inverse._FD_STEP
